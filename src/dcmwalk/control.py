@@ -186,7 +186,14 @@ class MpcInfeasibleError(RuntimeError):
 
 
 class PredictiveDcmController:
-    """Receding-horizon DCM stabilizer; ZMP kept inside the support polygon."""
+    """Receding-horizon DCM stabilizer; ZMP kept inside the support polygon.
+
+    The QP is over w = [xi_0 .. xi_N, r_0 .. r_{N-1}]. Its Hessian and the
+    dynamics rows of A_eq depend only on the config and omega, so they are
+    built once; each solve fills in the gradient, the initial-condition
+    right-hand side and the polygon rows, and starts the solver from a
+    feasible point built in closed form (see `start_point`).
+    """
 
     def __init__(self, config, omega):
         if omega <= 0.0:
@@ -194,31 +201,21 @@ class PredictiveDcmController:
         self.config = config
         self.omega = omega
         self._solver = QpSolver()
-        self._warm = None
+        self._f = np.exp(omega * config.sample_time)
+        self._H, self._A_eq = self._fixed_matrices()
 
-    def reset(self):
-        self._warm = None
-
-    def assemble(self, xi_meas, r_prev, xi_refs, polygons=None):
-        """Sparse QP over w = [xi_0 .. xi_N, r_0 .. r_{N-1}]."""
+    def _fixed_matrices(self):
         N = self.config.horizon
-        refs = np.asarray(xi_refs, dtype=float).reshape(-1, 2)
-        if refs.shape[0] != N + 1:
-            raise ValueError(f"need {N + 1} DCM reference samples, got {refs.shape[0]}")
-        T = self.config.sample_time
-        f = np.exp(self.omega * T)
+        f = self._f
         g_gain = 1.0 - f
         n_xi = 2 * (N + 1)
         n = n_xi + 2 * N
         Q, R, QN = self.config.Q, self.config.R, self.config.Q_terminal
 
         H = np.zeros((n, n))
-        grad = np.zeros(n)
         for j in range(N):
             H[2 * j:2 * j + 2, 2 * j:2 * j + 2] = 2.0 * Q
-            grad[2 * j:2 * j + 2] = -2.0 * Q @ refs[j]
         H[2 * N:2 * N + 2, 2 * N:2 * N + 2] = 2.0 * QN
-        grad[2 * N:2 * N + 2] = -2.0 * QN @ refs[N]
         # Rate cost sum_j |r_j - r_{j-1}|^2_R with r_{-1} = r_prev: each chain
         # term adds 2R to both endpoint diagonals and -2R off-diagonal.
         for j in range(N):
@@ -229,44 +226,82 @@ class PredictiveDcmController:
                 H[k:k + 2, k:k + 2] += 2.0 * R
                 H[k:k + 2, k2:k2 + 2] += -2.0 * R
                 H[k2:k2 + 2, k:k + 2] += -2.0 * R
-        grad[n_xi:n_xi + 2] += -2.0 * R @ np.asarray(r_prev, dtype=float)
 
+        # Rows 2i, 2i+1: xi_{i+1} - f xi_i - (1 - f) r_i = 0; last two: xi_0.
         A_eq = np.zeros((2 * N + 2, n))
-        b_eq = np.zeros(2 * N + 2)
         for i in range(N):
             rows = slice(2 * i, 2 * i + 2)
             A_eq[rows, 2 * (i + 1):2 * (i + 1) + 2] = np.eye(2)
             A_eq[rows, 2 * i:2 * i + 2] = -f * np.eye(2)
             A_eq[rows, n_xi + 2 * i:n_xi + 2 * i + 2] = -g_gain * np.eye(2)
         A_eq[2 * N:2 * N + 2, 0:2] = np.eye(2)
+        # Shared by every assembled problem, so nothing may write to them.
+        H.setflags(write=False)
+        A_eq.setflags(write=False)
+        return H, A_eq
+
+    def assemble(self, xi_meas, r_prev, xi_refs, polygons=None):
+        """Sparse QP over w = [xi_0 .. xi_N, r_0 .. r_{N-1}]."""
+        N = self.config.horizon
+        refs = np.asarray(xi_refs, dtype=float).reshape(-1, 2)
+        if refs.shape[0] != N + 1:
+            raise ValueError(f"need {N + 1} DCM reference samples, got {refs.shape[0]}")
+        n_xi = 2 * (N + 1)
+        n = n_xi + 2 * N
+        Q, R, QN = self.config.Q, self.config.R, self.config.Q_terminal
+
+        grad = np.zeros(n)
+        for j in range(N):
+            grad[2 * j:2 * j + 2] = -2.0 * Q @ refs[j]
+        grad[2 * N:2 * N + 2] = -2.0 * QN @ refs[N]
+        grad[n_xi:n_xi + 2] += -2.0 * R @ np.asarray(r_prev, dtype=float)
+
+        b_eq = np.zeros(2 * N + 2)
         b_eq[2 * N:2 * N + 2] = np.asarray(xi_meas, dtype=float).reshape(2)
 
         A_in, b_in = None, None
-        if polygons is not None:
-            rows, offs = [], []
-            for j, poly in enumerate(polygons[:N]):
-                if poly is None:
-                    continue
-                block = np.zeros((poly.A.shape[0], n))
-                block[:, n_xi + 2 * j:n_xi + 2 * j + 2] = poly.A
-                rows.append(block)
-                offs.append(poly.b)
-            if rows:
-                A_in = np.vstack(rows)
-                b_in = np.concatenate(offs)
-        return QpProblem(H=H, g=grad, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
+        constrained = [(j, poly) for j, poly in enumerate(polygons[:N])
+                       if poly is not None] if polygons is not None else []
+        if constrained:
+            A_in = np.zeros((sum(poly.A.shape[0] for _, poly in constrained), n))
+            row = 0
+            for j, poly in constrained:
+                k = poly.A.shape[0]
+                A_in[row:row + k, n_xi + 2 * j:n_xi + 2 * j + 2] = poly.A
+                row += k
+            b_in = np.concatenate([poly.b for _, poly in constrained])
+        return QpProblem(H=self._H, g=grad, A_eq=self._A_eq, b_eq=b_eq,
+                         A_in=A_in, b_in=b_in)
+
+    def start_point(self, xi_meas, r_prev, polygons=None):
+        """A feasible w for `assemble`'s QP, built without an LP.
+
+        Each r_j sits at the vertex mean of its polygon, which is strictly
+        inside a convex polygon (r_prev where there is none); xi_0 = xi_meas
+        and the DCM is rolled forward through the dynamics, so the equalities
+        hold to rounding. The DCM is otherwise free, so this point always
+        exists.
+        """
+        N = self.config.horizon
+        polygons = [] if polygons is None else list(polygons[:N])
+        polygons += [None] * (N - len(polygons))
+        r = np.array([np.asarray(r_prev, dtype=float).reshape(2) if poly is None
+                      else poly.vertices.mean(axis=0) for poly in polygons])
+        xi = np.empty((N + 1, 2))
+        xi[0] = np.asarray(xi_meas, dtype=float).reshape(2)
+        f = self._f
+        for k in range(N):
+            xi[k + 1] = f * xi[k] + (1.0 - f) * r[k]
+        return np.concatenate([xi.ravel(), r.ravel()])
 
     def control(self, xi_meas, r_prev, xi_refs, polygons=None):
         problem = self.assemble(xi_meas, r_prev, xi_refs, polygons)
-        sol = self._solver.solve(problem, warm_start=self._warm)
+        sol = self._solver.solve(problem, self.start_point(xi_meas, r_prev, polygons))
         if sol.status is QpStatus.INFEASIBLE:
-            self._warm = None
             raise MpcInfeasibleError("support polygon constraints are infeasible",
                                      violation=sol.residuals.get("infeasible"))
         if sol.status is not QpStatus.OPTIMAL:
-            self._warm = None
             raise MpcInfeasibleError("QP solver failed to converge")
-        self._warm = {"w": sol.w, "active_set": sol.active_set}
         n_xi = 2 * (self.config.horizon + 1)
         return sol.w[n_xi:n_xi + 2].copy(), sol
 

@@ -171,23 +171,37 @@ def build_gait(scenario):
     return steps, timeline
 
 
-def feet_planted_at(timeline, t):
-    """Latest planted pose of each foot at time t (swing poses at lift-off)."""
-    return timeline.phase_at(t).feet
-
-
 def foot_rectangle(position, yaw):
     return SupportPolygon.from_rectangle(position, yaw, FOOT_LENGTH, FOOT_WIDTH)
 
 
-def support_polygon_at(timeline, t):
+def plan_support_polygon(phase):
     """Plan-level support polygon (SS: stance rectangle, else both feet)."""
-    phase = timeline.phase_at(t)
     if phase.kind is PhaseKind.SINGLE_SUPPORT:
         stance = phase.feet[phase.stance_side]
         return foot_rectangle(stance.position, stance.yaw)
     rects = [foot_rectangle(f.position, f.yaw) for f in phase.feet.values()]
     return SupportPolygon.union_hull(*rects)
+
+
+def support_polygon_at(timeline, t):
+    """Plan-level support polygon of the gait phase at time t."""
+    return plan_support_polygon(timeline.phase_at(t))
+
+
+class PlanPolygons:
+    """Plan-level support polygons, built once per gait phase.
+
+    `at(t)` returns the polygon `support_polygon_at(timeline, t)` would
+    build, without building it again.
+    """
+
+    def __init__(self, timeline):
+        self._timeline = timeline
+        self._by_phase = {id(ph): plan_support_polygon(ph) for ph in timeline.phases}
+
+    def at(self, t):
+        return self._by_phase[id(self._timeline.phase_at(t))]
 
 
 def realized_support_polygon(phase, foot_positions):
@@ -208,8 +222,7 @@ def fall_detector(dcm, support, com_height, z0, margin=0.3, height_fraction=0.5)
     return abs(com_height - z0) > height_fraction * z0
 
 
-def _foot_reference_at(timeline, t, side):
-    phase = timeline.phase_at(t)
+def _foot_reference_at(phase, t, side):
     if (phase.kind is PhaseKind.SINGLE_SUPPORT and phase.swing is not None
             and phase.stance_side is not side):
         pos, yaw, vel, yaw_rate = phase.swing.pose(t)
@@ -271,6 +284,7 @@ def run_scenario(scenario, seed=0, model=None):
         MpcConfig(horizon=scenario.mpc_horizon, sample_time=scenario.mpc_period,
                   Q=scenario.mpc_q * np.eye(2), R=scenario.mpc_r * np.eye(2),
                   Q_terminal=scenario.mpc_qn * np.eye(2)), omega)
+    plan_polygons = PlanPolygons(timeline) if scenario.controller == "predictive" else None
     standing = ZmpComGains(k_zmp=scenario.k_zmp_standing * np.eye(2),
                            k_com=scenario.k_com_standing * np.eye(2)).validate(omega)
     walking = ZmpComGains(k_zmp=scenario.k_zmp_walking * np.eye(2),
@@ -342,7 +356,7 @@ def run_scenario(scenario, seed=0, model=None):
                 N = scenario.mpc_horizon
                 window = np.array([traj.dcm(t + j * scenario.mpc_period)
                                    for j in range(N + 1)])
-                polys = [support_polygon_at(timeline, t + j * scenario.mpc_period)
+                polys = [plan_polygons.at(t + j * scenario.mpc_period)
                          for j in range(N)]
                 r_ref, _ = mpc.control(xi_meas, r_ref, window, polys)
         except MpcInfeasibleError as exc:
@@ -355,10 +369,10 @@ def run_scenario(scenario, seed=0, model=None):
         xdot_star = zmp_com_control(x_meas, x_ref, xd_ref, r_meas, r_ref, zc_gains)
 
         # Whole-body QP control layer.
-        lf_ref = _foot_reference_at(timeline, t, FootSide.LEFT)
-        rf_ref = _foot_reference_at(timeline, t, FootSide.RIGHT)
-        torso_ref = rot_z(0.5 * (feet_planted_at(timeline, t)[FootSide.LEFT].yaw
-                                 + feet_planted_at(timeline, t)[FootSide.RIGHT].yaw))
+        lf_ref = _foot_reference_at(phase, t, FootSide.LEFT)
+        rf_ref = _foot_reference_at(phase, t, FootSide.RIGHT)
+        torso_ref = rot_z(0.5 * (phase.feet[FootSide.LEFT].yaw
+                                 + phase.feet[FootSide.RIGHT].yaw))
         refs = WholeBodyReferences(com_velocity_cmd=xdot_star, left_foot=lf_ref,
                                    right_foot=rf_ref, torso_rotation=torso_ref,
                                    posture=posture, com_position=x_ref)

@@ -1,4 +1,4 @@
-"""Dense strictly-convex QP solver (primal active set) with warm starting.
+"""Dense strictly-convex QP solver (primal active set).
 
 Solves
     min 1/2 w^T H w + g^T w
@@ -7,7 +7,10 @@ Solves
          lb <= w <= ub
 
 Problem sizes here are tiny (tens of variables), so every working-set
-iteration solves a dense KKT system directly.
+iteration solves a dense KKT system directly. The caller may pass a feasible
+start point; without one (or when it is not feasible) the solver starts from
+least squares on the equalities and falls back to a Phase-1 LP only when
+that point breaks an inequality.
 """
 
 from dataclasses import dataclass, field
@@ -61,27 +64,24 @@ class QpProblem:
         original row/variable index, used to split the dual vector afterwards.
         """
         n = self.n
-        rows, rhs, kind = [], [], []
+        blocks, rhs, kind = [], [], []
         if self.A_in is not None:
             A = np.asarray(self.A_in, dtype=float)
-            b = np.asarray(self.b_in, dtype=float).reshape(-1)
-            for i in range(A.shape[0]):
-                rows.append(A[i])
-                rhs.append(b[i])
-                kind.append(("in", i))
+            blocks.append(A)
+            rhs.append(np.asarray(self.b_in, dtype=float).reshape(-1))
+            kind += [("in", i) for i in range(A.shape[0])]
         for bound, sign, label in ((self.ub, 1.0, "ub"), (self.lb, -1.0, "lb")):
             if bound is None:
                 continue
             bv = np.asarray(bound, dtype=float).reshape(-1)
-            for j in range(n):
-                if np.isfinite(bv[j]):
-                    e = np.zeros(n)
-                    e[j] = sign
-                    rows.append(e)
-                    rhs.append(sign * bv[j])
-                    kind.append((label, j))
-        if rows:
-            return np.vstack(rows), np.asarray(rhs), kind
+            cols = np.flatnonzero(np.isfinite(bv))
+            E = np.zeros((cols.size, n))
+            E[np.arange(cols.size), cols] = sign
+            blocks.append(E)
+            rhs.append(sign * bv[cols])
+            kind += [(label, int(j)) for j in cols]
+        if kind:
+            return np.vstack(blocks), np.concatenate(rhs), kind
         return np.zeros((0, n)), np.zeros(0), []
 
     def objective(self, w):
@@ -131,13 +131,14 @@ class QpInfeasibleError(RuntimeError):
 
 
 class QpSolver:
-    """Primal active-set solver; one instance per control loop (warm starts)."""
+    """Primal active-set solver."""
 
     def __init__(self, tol=DEFAULT_TOL, max_iter=200):
         self.tol = tol
         self.max_iter = max_iter
 
-    def solve(self, problem, warm_start=None):
+    def solve(self, problem, start=None):
+        """Solve `problem`; `start` is an optional feasible start point."""
         n = problem.n
         H = np.asarray(problem.H, dtype=float)
         g = np.asarray(problem.g, dtype=float).reshape(-1)
@@ -150,11 +151,11 @@ class QpSolver:
         A_all, b_all, kind = problem.expanded_inequalities()
         m = A_all.shape[0]
 
-        w, active = self._initial_point(problem, A_eq, b_eq, A_all, b_all, warm_start)
+        w = self._initial_point(problem, A_eq, b_eq, A_all, b_all, start)
         if w is None:
             return self._infeasible(problem, n, A_eq.shape[0], m, kind)
 
-        working = set(active)
+        working = set()
         lam_eq = np.zeros(A_eq.shape[0])
         mu = np.zeros(m)
         it = 0
@@ -188,18 +189,7 @@ class QpSolver:
                 self._split_duals(sol, problem, mu, kind)
                 sol.residuals = kkt_residuals(problem, sol)
                 return sol
-            # Line search toward w + p against inactive inequality rows.
-            alpha = 1.0
-            blocking = None
-            for i in range(m):
-                if i in working:
-                    continue
-                ap = A_all[i] @ p
-                if ap > 1e-14:
-                    a_i = (b_all[i] - A_all[i] @ w) / ap
-                    if a_i < alpha - 1e-15:
-                        alpha = max(a_i, 0.0)
-                        blocking = i
+            alpha, blocking = _ratio_test(A_all @ p, b_all - A_all @ w, working)
             w = w + alpha * p
             if blocking is not None:
                 working.add(blocking)
@@ -226,30 +216,23 @@ class QpSolver:
             return None, None
         return sol[:n], sol[n:]
 
-    def _initial_point(self, problem, A_eq, b_eq, A_all, b_all, warm_start):
+    def _initial_point(self, problem, A_eq, b_eq, A_all, b_all, start):
         n = problem.n
-        active = ()
-        w = None
-        if warm_start is not None:
-            w0 = np.asarray(warm_start.get("w"), dtype=float).reshape(-1) \
-                if isinstance(warm_start, dict) else np.asarray(warm_start, dtype=float).reshape(-1)
-            if isinstance(warm_start, dict):
-                active = tuple(warm_start.get("active_set", ()))
+        if start is not None:
+            w0 = np.asarray(start, dtype=float).reshape(-1)
             if w0.shape == (n,) and self._feasible(w0, A_eq, b_eq, A_all, b_all):
-                active = tuple(i for i in active if i < A_all.shape[0]
-                               and abs(A_all[i] @ w0 - b_all[i]) <= 10 * self.tol)
-                return w0, active
+                return w0
         # Cold start: least-squares on the equalities, then Phase-1 if needed.
         if A_eq.shape[0]:
             w = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0]
         else:
             w = np.zeros(n)
         if self._feasible(w, A_eq, b_eq, A_all, b_all):
-            return w, ()
+            return w
         w = self._phase1(problem)
         if w is None or not self._feasible(w, A_eq, b_eq, A_all, b_all, slack=100 * self.tol):
-            return None, ()
-        return w, ()
+            return None
+        return w
 
     def _feasible(self, w, A_eq, b_eq, A_all, b_all, slack=None):
         slack = self.tol if slack is None else slack
@@ -300,8 +283,32 @@ class QpSolver:
                           residuals={"infeasible": viol})
 
 
-def solve(problem, warm_start=None, tol=DEFAULT_TOL, max_iter=200):
-    return QpSolver(tol=tol, max_iter=max_iter).solve(problem, warm_start)
+def solve(problem, start=None, tol=DEFAULT_TOL, max_iter=200):
+    return QpSolver(tol=tol, max_iter=max_iter).solve(problem, start)
+
+
+def _ratio_test(Ap, slack, working):
+    """Longest step in [0, 1] along p before an inactive row blocks.
+
+    `Ap` is A_all @ p and `slack` is b_all - A_all @ w. Rows are scanned in
+    index order and a row blocks only when its step is shorter than the
+    current one by more than 1e-15, so of rows that block at the same step
+    the lowest index wins. Returns (alpha, blocking row or None).
+    """
+    moving = Ap > 1e-14
+    if working:
+        moving[list(working)] = False
+    rows = np.flatnonzero(moving)
+    steps = slack[rows] / Ap[rows]
+    # Only rows with a step below 1 can ever block, since alpha never grows.
+    short = steps < 1.0 - 1e-15
+    alpha = 1.0
+    blocking = None
+    for i, a_i in zip(rows[short], steps[short]):
+        if a_i < alpha - 1e-15:
+            alpha = max(a_i, 0.0)
+            blocking = int(i)
+    return alpha, blocking
 
 
 def kkt_residuals(problem, solution):

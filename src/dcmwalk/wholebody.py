@@ -191,12 +191,10 @@ class WholeBodyController:
         self.internal_state = initial_state.copy()
         self._integ = _Integrators()
         self._solver = QpSolver()
-        self._warm = None
 
     def reset(self, state):
         self.internal_state = state.copy()
         self._integ = _Integrators()
-        self._warm = None
 
     def cycle(self, refs, measured_state):
         """One control cycle; returns (command vector, diagnostics dict)."""
@@ -244,10 +242,9 @@ class WholeBodyController:
                                 b_eq=problem.b_eq[keep],
                                 lb=problem.lb, ub=problem.ub)
             fallback = True
-        sol = self._solver.solve(problem, warm_start=self._warm)
+        sol = self._solver.solve(problem)
         if sol.status is not QpStatus.OPTIMAL:
             raise RuntimeError(f"whole-body QP failed: {sol.status.value}")
-        self._warm = {"w": sol.w, "active_set": sol.active_set}
         nu = sol.w
 
         self._advance_integrators(com_err, errs, refs)

@@ -41,6 +41,51 @@ def random_qp(rng, n_max=10, m_max=8, with_eq=True, with_bounds=True):
                 lb=lb, ub=ub), w0
 
 
+def inequality_rows(n, A_in=None, b_in=None, lb=None, ub=None):
+    """All rows a^T w <= b, built one row at a time: the general rows, then
+    one row per finite upper bound, then one per finite lower bound.
+
+    Returns (A, b, kind) with kind[i] = ("in" | "ub" | "lb", index).
+    """
+    rows, rhs, kind = [], [], []
+    if A_in is not None:
+        for i, (a, b) in enumerate(zip(np.atleast_2d(A_in), np.asarray(b_in).reshape(-1))):
+            rows.append(np.asarray(a, dtype=float))
+            rhs.append(float(b))
+            kind.append(("in", i))
+    for bound, sign, label in ((ub, 1.0, "ub"), (lb, -1.0, "lb")):
+        if bound is None:
+            continue
+        bv = np.asarray(bound, dtype=float).reshape(-1)
+        for j in range(n):
+            if np.isfinite(bv[j]):
+                e = np.zeros(n)
+                e[j] = sign
+                rows.append(e)
+                rhs.append(sign * bv[j])
+                kind.append((label, j))
+    A = np.vstack(rows) if rows else np.zeros((0, n))
+    b = np.asarray(rhs, dtype=float) if rhs else np.zeros(0)
+    return A, b, kind
+
+
+def ratio_test_rowwise(Ap, slack, working):
+    """Active-set line search as a plain scan over every row.
+
+    Ap[i] = a_i^T p and slack[i] = b_i - a_i^T w. Returns (alpha, blocking).
+    """
+    alpha, blocking = 1.0, None
+    for i in range(len(Ap)):
+        if i in working:
+            continue
+        if Ap[i] > 1e-14:
+            a_i = slack[i] / Ap[i]
+            if a_i < alpha - 1e-15:
+                alpha = max(a_i, 0.0)
+                blocking = i
+    return alpha, blocking
+
+
 def brute_force_qp(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None,
                    lb=None, ub=None, tol=1e-9):
     """Exhaustive active-set enumeration for tiny strictly convex QPs.
@@ -52,23 +97,7 @@ def brute_force_qp(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None,
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float).reshape(-1)
     n = g.shape[0]
-    rows, rhs = [], []
-    if A_in is not None:
-        for a, b in zip(np.atleast_2d(A_in), np.asarray(b_in).reshape(-1)):
-            rows.append(np.asarray(a, dtype=float))
-            rhs.append(float(b))
-    for bound, sign in ((ub, 1.0), (lb, -1.0)):
-        if bound is None:
-            continue
-        bv = np.asarray(bound, dtype=float).reshape(-1)
-        for j in range(n):
-            if np.isfinite(bv[j]):
-                e = np.zeros(n)
-                e[j] = sign
-                rows.append(e)
-                rhs.append(sign * bv[j])
-    A_all = np.vstack(rows) if rows else np.zeros((0, n))
-    b_all = np.asarray(rhs) if rhs else np.zeros(0)
+    A_all, b_all, _ = inequality_rows(n, A_in, b_in, lb, ub)
     if A_eq is not None:
         A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
         b_eq = np.asarray(b_eq, dtype=float).reshape(-1)

@@ -1,12 +1,17 @@
 """Simplified-model control: support polygons, DCM stabilizers, ZMP-CoM law."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from dcmwalk import qp
 from dcmwalk.control import (InstantaneousDcmController, InstantaneousGains,
-                             MpcConfig, PredictiveDcmController, SupportPolygon,
-                             ZmpComGains, gain_schedule, minimum_jerk,
-                             zmp_com_control)
+                             MpcConfig, MpcInfeasibleError, PredictiveDcmController,
+                             SupportPolygon, ZmpComGains, gain_schedule,
+                             minimum_jerk, zmp_com_control)
 from dcmwalk.lipm import PendulumParams, SimplifiedState, step_exact
 from oracles import mpc_kkt_oracle
 
@@ -229,6 +234,64 @@ class TestPredictive:
             MpcConfig(sample_time=-0.1)
         with pytest.raises(ValueError):
             MpcConfig(Q=-np.eye(2))
+
+
+coord = st.floats(-0.5, 0.5)
+
+
+@st.composite
+def plan_polygons(draw):
+    """A rotated foot-sized rectangle, or the hull of two of them."""
+    def rect():
+        return SupportPolygon.from_rectangle(
+            (draw(coord), draw(coord)), draw(st.floats(-np.pi, np.pi)),
+            draw(st.floats(0.02, 0.3)), draw(st.floats(0.02, 0.3)))
+    first = rect()
+    return SupportPolygon.union_hull(first, rect()) if draw(st.booleans()) else first
+
+
+class TestMpcStartPoint:
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 20), omega=st.floats(3.0, 5.5), T=st.floats(0.05, 0.1),
+           data=st.data())
+    def test_feasible_and_same_optimum(self, N, omega, T, data):
+        polys = [data.draw(plan_polygons()) for _ in range(N)]
+        xi, r_prev = (np.array([data.draw(coord), data.draw(coord)]) for _ in range(2))
+        refs = np.array([[data.draw(coord), data.draw(coord)] for _ in range(N + 1)])
+        cfg = MpcConfig(horizon=N, sample_time=T, Q=10.0 * np.eye(2),
+                        R=0.05 * np.eye(2), Q_terminal=10.0 * np.eye(2))
+        ctrl = PredictiveDcmController(cfg, omega)
+        problem = ctrl.assemble(xi, r_prev, refs, polys)
+        w = ctrl.start_point(xi, r_prev, polys)
+        scale = max(1.0, np.abs(w).max())
+        assert np.linalg.norm(problem.A_eq @ w - problem.b_eq, np.inf) <= 1e-9 * scale
+        n_xi = 2 * (N + 1)
+        for j, poly in enumerate(polys):
+            assert poly.violation(w[n_xi + 2 * j:n_xi + 2 * j + 2]) < 0.0
+        # The built start is accepted: the MPC never needs the Phase-1 LP.
+        with mock.patch.object(qp, "linprog", side_effect=AssertionError("Phase-1 LP")):
+            try:
+                r0, _ = ctrl.control(xi, r_prev, refs, polys)
+            except MpcInfeasibleError:
+                r0 = None
+        cold = qp.solve(problem)
+        # The active-set loop cycles on 1-2% of these feasible QPs, from
+        # either start (its dependency handler drops the highest working-set
+        # index, not the row just added). Such a solve must end in MAX_ITER,
+        # never in a wrong optimum. Wherever both converge they agree on the
+        # scale of the solver's stopping rule, 1e-8 * max(1, |w|_inf).
+        if r0 is None or cold.status is not qp.QpStatus.OPTIMAL:
+            event("active-set cycling")
+            assert cold.status in (qp.QpStatus.OPTIMAL, qp.QpStatus.MAX_ITER)
+            return
+        w_scale = max(1.0, np.abs(cold.w).max())
+        assert np.linalg.norm(r0 - cold.w[n_xi:n_xi + 2], np.inf) < 1e-8 * w_scale
+
+    def test_unconstrained_steps_use_previous_zmp(self):
+        ctrl = PredictiveDcmController(MpcConfig(horizon=3), 4.3)
+        r_prev = np.array([0.1, -0.2])
+        w = ctrl.start_point(np.zeros(2), r_prev, [square(0.1), None])
+        assert np.allclose(w[8:].reshape(3, 2), [[0.0, 0.0], r_prev, r_prev])
 
 
 class TestZmpCom:

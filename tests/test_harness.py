@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from dcmwalk import harness, qp
 from dcmwalk.control import SupportPolygon
-from dcmwalk.harness import (NoiseModel, Push, Scenario, build_gait,
+from dcmwalk.harness import (NoiseModel, PlanPolygons, Push, Scenario, build_gait,
                              fall_detector, foot_rectangle, metrics_from_traces,
                              run_scenario, scenario_from_dict, support_polygon_at)
 from dcmwalk.unicycle import PhaseKind, UnicycleConfig
@@ -117,6 +118,34 @@ class TestGaitAssembly:
             else:
                 for f in ph.feet.values():
                     assert poly.contains(f.position, tol=1e-9)
+
+    def test_plan_polygons_match_support_polygon_at(self):
+        scenario = Scenario(controller="predictive", forward_velocity=0.37, duration=12.0)
+        _, timeline = build_gait(scenario)
+        plan = PlanPolygons(timeline)
+        stride = int(round(scenario.mpc_period / scenario.dt))
+        n_cycles = int(round(scenario.duration / scenario.dt))
+        # Window times as the harness forms them, plus every phase boundary.
+        times = {k * scenario.dt + j * scenario.mpc_period
+                 for k in range(0, n_cycles, stride)
+                 for j in range(scenario.mpc_horizon)}
+        times |= {ph.t_start for ph in timeline.phases}
+        for t in sorted(times):
+            got, want = plan.at(t), support_polygon_at(timeline, t)
+            for name in ("vertices", "A", "b"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (t, name)
+
+
+class TestPredictiveWithoutLp:
+    @pytest.mark.parametrize("mode", ["position", "velocity"])
+    def test_walk_completes_without_phase1_or_polygon_rebuilds(self, mode, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("not expected in the control loop")
+        monkeypatch.setattr(qp, "linprog", fail)
+        monkeypatch.setattr(harness, "support_polygon_at", fail)
+        result = run_scenario(Scenario(controller="predictive", mode=mode,
+                                       forward_velocity=0.19, duration=3.0), seed=0)
+        assert result.metrics["completed"], result.summary["error"]
 
 
 class TestMetrics:

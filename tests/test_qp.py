@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dcmwalk.qp import QpProblem, QpSolver, QpStatus, kkt_residuals, solve
-from oracles import brute_force_qp, random_qp
+from dcmwalk.qp import QpProblem, QpSolver, QpStatus, _ratio_test, kkt_residuals, solve
+from oracles import brute_force_qp, inequality_rows, random_qp, ratio_test_rowwise
 
 
 def test_unconstrained_minimum():
@@ -78,7 +78,7 @@ def test_warm_start_same_optimum():
         spec, _ = random_qp(rng)
         prob = QpProblem(**spec)
         cold = solve(prob)
-        warm = solve(prob, warm_start={"w": cold.w, "active_set": cold.active_set})
+        warm = solve(prob, start=cold.w)
         assert np.linalg.norm(cold.w - warm.w, np.inf) < 1e-7
 
 
@@ -146,3 +146,80 @@ def test_max_iter_status():
     spec, _ = random_qp(rng)
     sol = QpSolver(max_iter=0).solve(QpProblem(**spec))
     assert sol.status in (QpStatus.MAX_ITER, QpStatus.OPTIMAL, QpStatus.INFEASIBLE)
+
+
+def test_infeasible_start_point_ignored():
+    # A start that breaks the equality is rejected; the cold start is used.
+    prob = QpProblem(H=2 * np.eye(2), g=np.zeros(2),
+                     A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
+    sol = solve(prob, start=np.array([5.0, 5.0]))
+    assert sol.status is QpStatus.OPTIMAL
+    assert np.allclose(sol.w, [0.5, 0.5], atol=1e-10)
+
+
+def _assert_rows_match(prob):
+    A, b, kind = prob.expanded_inequalities()
+    A_ref, b_ref, kind_ref = inequality_rows(prob.n, prob.A_in, prob.b_in, prob.lb, prob.ub)
+    assert np.array_equal(A, A_ref)
+    assert np.array_equal(b, b_ref)
+    assert kind == kind_ref
+    assert all(type(i) is int for _, i in kind)
+
+
+def test_expanded_inequalities_match_rowwise_reference():
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        spec, _ = random_qp(rng)
+        _assert_rows_match(QpProblem(**spec))
+
+
+def test_expanded_inequalities_infinite_bounds():
+    n = 4
+    base = dict(H=np.eye(n), g=np.zeros(n))
+    rows = dict(A_in=np.arange(8.0).reshape(2, 4), b_in=np.array([1.0, -2.0]))
+    mixed_lb = np.array([-1.0, -np.inf, 0.5, -np.inf])
+    mixed_ub = np.array([np.inf, 2.0, np.inf, 3.0])
+    for spec in (dict(lb=mixed_lb, ub=mixed_ub),
+                 dict(rows, lb=mixed_lb, ub=mixed_ub),
+                 dict(rows, lb=np.full(n, -np.inf), ub=np.full(n, np.inf)),
+                 dict(lb=np.full(n, -np.inf), ub=np.full(n, np.inf)),
+                 dict(rows, lb=np.full(n, -np.inf), ub=mixed_ub),
+                 dict(rows, ub=np.full(n, np.inf)),
+                 dict(rows),
+                 dict()):
+        _assert_rows_match(QpProblem(**base, **spec))
+    A, b, kind = QpProblem(**base, lb=np.full(n, -np.inf), ub=np.full(n, np.inf)) \
+        .expanded_inequalities()
+    assert A.shape == (0, n) and b.shape == (0,) and kind == []
+    A, _, kind = QpProblem(**base, lb=mixed_lb, ub=mixed_ub).expanded_inequalities()
+    assert kind == [("ub", 1), ("ub", 3), ("lb", 0), ("lb", 2)]
+    assert np.array_equal(A[0], [0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(A[2], [-1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("rows", [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]])
+def test_ratio_test_tie_picks_lower_index(rows):
+    # From w = 0 the step toward the optimum (2, 0) meets both rows, each
+    # a scaled copy of w1 <= 1, at exactly the same step length.
+    A_in = np.array(rows)
+    prob = QpProblem(H=2 * np.eye(2), g=np.array([-4.0, 0.0]),
+                     A_in=A_in, b_in=A_in[:, 0].copy())
+    sol = solve(prob)
+    assert sol.status is QpStatus.OPTIMAL
+    assert np.allclose(sol.w, [1.0, 0.0], atol=1e-12)
+    assert sol.active_set == (0,)
+
+
+def test_ratio_test_matches_rowwise_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        m = int(rng.integers(0, 12))
+        # Few distinct values, so exact ties, zero and tiny steps, negative
+        # slacks (rounding just past a row) and steps past 1 all occur.
+        Ap = rng.choice([-1.0, 0.0, 1e-15, 0.5, 1.0, 2.0], size=m)
+        slack = rng.choice([-1e-12, 0.0, 0.25, 0.5, 1.0, 3.0], size=m)
+        working = set(np.flatnonzero(rng.uniform(size=m) < 0.2).tolist())
+        got = _ratio_test(Ap, slack, working)
+        want = ratio_test_rowwise(Ap, slack, working)
+        assert got[1] == want[1]
+        assert got[0] == want[0]
