@@ -9,8 +9,7 @@ from .harness import (NoiseModel, Push, RunResult, Scenario,
                       compare_architectures, fall_detector, run_scenario,
                       scenario_from_dict)
 from .kinematics import (KinematicModel, KinematicsCache, RobotState,
-                         forward_kinematics, home_state, integrate_state,
-                         jacobian, load_model, sample_biped)
+                         home_state, integrate_state, load_model, sample_biped)
 from .lipm import PendulumParams, SimplifiedState, dcm_from_com, step_exact
 from .qp import QpProblem, QpSolution, QpSolver, QpStatus, kkt_residuals, solve
 from .unicycle import (Footstep, FootSide, GaitTimeline, PlanInfeasibleError,

@@ -110,6 +110,14 @@ class Scenario:
             raise ValueError("dt must be positive")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
+        # The MPC samples every mpc_period / dt cycles and models a period of
+        # mpc_period, so the two must agree.
+        stride = self.mpc_period / self.dt
+        if not (np.isfinite(stride) and stride >= 0.5 and abs(
+                round(stride) * self.dt - self.mpc_period) <= 1e-9 * self.mpc_period):
+            raise ValueError("mpc_period must be a positive whole multiple of dt")
+        if not self.fall_margin >= 0.0:
+            raise ValueError("fall_margin must be nonnegative")
         if self.unicycle is None:
             object.__setattr__(self, "unicycle", UnicycleConfig(
                 forward_velocity=self.forward_velocity,
@@ -294,7 +302,7 @@ def run_scenario(scenario, seed=0, model=None):
     posture = robot0.joint_positions.copy()
 
     dt = scenario.dt
-    mpc_stride = max(1, int(round(scenario.mpc_period / dt)))
+    mpc_stride = round(scenario.mpc_period / dt)
     meas_jacobian = cache0.com_jacobian()[:2, 6:]
     x_ref = xi0.copy()
     prev_x_meas = None

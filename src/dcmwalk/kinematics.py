@@ -64,6 +64,13 @@ class UnknownFrameError(KeyError):
     pass
 
 
+# Component order of the cross product: (a x r)_i = a_i1 r_i2 - a_i2 r_i1.
+_CROSS_1 = [1, 2, 0]
+_CROSS_2 = [2, 0, 1]
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+
+
 @dataclass
 class KinematicModel:
     base_link: str
@@ -72,35 +79,72 @@ class KinematicModel:
     frames: dict = field(default_factory=dict)  # name -> FrameDef
 
     def __post_init__(self):
-        self._validate_tree()
-        self._joint_index = {j.name: i for i, j in enumerate(self.joints)}
-        # Per-link chain of joint indices from the base, for Jacobian columns.
-        self._parent_joint = {j.child: j for j in self.joints}
-        self._chains = {}
-        for name in self.links:
-            chain = []
-            link = name
-            while link != self.base_link:
-                j = self._parent_joint[link]
-                chain.append(self._joint_index[j.name])
-                link = j.parent
-            self._chains[name] = tuple(reversed(chain))
-        if self.total_mass <= 0.0:
+        order = self._validate_tree()
+        self._total_mass = sum(l.mass for l in self.links.values())
+        if self._total_mass <= 0.0:
             raise ValueError("total mass must be positive")
-        # Per-joint subtree (links moved by the joint), for the CoM Jacobian.
+        self._joint_index = {j.name: i for i, j in enumerate(self.joints)}
+        self._parent_joint = {j.child: j for j in self.joints}
         self._link_order = list(self.links)
-        self._mass_vector = np.array([self.links[n].mass for n in self._link_order])
-        link_index = {n: i for i, n in enumerate(self._link_order)}
-        subtree = {j: [] for j in range(len(self.joints))}
-        for name, chain in self._chains.items():
-            for j in chain:
-                subtree[j].append(link_index[name])
-        self._subtree_idx = {j: np.array(v, dtype=int) for j, v in subtree.items()}
-        self._subtree_mass = {j: float(self._mass_vector[v].sum())
-                              for j, v in self._subtree_idx.items()}
+        link_index = {name: i for i, name in enumerate(self._link_order)}
+        self._base_index = link_index[self.base_link]
+        n = len(self.joints)
+        joints = self.joints
+
+        # Per-joint arrays, built once; a KinematicsCache only indexes them.
+        self._parent_link = np.array([link_index[j.parent] for j in joints], dtype=int)
+        self._fk_order = [(self._joint_index[j.name], link_index[j.parent],
+                           link_index[j.child]) for j in order]
+        self._revolute = np.array([j.kind == "revolute" for j in joints], dtype=bool)
+        axes = np.array([j.axis for j in joints]).reshape(n, 3)
+        self._axis_skew = np.array([skew(a) for a in axes]).reshape(n, 3, 3)
+        self._axis_skew2 = self._axis_skew @ self._axis_skew
+        self._origin_rotation = np.array([j.origin_rotation for j in joints]).reshape(n, 3, 3)
+        # Joint origin offset and joint axis, both in the parent link frame.
+        self._joint_offsets = np.stack(
+            [np.array([j.origin_xyz for j in joints]).reshape(n, 3),
+             (self._origin_rotation @ axes[:, :, None])[:, :, 0]], axis=2)
+
+        # chain[l, j] = 1 when joint j moves link l.
+        chain = np.zeros((len(self._link_order), n))
+        for name, l in link_index.items():
+            while name != self.base_link:
+                joint = self._parent_joint[name]
+                chain[l, self._joint_index[joint.name]] = 1.0
+                name = joint.parent
+        self._chain_mask = chain
+        self._angular_mask = chain * self._revolute
+        self._mass_vector = np.array([self.links[name].mass for name in self._link_order])
+        self._link_com = np.array([self.links[name].com for name in self._link_order])
+        # Mass share of every link in each joint's subtree: joints x links.
+        self._subtree_weight = chain.T * (self._mass_vector / self._total_mass)
+        self._subtree_share = self._subtree_weight.sum(axis=1)
+        # Every link is a frame at its origin; named frames may shadow links.
+        self._frame_table = {}
+        for name in self.links:
+            self._frame_table[name] = (link_index[name],
+                                       FrameDef(link=name, xyz=np.zeros(3), rpy=np.zeros(3)))
+        for name, fd in self.frames.items():
+            if fd.link not in link_index:
+                raise ValueError(f"frame {name}: unknown link {fd.link!r}")
+            self._frame_table[name] = (link_index[fd.link], fd)
+        # Box bounds on nu: free base twist, joint velocity limits.
+        lo, hi = self.velocity_limits()
+        self.nu_lower = np.concatenate([np.full(6, -np.inf), lo])
+        self.nu_upper = np.concatenate([np.full(6, np.inf), hi])
+        self.nu_lower.setflags(write=False)
+        self.nu_upper.setflags(write=False)
 
     def _validate_tree(self):
+        """Check the joints form a tree over the links; returns the joints in
+        an order where every parent link is placed before its children."""
+        if self.base_link not in self.links:
+            raise ValueError(f"base link {self.base_link!r} is not a link")
+        for j in self.joints:
+            if j.parent not in self.links or j.child not in self.links:
+                raise ValueError(f"joint {j.name}: unknown link")
         seen = {self.base_link}
+        order = []
         remaining = list(self.joints)
         progressed = True
         while remaining and progressed:
@@ -110,6 +154,7 @@ class KinematicModel:
                     if j.child in seen:
                         raise ValueError(f"kinematic loop at link {j.child}")
                     seen.add(j.child)
+                    order.append(j)
                     remaining.remove(j)
                     progressed = True
         if remaining:
@@ -117,6 +162,7 @@ class KinematicModel:
         missing = set(self.links) - seen
         if missing:
             raise ValueError(f"links not reachable from base: {sorted(missing)}")
+        return order
 
     @property
     def n_joints(self):
@@ -128,7 +174,7 @@ class KinematicModel:
 
     @property
     def total_mass(self):
-        return sum(l.mass for l in self.links.values())
+        return self._total_mass
 
     def joint_limits(self):
         lo = np.array([j.limits[0] for j in self.joints])
@@ -140,11 +186,14 @@ class KinematicModel:
         return -v, v
 
     def frame_def(self, name):
-        if name in self.frames:
-            return self.frames[name]
-        if name in self.links:
-            return FrameDef(link=name, xyz=np.zeros(3), rpy=np.zeros(3))
-        raise UnknownFrameError(name)
+        return self._frame(name)[1]
+
+    def _frame(self, name):
+        """(link index, FrameDef) of a named frame."""
+        try:
+            return self._frame_table[name]
+        except KeyError:
+            raise UnknownFrameError(name) from None
 
 
 @dataclass
@@ -169,113 +218,124 @@ class RobotState:
 
 
 class KinematicsCache:
-    """All link poses plus world joint axes/origins for one robot state."""
+    """All link poses of one robot state, and the task Jacobians built from them.
+
+    The joint rotations come from one batched Rodrigues step; the pass down
+    the tree is one 4x4 product per joint.
+    """
 
     def __init__(self, model, state):
         self.model = model
         self.state = state
-        self.link_pose = {model.base_link: (state.base_position.copy(),
-                                            state.base_rotation.copy())}
-        self.joint_origin = np.zeros((model.n_joints, 3))
-        self.joint_axis_world = np.zeros((model.n_joints, 3))
         s = state.joint_positions
+        revolute = model._revolute
+        angle = np.where(revolute, s, 0.0)[:, None, None]
+        joint_rotation = (_EYE3 + np.sin(angle) * model._axis_skew
+                          + (1.0 - np.cos(angle)) * model._axis_skew2)
+        # Parent link frame -> child link frame, per joint.
+        local = np.zeros((model.n_joints, 4, 4))
+        local[:, :3, :3] = model._origin_rotation @ joint_rotation
+        local[:, :3, 3] = (model._joint_offsets[:, :, 0]
+                           + np.where(revolute, 0.0, s)[:, None] * model._joint_offsets[:, :, 1])
+        local[:, 3, 3] = 1.0
+        pose = np.empty((len(model._link_order), 4, 4))
+        base = pose[model._base_index]
+        base[:3, :3] = state.base_rotation
+        base[:3, 3] = state.base_position
+        base[3] = (0.0, 0.0, 0.0, 1.0)
+        for j, parent, child in model._fk_order:
+            pose[child] = pose[parent] @ local[j]
+        self._rotation = pose[:, :3, :3]
+        self._position = pose[:, :3, 3]
         self._com_points = None
-        for idx, joint in enumerate(model.joints):
-            p_par, R_par = self.link_pose[joint.parent]
-            p_j = p_par + R_par @ joint.origin_xyz
-            R_j = R_par @ joint.origin_rotation
-            if joint.kind == "revolute":
-                R_child = R_j @ exp_so3(joint.axis * s[idx])
-                p_child = p_j
-            else:
-                R_child = R_j
-                p_child = p_j + R_j @ (joint.axis * s[idx])
-            self.joint_origin[idx] = p_j
-            self.joint_axis_world[idx] = R_j @ joint.axis
-            self.link_pose[joint.child] = (p_child, R_child)
+        self._joint_world = None
 
     def frame_pose(self, name):
-        fd = self.model.frame_def(name)
-        p, R = self.link_pose[fd.link]
+        link, fd = self.model._frame(name)
+        p, R = self._position[link], self._rotation[link]
         return p + R @ fd.xyz, R @ fd.rotation
-
-    def point_jacobian(self, link, point_world):
-        """Linear-velocity rows (3 x (6+n)) of a point rigidly on `link`."""
-        model = self.model
-        J = np.zeros((3, model.n_velocities))
-        J[:, 0:3] = np.eye(3)
-        J[:, 3:6] = -skew(point_world - self.state.base_position)
-        for idx in model._chains[link]:
-            joint = model.joints[idx]
-            a = self.joint_axis_world[idx]
-            if joint.kind == "revolute":
-                r = point_world - self.joint_origin[idx]
-                J[:, 6 + idx] = (a[1] * r[2] - a[2] * r[1],
-                                 a[2] * r[0] - a[0] * r[2],
-                                 a[0] * r[1] - a[1] * r[0])
-            else:
-                J[:, 6 + idx] = a
-        return J
-
-    def frame_jacobian(self, name):
-        """6 x (6+n) geometric Jacobian (linear rows then angular rows)."""
-        fd = self.model.frame_def(name)
-        p, _ = self.frame_pose(name)
-        model = self.model
-        J = np.zeros((6, model.n_velocities))
-        J[0:3] = self.point_jacobian(fd.link, p)
-        J[3:6, 3:6] = np.eye(3)
-        for idx in model._chains[fd.link]:
-            if model.joints[idx].kind == "revolute":
-                J[3:6, 6 + idx] = self.joint_axis_world[idx]
-        return J
 
     def _link_coms(self):
         if self._com_points is None:
-            model = self.model
-            pts = np.empty((len(model._link_order), 3))
-            for i, name in enumerate(model._link_order):
-                p, R = self.link_pose[name]
-                pts[i] = p + R @ model.links[name].com
-            self._com_points = pts
+            self._com_points = self._position + (
+                self._rotation @ self.model._link_com[:, :, None])[:, :, 0]
         return self._com_points
 
     def com(self):
         model = self.model
-        return model._mass_vector @ self._link_coms() / model.total_mass
+        return model._mass_vector @ self._link_coms() / model._total_mass
 
-    def com_jacobian(self):
-        """Mass-weighted point Jacobian, accumulated per joint subtree."""
+    def _joint_axes(self):
+        """World joint origins and unit axes, one row per joint."""
+        if self._joint_world is None:
+            model = self.model
+            parent = model._parent_link
+            offsets = self._rotation[parent] @ model._joint_offsets
+            self._joint_world = (self._position[parent] + offsets[:, :, 0], offsets[:, :, 1])
+        return self._joint_world
+
+    def _angular_rows(self, links, axes):
+        """Angular-velocity rows (len(links) x 3 x (6+n)) of frames on `links`."""
         model = self.model
-        masses = model._mass_vector
-        total = model.total_mass
-        pts = self._link_coms()
-        com = masses @ pts / total
-        J = np.zeros((3, model.n_velocities))
-        J[:, 0:3] = np.eye(3)
-        J[:, 3:6] = -skew(com - self.state.base_position)
-        for idx, joint in enumerate(model.joints):
-            sub = model._subtree_idx[idx]
-            m_sub = model._subtree_mass[idx]
-            a = self.joint_axis_world[idx]
-            if joint.kind == "revolute":
-                c_sub = masses[sub] @ pts[sub] / m_sub
-                r = c_sub - self.joint_origin[idx]
-                J[:, 6 + idx] = (m_sub / total) * np.array(
-                    (a[1] * r[2] - a[2] * r[1],
-                     a[2] * r[0] - a[0] * r[2],
-                     a[0] * r[1] - a[1] * r[0]))
-            else:
-                J[:, 6 + idx] = (m_sub / total) * a
+        J = np.zeros((len(links), 3, model.n_velocities))
+        J[:, :, 3:6] = _EYE3
+        J[:, :, 6:] = (model._angular_mask[links][:, :, None] * axes).transpose(0, 2, 1)
         return J
 
+    def task_jacobian(self, frames=()):
+        """Stacked task Jacobian [J_com; J_frames[0]; J_frames[1]; ...].
 
-def forward_kinematics(model, state, frame):
-    return KinematicsCache(model, state).frame_pose(frame)
+        Three linear-velocity rows for the CoM, then six rows per frame
+        (linear, then angular). The linear columns of every task come from
+        one batched cross product of the joint axes with the lever arms.
+        """
+        model = self.model
+        nf = len(frames)
+        nv = model.n_velocities
+        origins, axes = self._joint_axes()
+        links = [model._frame(f)[0] for f in frames]
+        points = np.empty((1 + nf, 3))
+        points[0] = self.com()
+        for i, f in enumerate(frames):
+            points[1 + i] = self.frame_pose(f)[0]
+        # weights[t, j]: share of task t that joint j moves (CoM: subtree
+        # mass share; a frame: 1 on its chain). lever[t, j]: weighted lever
+        # arm from joint j's origin.
+        weights = np.empty((1 + nf, model.n_joints))
+        weights[0] = model._subtree_share
+        weights[1:] = model._chain_mask[links]
+        lever = np.empty((1 + nf, model.n_joints, 3))
+        lever[0] = model._subtree_weight @ self._link_coms() - weights[0][:, None] * origins
+        lever[1:] = weights[1:, :, None] * (points[1:, None, :] - origins)
+        cross = axes[:, _CROSS_1] * lever[..., _CROSS_2] - axes[:, _CROSS_2] * lever[..., _CROSS_1]
+        columns = np.where(model._revolute[:, None], cross, weights[:, :, None] * axes)
 
+        linear = np.zeros((1 + nf, 3, nv))
+        linear[:, :, 0:3] = _EYE3
+        # Base angular columns: -skew(point - base position).
+        d = points - self.state.base_position
+        linear[:, [2, 0, 1], [4, 5, 3]] = -d
+        linear[:, [1, 2, 0], [5, 3, 4]] = d
+        linear[:, :, 6:] = columns.transpose(0, 2, 1)
+        J = np.empty((3 + 6 * nf, nv))
+        J[:3] = linear[0]
+        blocks = J[3:].reshape(nf, 6, nv)
+        blocks[:, :3] = linear[1:]
+        blocks[:, 3:] = self._angular_rows(links, axes)
+        return J
 
-def jacobian(model, state, frame):
-    return KinematicsCache(model, state).frame_jacobian(frame)
+    def frame_jacobian(self, name):
+        """6 x (6+n) geometric Jacobian (linear rows then angular rows)."""
+        return self.task_jacobian((name,))[3:]
+
+    def angular_jacobian(self, name):
+        """3 x (6+n) angular-velocity rows of a frame."""
+        link = self.model._frame(name)[0]
+        return self._angular_rows([link], self._joint_axes()[1])[0]
+
+    def com_jacobian(self):
+        """3 x (6+n) Jacobian of the whole-body CoM."""
+        return self.task_jacobian()
 
 
 def integrate_state(state, nu, dt):

@@ -15,6 +15,7 @@ that point breaks an inequality.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -57,33 +58,6 @@ class QpProblem:
     def n(self):
         return np.asarray(self.g).reshape(-1).shape[0]
 
-    def expanded_inequalities(self):
-        """All inequality rows a^T w <= b, with bounds folded in.
-
-        Returns (A, b, kind) where kind[i] is one of 'in', 'lb', 'ub' plus the
-        original row/variable index, used to split the dual vector afterwards.
-        """
-        n = self.n
-        blocks, rhs, kind = [], [], []
-        if self.A_in is not None:
-            A = np.asarray(self.A_in, dtype=float)
-            blocks.append(A)
-            rhs.append(np.asarray(self.b_in, dtype=float).reshape(-1))
-            kind += [("in", i) for i in range(A.shape[0])]
-        for bound, sign, label in ((self.ub, 1.0, "ub"), (self.lb, -1.0, "lb")):
-            if bound is None:
-                continue
-            bv = np.asarray(bound, dtype=float).reshape(-1)
-            cols = np.flatnonzero(np.isfinite(bv))
-            E = np.zeros((cols.size, n))
-            E[np.arange(cols.size), cols] = sign
-            blocks.append(E)
-            rhs.append(sign * bv[cols])
-            kind += [(label, int(j)) for j in cols]
-        if kind:
-            return np.vstack(blocks), np.concatenate(rhs), kind
-        return np.zeros((0, n)), np.zeros(0), []
-
     def objective(self, w):
         w = np.asarray(w, dtype=float).reshape(-1)
         return 0.5 * w @ np.asarray(self.H, dtype=float) @ w + np.asarray(self.g, dtype=float) @ w
@@ -111,6 +85,65 @@ class QpProblem:
         return "\n".join(out) + "\n"
 
 
+class InequalityRows:
+    """The rows a^T w <= b of a problem, in a fixed order: the general rows,
+    then +e_j for each finite upper bound, then -e_j for each finite lower
+    bound. Bound rows stay column indices; `dense` writes rows out only for
+    the indices asked for. Ties in the ratio test go to the lower index, so
+    this order is part of the solver's behaviour.
+    """
+
+    def __init__(self, problem):
+        n = problem.n
+        self.n = n
+        if problem.A_in is None:
+            self.A_in, self.b_in = np.zeros((0, n)), np.zeros(0)
+        else:
+            self.A_in = np.asarray(problem.A_in, dtype=float)
+            self.b_in = np.asarray(problem.b_in, dtype=float).reshape(-1)
+        self.m_in = self.A_in.shape[0]
+        ub = np.full(n, np.inf) if problem.ub is None else \
+            np.asarray(problem.ub, dtype=float).reshape(-1)
+        lb = np.full(n, -np.inf) if problem.lb is None else \
+            np.asarray(problem.lb, dtype=float).reshape(-1)
+        self.ub_cols = np.flatnonzero(np.isfinite(ub))
+        self.lb_cols = np.flatnonzero(np.isfinite(lb))
+        self.ub = ub[self.ub_cols]
+        self.lb = lb[self.lb_cols]
+        self.cols = np.concatenate([self.ub_cols, self.lb_cols])
+        self.signs = np.concatenate([np.ones(self.ub_cols.size), -np.ones(self.lb_cols.size)])
+        self.size = self.m_in + self.cols.size
+
+    def times(self, p):
+        """A p, one entry per row."""
+        return np.concatenate([self.A_in @ p, p[self.ub_cols], -p[self.lb_cols]])
+
+    def slack(self, w):
+        """b - A w, one entry per row."""
+        return np.concatenate([self.b_in - self.A_in @ w, self.ub - w[self.ub_cols],
+                               w[self.lb_cols] - self.lb])
+
+    def dense(self, idx):
+        """Rows `idx` of A as a dense matrix."""
+        idx = np.asarray(idx, dtype=int)
+        out = np.zeros((idx.size, self.n))
+        general = idx < self.m_in
+        out[general] = self.A_in[idx[general]]
+        bound = np.flatnonzero(~general)
+        k = idx[bound] - self.m_in
+        out[bound, self.cols[k]] = self.signs[k]
+        return out
+
+    def split(self, mu):
+        """Row duals -> (dual_in, dual_lb, dual_ub)."""
+        n_ub = self.ub_cols.size
+        dual_lb = np.zeros(self.n)
+        dual_ub = np.zeros(self.n)
+        dual_ub[self.ub_cols] = mu[self.m_in:self.m_in + n_ub]
+        dual_lb[self.lb_cols] = mu[self.m_in + n_ub:]
+        return mu[:self.m_in].copy(), dual_lb, dual_ub
+
+
 @dataclass
 class QpSolution:
     w: np.ndarray
@@ -121,13 +154,16 @@ class QpSolution:
     dual_lb: np.ndarray
     dual_ub: np.ndarray
     active_set: tuple = ()
-    residuals: dict = field(default_factory=dict)
+    problem: QpProblem = field(default=None, repr=False, compare=False)
+    infeasibility: float = None  # largest row violation at w = 0, when infeasible
 
-
-class QpInfeasibleError(RuntimeError):
-    def __init__(self, message, violation=None):
-        super().__init__(message)
-        self.violation = violation
+    @cached_property
+    def residuals(self):
+        """`kkt_residuals` of this solution, computed on first read; for an
+        infeasible problem, {"infeasible": infeasibility}."""
+        if self.status is QpStatus.INFEASIBLE:
+            return {"infeasible": self.infeasibility}
+        return kkt_residuals(self.problem, self)
 
 
 class QpSolver:
@@ -148,12 +184,12 @@ class QpSolver:
         else:
             A_eq = np.zeros((0, n))
             b_eq = np.zeros(0)
-        A_all, b_all, kind = problem.expanded_inequalities()
-        m = A_all.shape[0]
+        rows = InequalityRows(problem)
+        m = rows.size
 
-        w = self._initial_point(problem, A_eq, b_eq, A_all, b_all, start)
+        w = self._initial_point(problem, A_eq, b_eq, rows, start)
         if w is None:
-            return self._infeasible(problem, n, A_eq.shape[0], m, kind)
+            return self._infeasible(problem, rows, A_eq.shape[0])
 
         working = set()
         lam_eq = np.zeros(A_eq.shape[0])
@@ -162,7 +198,7 @@ class QpSolver:
         while it < self.max_iter:
             it += 1
             idx = sorted(working)
-            A_w = np.vstack([A_eq, A_all[idx]]) if idx else A_eq
+            A_w = np.vstack([A_eq, rows.dense(idx)]) if idx else A_eq
             grad = H @ w + g
             p, duals = self._kkt_step(H, grad, A_w)
             if p is None:
@@ -170,35 +206,32 @@ class QpSolver:
                 if idx:
                     working.discard(idx[-1])
                     continue
-                return self._infeasible(problem, n, A_eq.shape[0], m, kind)
+                return self._infeasible(problem, rows, A_eq.shape[0])
             if np.linalg.norm(p, ord=np.inf) <= self.tol * max(1.0, np.linalg.norm(w, ord=np.inf)):
                 lam_eq = duals[:A_eq.shape[0]]
                 mu = np.zeros(m)
                 mu_w = duals[A_eq.shape[0]:]
-                for k, i in enumerate(idx):
-                    mu[i] = mu_w[k]
+                mu[idx] = mu_w
                 # Inequality duals must be nonnegative at the optimum.
                 if idx and mu_w.size and mu_w.min() < -self.tol:
                     worst = idx[int(np.argmin(mu_w))]
                     working.discard(worst)
                     continue
-                sol = QpSolution(
-                    w=w.copy(), status=QpStatus.OPTIMAL, iterations=it,
-                    dual_eq=lam_eq, dual_in=np.zeros(0), dual_lb=np.zeros(n),
-                    dual_ub=np.zeros(n), active_set=tuple(sorted(working)))
-                self._split_duals(sol, problem, mu, kind)
-                sol.residuals = kkt_residuals(problem, sol)
-                return sol
-            alpha, blocking = _ratio_test(A_all @ p, b_all - A_all @ w, working)
+                return self._solution(problem, rows, w, QpStatus.OPTIMAL, it,
+                                      lam_eq, mu, working)
+            alpha, blocking = _ratio_test(rows.times(p), rows.slack(w), working)
             w = w + alpha * p
             if blocking is not None:
                 working.add(blocking)
-        sol = QpSolution(w=w.copy(), status=QpStatus.MAX_ITER, iterations=it,
-                         dual_eq=lam_eq, dual_in=np.zeros(0), dual_lb=np.zeros(n),
-                         dual_ub=np.zeros(n), active_set=tuple(sorted(working)))
-        self._split_duals(sol, problem, mu, kind)
-        sol.residuals = kkt_residuals(problem, sol)
-        return sol
+        return self._solution(problem, rows, w, QpStatus.MAX_ITER, it, lam_eq, mu, working)
+
+    @staticmethod
+    def _solution(problem, rows, w, status, iterations, lam_eq, mu, working):
+        dual_in, dual_lb, dual_ub = rows.split(mu)
+        return QpSolution(w=w.copy(), status=status, iterations=iterations,
+                          dual_eq=lam_eq, dual_in=dual_in, dual_lb=dual_lb,
+                          dual_ub=dual_ub, active_set=tuple(sorted(working)),
+                          problem=problem)
 
     def _kkt_step(self, H, grad, A_w):
         n = H.shape[0]
@@ -216,29 +249,29 @@ class QpSolver:
             return None, None
         return sol[:n], sol[n:]
 
-    def _initial_point(self, problem, A_eq, b_eq, A_all, b_all, start):
+    def _initial_point(self, problem, A_eq, b_eq, rows, start):
         n = problem.n
         if start is not None:
             w0 = np.asarray(start, dtype=float).reshape(-1)
-            if w0.shape == (n,) and self._feasible(w0, A_eq, b_eq, A_all, b_all):
+            if w0.shape == (n,) and self._feasible(w0, A_eq, b_eq, rows):
                 return w0
         # Cold start: least-squares on the equalities, then Phase-1 if needed.
         if A_eq.shape[0]:
             w = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0]
         else:
             w = np.zeros(n)
-        if self._feasible(w, A_eq, b_eq, A_all, b_all):
+        if self._feasible(w, A_eq, b_eq, rows):
             return w
         w = self._phase1(problem)
-        if w is None or not self._feasible(w, A_eq, b_eq, A_all, b_all, slack=100 * self.tol):
+        if w is None or not self._feasible(w, A_eq, b_eq, rows, slack=100 * self.tol):
             return None
         return w
 
-    def _feasible(self, w, A_eq, b_eq, A_all, b_all, slack=None):
+    def _feasible(self, w, A_eq, b_eq, rows, slack=None):
         slack = self.tol if slack is None else slack
         if A_eq.shape[0] and np.linalg.norm(A_eq @ w - b_eq, ord=np.inf) > slack:
             return False
-        if A_all.shape[0] and np.max(A_all @ w - b_all) > slack:
+        if rows.size and np.max(-rows.slack(w)) > slack:
             return False
         return True
 
@@ -256,31 +289,13 @@ class QpSolver:
             return None
         return np.asarray(res.x, dtype=float)
 
-    def _split_duals(self, sol, problem, mu, kind):
+    def _infeasible(self, problem, rows, m_eq):
         n = problem.n
-        n_in = 0 if problem.A_in is None else np.asarray(problem.A_in).shape[0]
-        sol.dual_in = np.zeros(n_in)
-        sol.dual_lb = np.zeros(n)
-        sol.dual_ub = np.zeros(n)
-        for val, (label, i) in zip(mu, kind):
-            if label == "in":
-                sol.dual_in[i] = val
-            elif label == "lb":
-                sol.dual_lb[i] = val
-            else:
-                sol.dual_ub[i] = val
-
-    def _infeasible(self, problem, n, m_eq, m_in, kind):
-        A_all, b_all, _ = problem.expanded_inequalities()
-        viol = None
-        if A_all.shape[0]:
-            w0 = np.zeros(n)
-            viol = float(np.max(A_all @ w0 - b_all))
+        viol = float(np.max(-rows.slack(np.zeros(n)))) if rows.size else None
         return QpSolution(w=np.full(n, np.nan), status=QpStatus.INFEASIBLE, iterations=0,
-                          dual_eq=np.zeros(m_eq), dual_in=np.zeros(
-                              0 if problem.A_in is None else np.asarray(problem.A_in).shape[0]),
+                          dual_eq=np.zeros(m_eq), dual_in=np.zeros(rows.m_in),
                           dual_lb=np.zeros(n), dual_ub=np.zeros(n),
-                          residuals={"infeasible": viol})
+                          problem=problem, infeasibility=viol)
 
 
 def solve(problem, start=None, tol=DEFAULT_TOL, max_iter=200):
@@ -290,10 +305,10 @@ def solve(problem, start=None, tol=DEFAULT_TOL, max_iter=200):
 def _ratio_test(Ap, slack, working):
     """Longest step in [0, 1] along p before an inactive row blocks.
 
-    `Ap` is A_all @ p and `slack` is b_all - A_all @ w. Rows are scanned in
-    index order and a row blocks only when its step is shorter than the
-    current one by more than 1e-15, so of rows that block at the same step
-    the lowest index wins. Returns (alpha, blocking row or None).
+    `Ap` is A p and `slack` is b - A w over all inequality rows. Rows are
+    scanned in index order and a row blocks only when its step is shorter
+    than the current one by more than 1e-15, so of rows that block at the
+    same step the lowest index wins. Returns (alpha, blocking row or None).
     """
     moving = Ap > 1e-14
     if working:

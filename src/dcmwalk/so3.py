@@ -23,13 +23,20 @@ def sk(A):
     return 0.5 * (A - A.T)
 
 
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+
+
 def is_rotation(R, tol=ORTHONORMALITY_TOL):
+    """|R^T R - I|_inf <= tol (max absolute row sum) and |det R - 1| <= tol."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         return False
-    if np.linalg.norm(R.T @ R - np.eye(3), ord=np.inf) > tol:
+    if np.abs(R.T @ R - _EYE3).sum(axis=1).max() > tol:
         return False
-    return abs(np.linalg.det(R) - 1.0) <= tol
+    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return abs(det - 1.0) <= tol
 
 
 def check_rotation(R, tol=ORTHONORMALITY_TOL, name="rotation"):

@@ -140,10 +140,9 @@ def build_wholebody_qp(model, cache, v_torso_star, v_com_star, v_left_star,
     """Assemble the QP over nu = (base twist, joint velocities)."""
     n = model.n_joints
     nv = model.n_velocities
-    J_torso = cache.frame_jacobian(TORSO)[3:6]
-    J_com = cache.com_jacobian()
-    J_lf = cache.frame_jacobian(LEFT_FOOT)
-    J_rf = cache.frame_jacobian(RIGHT_FOOT)
+    J_torso = cache.angular_jacobian(TORSO)
+    # Hard task rows [J_com; J_left_foot; J_right_foot].
+    A_eq = cache.task_jacobian((LEFT_FOOT, RIGHT_FOOT))
 
     K_T = gains.torso_weight
     H = J_torso.T @ K_T @ J_torso
@@ -153,27 +152,23 @@ def build_wholebody_qp(model, cache, v_torso_star, v_com_star, v_left_star,
     g = -J_torso.T @ K_T @ v_torso_star
     g[6:] += -gains.postural_weight * sdot_star
 
-    A_eq = np.vstack([J_com, J_lf, J_rf])
     b_eq = np.concatenate([v_com_star, v_left_star, v_right_star])
     if check_rank:
-        _check_task_ranks((("com", J_com), ("left_foot", J_lf), ("right_foot", J_rf)))
-    lo, hi = model.velocity_limits()
-    lb = np.concatenate([np.full(6, -np.inf), lo])
-    ub = np.concatenate([np.full(6, np.inf), hi])
-    return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub)
+        _check_task_ranks(A_eq, (("com", 3), ("left_foot", 6), ("right_foot", 6)))
+    return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq, lb=model.nu_lower, ub=model.nu_upper)
 
 
-def _check_task_ranks(blocks):
-    stacked = np.vstack([J for _, J in blocks])
+def _check_task_ranks(stacked, blocks):
+    """`blocks` names consecutive row blocks of `stacked` with their sizes."""
     if np.linalg.matrix_rank(stacked, tol=1e-10) == stacked.shape[0]:
         return
     # Deficient: walk the blocks to name the first offender.
-    partial = None
     rank = 0
-    for name, J in blocks:
-        partial = J if partial is None else np.vstack([partial, J])
-        new_rank = np.linalg.matrix_rank(partial, tol=1e-10)
-        if new_rank < rank + J.shape[0]:
+    end = 0
+    for name, rows in blocks:
+        end += rows
+        new_rank = np.linalg.matrix_rank(stacked[:end], tol=1e-10)
+        if new_rank < rank + rows:
             raise RankDeficientTasksError(name)
         rank = new_rank
     raise RankDeficientTasksError(blocks[-1][0])
@@ -278,7 +273,3 @@ class WholeBodyController:
                 self.gains.integral_bound)
             integ.prev_foot_err[frame] = err
         integ.com_ref = integ.com_ref + dt * np.asarray(refs.com_velocity_cmd, dtype=float)
-
-    @property
-    def com_reference(self):
-        return None if self._integ.com_ref is None else self._integ.com_ref.copy()

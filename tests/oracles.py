@@ -204,3 +204,145 @@ def fk_chain_oracle(model, state, frame):
             T = T @ hom(np.eye(3), joint.axis * state.joint_positions[idx])
     T = T @ hom(rpy_to_rotation(*fd.rpy), fd.xyz)
     return T[:3, 3], T[:3, :3]
+
+
+def _perturbed_state(state, nu, eps):
+    """State moved by eps * nu: base twist in the inertial frame (rotation
+    through the exponential map), joints additively."""
+    from dcmwalk.kinematics import RobotState
+    from dcmwalk.so3 import exp_so3
+    nu = np.asarray(nu, dtype=float)
+    return RobotState(base_position=state.base_position + eps * nu[0:3],
+                      base_rotation=exp_so3(eps * nu[3:6]) @ state.base_rotation,
+                      joint_positions=state.joint_positions + eps * nu[6:])
+
+
+def com_oracle(model, state):
+    """Whole-body CoM from link poses by homogeneous matrix chaining."""
+    total = np.zeros(3)
+    for name, link in model.links.items():
+        p, R = fk_chain_oracle(model, state, name)
+        total += link.mass * (p + R @ link.com)
+    return total / sum(link.mass for link in model.links.values())
+
+
+def fd_task_jacobian(model, state, frames, eps=1e-6):
+    """[J_com; 6 rows per frame] by central differences of the chain oracle,
+    one velocity coordinate at a time."""
+    nv = 6 + model.n_joints
+    J = np.zeros((3 + 6 * len(frames), nv))
+    for i in range(nv):
+        e = np.zeros(nv)
+        e[i] = 1.0
+        plus = _perturbed_state(state, e, eps)
+        minus = _perturbed_state(state, e, -eps)
+        J[0:3, i] = (com_oracle(model, plus) - com_oracle(model, minus)) / (2 * eps)
+        for k, frame in enumerate(frames):
+            p1, R1 = fk_chain_oracle(model, plus, frame)
+            p0, R0 = fk_chain_oracle(model, minus, frame)
+            dR = R1 @ R0.T
+            w = 0.5 * np.array([dR[2, 1] - dR[1, 2], dR[0, 2] - dR[2, 0], dR[1, 0] - dR[0, 1]])
+            J[3 + 6 * k:6 + 6 * k, i] = (p1 - p0) / (2 * eps)
+            J[6 + 6 * k:9 + 6 * k, i] = w / (2 * eps)
+    return J
+
+
+def _joint_frames_oracle(model, state):
+    """World origin and unit axis of every joint, by matrix chaining."""
+    from dcmwalk.so3 import rpy_to_rotation
+    origins, axes = [], []
+    for joint in model.joints:
+        p, R = fk_chain_oracle(model, state, joint.parent)
+        origins.append(p + R @ joint.origin_xyz)
+        axes.append(R @ rpy_to_rotation(*joint.origin_rpy) @ joint.axis)
+    return np.array(origins), np.array(axes)
+
+
+def _chain(model, link):
+    joints = set()
+    while link != model.base_link:
+        joint = model._parent_joint[link]
+        joints.add(model._joint_index[joint.name])
+        link = joint.parent
+    return joints
+
+
+def _lever_skew(d):
+    return np.array([[0.0, d[2], -d[1]], [-d[2], 0.0, d[0]], [d[1], -d[0], 0.0]])
+
+
+def frame_jacobian_loop(model, state, frame):
+    """6 x (6+n) frame Jacobian, one joint column at a time."""
+    origins, axes = _joint_frames_oracle(model, state)
+    p, _ = fk_chain_oracle(model, state, frame)
+    chain = _chain(model, model.frame_def(frame).link)
+    J = np.zeros((6, 6 + model.n_joints))
+    J[0:3, 0:3] = np.eye(3)
+    J[0:3, 3:6] = _lever_skew(p - state.base_position)
+    J[3:6, 3:6] = np.eye(3)
+    for idx, joint in enumerate(model.joints):
+        if idx not in chain:
+            continue
+        a = axes[idx]
+        if joint.kind == "revolute":
+            r = p - origins[idx]
+            J[0:3, 6 + idx] = (a[1] * r[2] - a[2] * r[1],
+                               a[2] * r[0] - a[0] * r[2],
+                               a[0] * r[1] - a[1] * r[0])
+            J[3:6, 6 + idx] = a
+        else:
+            J[0:3, 6 + idx] = a
+    return J
+
+
+def com_jacobian_loop(model, state):
+    """3 x (6+n) CoM Jacobian, accumulated one joint subtree at a time."""
+    origins, axes = _joint_frames_oracle(model, state)
+    total = sum(link.mass for link in model.links.values())
+    points = {}
+    for name, link in model.links.items():
+        p, R = fk_chain_oracle(model, state, name)
+        points[name] = p + R @ link.com
+    com = sum(model.links[n].mass * points[n] for n in model.links) / total
+    J = np.zeros((3, 6 + model.n_joints))
+    J[:, 0:3] = np.eye(3)
+    J[:, 3:6] = _lever_skew(com - state.base_position)
+    for idx, joint in enumerate(model.joints):
+        sub = [n for n in model.links if idx in _chain(model, n)]
+        m_sub = sum(model.links[n].mass for n in sub)
+        a = axes[idx]
+        if joint.kind == "revolute":
+            c_sub = sum(model.links[n].mass * points[n] for n in sub) / m_sub
+            r = c_sub - origins[idx]
+            J[:, 6 + idx] = (m_sub / total) * np.array(
+                (a[1] * r[2] - a[2] * r[1],
+                 a[2] * r[0] - a[0] * r[2],
+                 a[0] * r[1] - a[1] * r[0]))
+        else:
+            J[:, 6 + idx] = (m_sub / total) * a
+    return J
+
+
+def random_tree_doc(rng, max_joints=6):
+    """Model document of a random tree: revolute and prismatic joints, random
+    axes, joint origins, link masses and CoMs, and frames at random offsets."""
+    n = int(rng.integers(1, max_joints + 1))
+    links = [{"name": "l0", "mass": float(rng.uniform(0.2, 3.0)),
+              "com": rng.normal(scale=0.1, size=3).tolist()}]
+    joints = []
+    for j in range(n):
+        axis = rng.normal(size=3)
+        joints.append({"name": f"j{j}", "type": str(rng.choice(["revolute", "prismatic"])),
+                       "parent": f"l{int(rng.integers(0, j + 1))}", "child": f"l{j + 1}",
+                       "axis": (axis / np.linalg.norm(axis)).tolist(),
+                       "origin_xyz": rng.normal(scale=0.2, size=3).tolist(),
+                       "origin_rpy": rng.uniform(-np.pi, np.pi, size=3).tolist()})
+        links.append({"name": f"l{j + 1}", "mass": float(rng.uniform(0.05, 2.0)),
+                      "com": rng.normal(scale=0.1, size=3).tolist()})
+    frames = {f"f{k}": {"link": f"l{int(rng.integers(0, n + 1))}",
+                        "xyz": rng.normal(scale=0.2, size=3).tolist(),
+                        "rpy": rng.uniform(-np.pi, np.pi, size=3).tolist()}
+              for k in range(int(rng.integers(1, 4)))}
+    # Listed in any order: the model finds the order to walk the tree in.
+    joints = [joints[i] for i in rng.permutation(n)]
+    return {"base_link": "l0", "links": links, "joints": joints, "frames": frames}

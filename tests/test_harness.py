@@ -203,6 +203,29 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Scenario(dt=0.0)
 
+    @pytest.mark.parametrize("mpc_period, dt", [(0.1, 0.01), (0.05, 0.01), (0.01, 0.01),
+                                                (0.3, 0.1), (0.1 + 5e-11, 0.01)])
+    def test_mpc_period_whole_multiple_of_dt_accepted(self, mpc_period, dt):
+        Scenario(mpc_period=mpc_period, dt=dt)
+
+    @pytest.mark.parametrize("mpc_period, dt", [(0.105, 0.01), (0.1 + 1e-8, 0.01),
+                                                (0.004, 0.01), (0.0, 0.01),
+                                                (-0.1, 0.01), (float("nan"), 0.01),
+                                                (float("inf"), 0.01)])
+    def test_mpc_period_not_a_multiple_of_dt_rejected(self, mpc_period, dt):
+        # run_scenario would sample the MPC every round(mpc_period / dt)
+        # cycles while the MPC models a period of mpc_period.
+        with pytest.raises(ValueError, match="mpc_period"):
+            Scenario(mpc_period=mpc_period, dt=dt)
+
+    def test_fall_margin_nonnegative(self):
+        Scenario(fall_margin=0.0)
+        for margin in (-0.01, float("nan")):
+            with pytest.raises(ValueError, match="fall_margin"):
+                Scenario(fall_margin=margin)
+        with pytest.raises(ValueError, match="fall_margin"):
+            scenario_from_dict({"fall_margin": -0.3})
+
 
 class TestNoiseModel:
     def test_none_is_all_zero(self):

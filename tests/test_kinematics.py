@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcmwalk.kinematics import (KinematicsCache, RobotState, UnknownFrameError,
                                 home_state, integrate_state, load_model,
                                 sample_biped)
 from dcmwalk.so3 import exp_so3, vee
-from oracles import fk_chain_oracle
+from oracles import (com_jacobian_loop, com_oracle, fd_task_jacobian, fk_chain_oracle,
+                     frame_jacobian_loop, random_tree_doc)
 
 
 def random_state(model, rng, scale=0.4):
@@ -124,15 +127,73 @@ class TestJacobians:
             assert np.allclose(twist[3:], w, atol=1e-12)
 
     def test_point_jacobian_matches_frame_rows(self):
+        # Linear frame rows are the velocity of the frame origin, by central
+        # differences of the homogeneous chain oracle.
         model = sample_biped()
         rng = np.random.default_rng(4)
         state = random_state(model, rng)
         cache = KinematicsCache(model, state)
-        for frame in ("left_foot", "torso"):
-            fd = model.frame_def(frame)
-            p, _ = cache.frame_pose(frame)
-            assert np.allclose(cache.frame_jacobian(frame)[:3],
-                               cache.point_jacobian(fd.link, p), atol=1e-14)
+        J = cache.task_jacobian(("left_foot", "torso"))
+        J_fd = fd_task_jacobian(model, state, ("left_foot", "torso"))
+        for k, frame in enumerate(("left_foot", "torso")):
+            rows = J[3 + 6 * k:9 + 6 * k]
+            assert np.array_equal(rows, cache.frame_jacobian(frame))
+            assert np.abs(rows[:3] - J_fd[3 + 6 * k:6 + 6 * k]).max() < 1e-8
+
+    def test_stacked_jacobian_matches_per_frame_loop(self):
+        # The whole-body equality rows [J_com; J_lf; J_rf] and the torso
+        # angular rows against the per-joint loops they replaced.
+        model = sample_biped()
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            state = random_state(model, rng, scale=0.8)
+            cache = KinematicsCache(model, state)
+            A_eq = cache.task_jacobian(("left_foot", "right_foot"))
+            ref = np.vstack([com_jacobian_loop(model, state),
+                             frame_jacobian_loop(model, state, "left_foot"),
+                             frame_jacobian_loop(model, state, "right_foot")])
+            assert np.abs(A_eq - ref).max() < 1e-14
+            assert np.abs(cache.angular_jacobian("torso")
+                          - frame_jacobian_loop(model, state, "torso")[3:6]).max() < 1e-14
+
+
+class TestRandomTrees:
+    """Random trees mixing revolute and prismatic joints, with frames at
+    random offsets, against the homogeneous chain oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_poses_match_chain_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        model = load_model(random_tree_doc(rng))
+        state = random_state(model, rng, scale=1.0)
+        cache = KinematicsCache(model, state)
+        for frame in all_frames(model):
+            p, R = cache.frame_pose(frame)
+            p_o, R_o = fk_chain_oracle(model, state, frame)
+            assert np.abs(p - p_o).max() < 1e-12
+            assert np.abs(R - R_o).max() < 1e-12
+        assert np.abs(cache.com() - com_oracle(model, state)).max() < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_task_jacobian_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        model = load_model(random_tree_doc(rng))
+        state = random_state(model, rng, scale=1.0)
+        cache = KinematicsCache(model, state)
+        frames = tuple(sorted(model.frames)) + (str(rng.choice(list(model.links))),)
+        J = cache.task_jacobian(frames)
+        assert J.shape == (3 + 6 * len(frames), model.n_velocities)
+        assert np.abs(J - fd_task_jacobian(model, state, frames)).max() < 1e-7
+        assert np.array_equal(cache.com_jacobian(), J[:3])
+        ref = [com_jacobian_loop(model, state)]
+        for k, frame in enumerate(frames):
+            rows = J[3 + 6 * k:9 + 6 * k]
+            assert np.array_equal(cache.frame_jacobian(frame), rows)
+            assert np.array_equal(cache.angular_jacobian(frame), rows[3:])
+            ref.append(frame_jacobian_loop(model, state, frame))
+        assert np.abs(J - np.vstack(ref)).max() < 1e-12
 
 
 class TestCom:
@@ -231,6 +292,27 @@ class TestLoadModel:
                               "child": "base", "axis": [0, 0, 1]})
         with pytest.raises(ValueError):
             load_model(doc)
+
+    def test_unknown_link_rejected(self):
+        doc = self.doc()
+        doc["joints"][0]["child"] = "hand"
+        with pytest.raises(ValueError, match="unknown link"):
+            load_model(doc)
+        doc = self.doc()
+        doc["frames"] = {"tip": {"link": "hand"}}
+        with pytest.raises(ValueError, match="unknown link"):
+            load_model(doc)
+
+    def test_joints_in_any_order(self):
+        doc = self.doc()
+        doc["links"].append({"name": "hand", "mass": 0.2})
+        doc["joints"].insert(0, {"name": "j2", "type": "prismatic", "parent": "arm",
+                                 "child": "hand", "axis": [1, 0, 0]})
+        model = load_model(doc)
+        state = RobotState(base_position=np.zeros(3), base_rotation=np.eye(3),
+                           joint_positions=[0.3, 0.5])
+        p, _ = KinematicsCache(model, state).frame_pose("hand")
+        assert np.allclose(p, fk_chain_oracle(model, state, "hand")[0], atol=1e-15)
 
     def test_bad_axis_rejected(self):
         doc = self.doc()

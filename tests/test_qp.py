@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dcmwalk.qp import QpProblem, QpSolver, QpStatus, _ratio_test, kkt_residuals, solve
+from dcmwalk.qp import (InequalityRows, QpProblem, QpSolver, QpStatus, _ratio_test,
+                        kkt_residuals, solve)
 from oracles import brute_force_qp, inequality_rows, random_qp, ratio_test_rowwise
 
 
@@ -157,23 +158,44 @@ def test_infeasible_start_point_ignored():
     assert np.allclose(sol.w, [0.5, 0.5], atol=1e-10)
 
 
-def _assert_rows_match(prob):
-    A, b, kind = prob.expanded_inequalities()
+def _rows(prob):
+    """The solver's inequality rows written out: (A, b, rows)."""
+    rows = InequalityRows(prob)
+    return rows.dense(np.arange(rows.size)), rows.slack(np.zeros(prob.n)), rows
+
+
+def _split_by_kind(mu, kind, n):
+    """Row duals scattered by the oracle's row labels: (dual_in, dual_lb, dual_ub)."""
+    dual_in = [m for m, (label, _) in zip(mu, kind) if label == "in"]
+    dual = {"lb": np.zeros(n), "ub": np.zeros(n)}
+    for m, (label, j) in zip(mu, kind):
+        if label != "in":
+            dual[label][j] = m
+    return np.array(dual_in, dtype=float), dual["lb"], dual["ub"]
+
+
+def _assert_rows_match(prob, rng):
+    A, b, rows = _rows(prob)
     A_ref, b_ref, kind_ref = inequality_rows(prob.n, prob.A_in, prob.b_in, prob.lb, prob.ub)
     assert np.array_equal(A, A_ref)
     assert np.array_equal(b, b_ref)
-    assert kind == kind_ref
-    assert all(type(i) is int for _, i in kind)
+    # Each row's dual goes where the oracle's label says.
+    mu = rng.standard_normal(rows.size)
+    for got, want in zip(rows.split(mu), _split_by_kind(mu, kind_ref, prob.n)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_expanded_inequalities_match_rowwise_reference():
     rng = np.random.default_rng(16)
+    mu_rng = np.random.default_rng(21)
     for _ in range(40):
         spec, _ = random_qp(rng)
-        _assert_rows_match(QpProblem(**spec))
+        _assert_rows_match(QpProblem(**spec), mu_rng)
 
 
 def test_expanded_inequalities_infinite_bounds():
+    rng = np.random.default_rng(20)
     n = 4
     base = dict(H=np.eye(n), g=np.zeros(n))
     rows = dict(A_in=np.arange(8.0).reshape(2, 4), b_in=np.array([1.0, -2.0]))
@@ -187,14 +209,17 @@ def test_expanded_inequalities_infinite_bounds():
                  dict(rows, ub=np.full(n, np.inf)),
                  dict(rows),
                  dict()):
-        _assert_rows_match(QpProblem(**base, **spec))
-    A, b, kind = QpProblem(**base, lb=np.full(n, -np.inf), ub=np.full(n, np.inf)) \
-        .expanded_inequalities()
-    assert A.shape == (0, n) and b.shape == (0,) and kind == []
-    A, _, kind = QpProblem(**base, lb=mixed_lb, ub=mixed_ub).expanded_inequalities()
-    assert kind == [("ub", 1), ("ub", 3), ("lb", 0), ("lb", 2)]
+        _assert_rows_match(QpProblem(**base, **spec), rng)
+    A, b, rows = _rows(QpProblem(**base, lb=np.full(n, -np.inf), ub=np.full(n, np.inf)))
+    assert A.shape == (0, n) and b.shape == (0,) and rows.size == 0
+    A, _, rows = _rows(QpProblem(**base, lb=mixed_lb, ub=mixed_ub))
+    # Rows: +w1 <= 2, +w3 <= 3, -w0 <= 1, -w2 <= -0.5.
     assert np.array_equal(A[0], [0.0, 1.0, 0.0, 0.0])
     assert np.array_equal(A[2], [-1.0, 0.0, 0.0, 0.0])
+    dual_in, dual_lb, dual_ub = rows.split(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert dual_in.shape == (0,)
+    assert np.array_equal(dual_ub, [0.0, 1.0, 0.0, 2.0])
+    assert np.array_equal(dual_lb, [3.0, 0.0, 4.0, 0.0])
 
 
 @pytest.mark.parametrize("rows", [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]])
@@ -223,3 +248,63 @@ def test_ratio_test_matches_rowwise_reference():
         want = ratio_test_rowwise(Ap, slack, working)
         assert got[1] == want[1]
         assert got[0] == want[0]
+
+
+def _bound_problems():
+    """(problem, a point that is feasible when one is known, else 0)."""
+    rng = np.random.default_rng(18)
+    for _ in range(60):
+        spec, w0 = random_qp(rng)
+        yield QpProblem(**spec), w0
+    n = 4
+    base = dict(H=np.eye(n), g=np.zeros(n))
+    rows = dict(A_in=np.arange(8.0).reshape(2, 4), b_in=np.array([1.0, -2.0]))
+    mixed_lb = np.array([-1.0, -np.inf, 0.5, -np.inf])
+    mixed_ub = np.array([np.inf, 2.0, np.inf, 3.0])
+    for spec in (dict(lb=mixed_lb, ub=mixed_ub), dict(rows, lb=mixed_lb, ub=mixed_ub),
+                 dict(lb=np.full(n, -np.inf), ub=np.full(n, np.inf)),
+                 dict(rows, lb=np.full(n, -np.inf)), dict(rows), dict()):
+        yield QpProblem(**base, **spec), np.zeros(n)
+
+
+def test_bound_rows_by_index_match_dense_rows():
+    # Bound rows are kept as indices; their A p, slack b - A w and the
+    # feasibility test equal those of the dense oracle rows bit for bit.
+    rng = np.random.default_rng(19)
+    for prob, w0 in _bound_problems():
+        rows = InequalityRows(prob)
+        A, b, _ = inequality_rows(prob.n, prob.A_in, prob.b_in, prob.lb, prob.ub)
+        assert rows.size == A.shape[0]
+        m_in = rows.m_in
+        for _ in range(5):
+            p, w = rng.normal(size=prob.n), rng.normal(size=prob.n)
+            Ap, slack = rows.times(p), rows.slack(w)
+            assert np.array_equal(Ap[m_in:], A[m_in:] @ p)
+            assert np.array_equal(slack[m_in:], b[m_in:] - A[m_in:] @ w)
+            # General rows are the same product whether stacked or not only
+            # when nothing else is stacked under them: BLAS may round a row
+            # differently in a taller matrix.
+            assert np.array_equal(Ap[:m_in], A[:m_in] @ p)
+            assert np.array_equal(slack[:m_in], b[:m_in] - A[:m_in] @ w)
+            if m_in == 0 or m_in == rows.size:
+                assert np.array_equal(Ap, A @ p)
+                assert np.array_equal(slack, b - A @ w)
+            # Points from w0 toward w cross from feasible to infeasible.
+            solver = QpSolver()
+            for t in (0.0, 1e-9, 1e-3, 1.0):
+                x = w0 + t * (w - w0)
+                dense = A.shape[0] == 0 or np.max(A @ x - b) <= solver.tol
+                assert solver._feasible(x, np.zeros((0, prob.n)), np.zeros(0), rows) == dense
+            subset = np.flatnonzero(rng.uniform(size=rows.size) < 0.5)
+            assert np.array_equal(rows.dense(subset), A[subset])
+
+
+def test_lazy_residuals_equal_eager_kkt_residuals():
+    rng = np.random.default_rng(20)
+    for _ in range(100):
+        prob = QpProblem(**random_qp(rng)[0])
+        sol = solve(prob)
+        eager = kkt_residuals(prob, sol)
+        assert "residuals" not in vars(sol)
+        assert sol.residuals == eager
+        assert sol.residuals is sol.residuals

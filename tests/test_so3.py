@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcmwalk.so3 import (check_rotation, exp_so3, is_rotation, project_rotation,
                          rot_x, rot_y, rot_z, rpy_to_rotation, sk, skew, vee)
@@ -79,3 +81,35 @@ def test_check_rotation_rejects():
         check_rotation(np.eye(3) * 1.001)
     with pytest.raises(ValueError):
         check_rotation(-np.eye(3))  # det -1
+
+
+def _is_rotation_linalg(R, tol):
+    """The check as first written, through np.linalg."""
+    if np.linalg.norm(R.T @ R - np.eye(3), ord=np.inf) > tol:
+        return False
+    return abs(np.linalg.det(R) - 1.0) <= tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+       kind=st.sampled_from(["rotation", "reflection", "scaled", "near_tol"]),
+       scale=st.floats(-3.0, 3.0),
+       direction=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9))
+def test_is_rotation_agrees_with_linalg(w, kind, scale, direction):
+    R = exp_so3(np.array(w))
+    E = np.array(direction).reshape(3, 3)
+    if kind == "reflection":
+        R = R @ np.diag([1.0, 1.0, -1.0])
+    elif kind == "scaled":
+        R = (1.0 + 10.0 ** (scale - 9.0)) * R
+    elif kind == "near_tol":
+        # Perturbations from a tenth to ten times the tolerance.
+        R = R + 10.0 ** (scale / 3.0) * 1e-9 * E
+    tol = 1e-9
+    det = np.linalg.det(R)
+    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    assert abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - det) < 1e-14
+    # The two determinants may round apart, so a determinant within that
+    # rounding of the tolerance can fall either way.
+    if abs(abs(det - 1.0) - tol) > 1e-14:
+        assert is_rotation(R, tol) == _is_rotation_linalg(R, tol)
