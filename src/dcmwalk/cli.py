@@ -62,8 +62,7 @@ def _cmd_sweep(args):
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for v in args.velocities:
-        result = run_scenario(replace(scenario, forward_velocity=v, unicycle=None),
-                              seed=args.seed)
+        result = run_scenario(replace(scenario, forward_velocity=v), seed=args.seed)
         rows.append(result.summary)
         print(json.dumps(result.summary, sort_keys=True))
     with open(out / "sweep.json", "w") as f:

@@ -11,7 +11,7 @@ followed by the cascaded ZMP-CoM law
     xdot* = xdot_ref - Kzmp (r_ref - r) + Kcom (x_ref - x).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -91,9 +91,6 @@ class SupportPolygon:
         p = np.asarray(point, dtype=float).reshape(2)
         return float(np.max(self.A @ p - self.b))
 
-    def shrunk(self, margin):
-        return replace(self, b=self.b - margin)
-
     def project(self, point):
         """Closest point of the polygon (Euclidean); identity when inside."""
         p = np.asarray(point, dtype=float).reshape(2)
@@ -138,9 +135,6 @@ class InstantaneousDcmController:
             raise ValueError("omega must be positive")
         self.gains = gains
         self.omega = omega
-        self.reset()
-
-    def reset(self):
         self.integral = np.zeros(2)
         self._prev_error = None
 
@@ -310,7 +304,6 @@ class PredictiveDcmController:
 class ZmpComGains:
     k_zmp: np.ndarray
     k_com: np.ndarray
-    zmp_term_sign: float = -1.0  # as printed; exposed for sensitivity studies
 
     def validate(self, omega):
         k_zmp = _check_spd(self.k_zmp, "k_zmp")
@@ -330,7 +323,7 @@ def zmp_com_control(x_meas, x_ref, xd_ref, r_zmp_meas, r_zmp_ref, gains):
     r_meas = np.asarray(r_zmp_meas, dtype=float).reshape(2)
     r_ref = np.asarray(r_zmp_ref, dtype=float).reshape(2)
     return (xd_ref
-            + gains.zmp_term_sign * np.asarray(gains.k_zmp) @ (r_ref - r_meas)
+            - np.asarray(gains.k_zmp) @ (r_ref - r_meas)
             + np.asarray(gains.k_com) @ (x_ref - x_meas))
 
 
@@ -346,6 +339,5 @@ def gain_schedule(blend, standing, walking, omega):
     sigma = minimum_jerk(blend)
     blended = ZmpComGains(
         k_zmp=(1.0 - sigma) * np.asarray(standing.k_zmp) + sigma * np.asarray(walking.k_zmp),
-        k_com=(1.0 - sigma) * np.asarray(standing.k_com) + sigma * np.asarray(walking.k_com),
-        zmp_term_sign=standing.zmp_term_sign)
+        k_com=(1.0 - sigma) * np.asarray(standing.k_com) + sigma * np.asarray(walking.k_com))
     return blended.validate(omega)

@@ -13,11 +13,12 @@ matching position and velocity of the adjacent exponentials, which makes the
 trajectory C1 and the implied ZMP r = xi - xidot / w continuous.
 """
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+
+from .unicycle import _hermite_coeffs, _hermite_eval
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,7 @@ class CubicSegment:
     t_end: float
 
     def eval_with(self, t, omega):
-        tau = t - self.t_start
-        a = self.coeffs
-        pos = a[:, 0] + tau * (a[:, 1] + tau * (a[:, 2] + tau * a[:, 3]))
-        vel = a[:, 1] + tau * (2.0 * a[:, 2] + 3.0 * tau * a[:, 3])
-        return pos, vel
+        return _hermite_eval(self.coeffs.T, t - self.t_start)
 
 
 def ss_segment(boundary, omega, t_origin=0.0):
@@ -116,11 +113,7 @@ def ds_segment(xi_start, xid_start, xi_end, xid_end, interval):
     v0 = np.asarray(xid_start, dtype=float).reshape(2)
     p1 = np.asarray(xi_end, dtype=float).reshape(2)
     v1 = np.asarray(xid_end, dtype=float).reshape(2)
-    a0 = p0
-    a1 = v0
-    a2 = (3.0 * (p1 - p0) - (2.0 * v0 + v1) * T) / T**2
-    a3 = (2.0 * (p0 - p1) + (v0 + v1) * T) / T**3
-    return CubicSegment(coeffs=np.stack([a0, a1, a2, a3], axis=1), t_start=t0, t_end=t1)
+    return CubicSegment(coeffs=_hermite_coeffs(p0, v0, p1, v1, T).T, t_start=t0, t_end=t1)
 
 
 @dataclass(frozen=True)
@@ -156,34 +149,6 @@ class DcmTrajectory:
     @property
     def t_end(self):
         return self.segments[-1].t_end
-
-    def shifted(self, delta):
-        shifted = []
-        for s in self.segments:
-            if isinstance(s, ExponentialSegment):
-                shifted.append(ExponentialSegment(
-                    r_zmp=s.r_zmp, xi_eos=s.xi_eos, t_step=s.t_step,
-                    t_origin=s.t_origin + delta,
-                    t_start=s.t_start + delta, t_end=s.t_end + delta))
-            else:
-                shifted.append(CubicSegment(coeffs=s.coeffs,
-                                            t_start=s.t_start + delta,
-                                            t_end=s.t_end + delta))
-        return DcmTrajectory(segments=tuple(shifted), omega=self.omega)
-
-    def to_csv(self, path, dt=0.01):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["t", "dcm_x", "dcm_y", "dcm_vx", "dcm_vy",
-                             "zmp_x", "zmp_y", "phase"])
-            t = self.t_start
-            while t <= self.t_end + 1e-12:
-                seg = self._segment_at(t)
-                xi, xid = seg.eval_with(t, self.omega)
-                zmp = xi - xid / self.omega
-                label = "ss" if isinstance(seg, ExponentialSegment) else "ds"
-                writer.writerow([f"{t:.6f}"] + [f"{v:.9f}" for v in (*xi, *xid, *zmp)] + [label])
-                t += dt
 
 
 def build_trajectory(timeline, omega, ds_ratio=0.2):

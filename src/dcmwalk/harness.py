@@ -118,10 +118,13 @@ class Scenario:
             raise ValueError("mpc_period must be a positive whole multiple of dt")
         if not self.fall_margin >= 0.0:
             raise ValueError("fall_margin must be nonnegative")
-        if self.unicycle is None:
-            object.__setattr__(self, "unicycle", UnicycleConfig(
-                forward_velocity=self.forward_velocity,
-                angular_velocity=self.angular_velocity))
+        # The planner's velocities are always the scenario's own, so a
+        # `unicycle` block only sets the step bounds, and
+        # `replace(scenario, forward_velocity=v)` plans at v.
+        object.__setattr__(self, "unicycle", replace(
+            self.unicycle if self.unicycle is not None else UnicycleConfig(),
+            forward_velocity=self.forward_velocity,
+            angular_velocity=self.angular_velocity))
 
 
 @dataclass
@@ -243,238 +246,276 @@ def _foot_reference_at(phase, t, side):
         rot_z(planted.yaw))
 
 
-class Plant:
-    """Stand-in for the robot: exact LIPM pendulum plus the kinematic body."""
+# Trace columns, in the order of the row `run_scenario` records per cycle.
+_TRACE_KEYS = ("t", "xi_ref", "xi_plant", "xi_meas", "x_ref", "x_plant", "r_ref",
+               "r_realized", "r_meas", "xdot_star", "com_kin", "lf_ref", "lf_real",
+               "rf_ref", "rf_real", "hard_residual", "sdot_max", "cycle_time")
 
-    def __init__(self, params, pendulum_state, robot_state):
+
+class Plant:
+    """Stand-in for the robot: exact LIPM pendulum plus the kinematic body.
+
+    It also carries what its sensor and actuator stand-ins keep between
+    cycles: the kinematics of the current body (`cache`), the last measured
+    CoM, the realized ZMP (`zmp`), the joint rates of the inner velocity
+    loop, and the pushes and touchdown impacts still to come.
+    """
+
+    def __init__(self, scenario, params, pendulum_state, cache, timeline):
         self.params = params
         self.pendulum = pendulum_state
-        self.robot = robot_state
-        self.time = 0.0
+        self.robot = cache.state.copy()
+        self.cache = cache
         self.fallen = False
+        # The robot starts at rest, its ZMP under the CoM.
+        self.zmp = pendulum_state.com.copy()
+        self._scenario = scenario
+        self._prev_com_meas = None
+        self._joint_rates = np.zeros(cache.model.n_joints)
+        self._pushes = sorted(scenario.pushes, key=lambda p: p.time)
+        self._touchdowns = [ph.swing.t_end for ph in timeline.phases
+                            if ph.kind is PhaseKind.SINGLE_SUPPORT]
 
     def step(self, r_zmp, dt):
         self.pendulum = lipm_step(self.pendulum, r_zmp, self.params, dt)
-        self.time += dt
 
     def push(self, impulse):
         vel = self.pendulum.com_velocity + impulse
         self.pendulum = SimplifiedState.from_com(self.pendulum.com, vel,
                                                  self.params.omega)
 
-    def latch_fall(self, fallen):
-        self.fallen = self.fallen or fallen
+    def sense(self, phase, rng):
+        """The sense stage: sensor stand-ins at the start of a cycle.
+
+        Sets `feet` and `support`, the realized foot positions and support
+        polygon, and returns the body state the encoders report with the
+        measured CoM, DCM and ZMP. The CoM error is the encoder noise
+        propagated through the kinematics (first order in the noise), the
+        CoM velocity is a numeric derivative of the measured CoM, and the
+        ZMP is the previous cycle's realized ZMP plus white noise.
+        """
+        noise = self._scenario.noise
+        self.feet = {FootSide.LEFT: self.cache.frame_pose("left_foot")[0],
+                     FootSide.RIGHT: self.cache.frame_pose("right_foot")[0]}
+        self.support = realized_support_polygon(
+            phase, {side: p[:2] for side, p in self.feet.items()})
+        robot, e_com = self.robot, np.zeros(2)
+        if noise.encoder_std > 0.0:
+            noise_j = rng.normal(0.0, noise.encoder_std, robot.joint_positions.size)
+            robot = RobotState(robot.base_position, robot.base_rotation,
+                               robot.joint_positions + noise_j, robot.joint_velocities)
+            e_com = self.cache.com_jacobian()[:2, 6:] @ noise_j
+        x_meas = self.pendulum.com + e_com
+        if self._prev_com_meas is None:
+            xd_meas = self.pendulum.com_velocity
+        else:
+            xd_meas = (x_meas - self._prev_com_meas) / self._scenario.dt
+        self._prev_com_meas = x_meas
+        xi_meas = x_meas + xd_meas / self.params.omega
+        r_meas = self.zmp + (rng.normal(0.0, noise.zmp_std, 2)
+                             if noise.zmp_std > 0.0 else 0.0)
+        return robot, x_meas, xi_meas, r_meas
+
+    def advance(self, t, phase, r_ref, ref_feet, wb_state, nu, rng):
+        """The plant stage: realize the commanded ZMP `r_ref`, land the
+        pushes and touchdown impacts due at t, step the pendulum, actuate
+        the joints, rebuild the kinematics (`cache`, and `com`, the body's
+        CoM) and check for a fall.
+
+        The ankle realizes the ZMP relative to the actual stance foot, so
+        foot placement error shifts it, and the physical ZMP cannot leave
+        the support region; both mismatches destabilize the DCM.
+        """
+        sc = self._scenario
+        sides = ((phase.stance_side,) if phase.kind is PhaseKind.SINGLE_SUPPORT
+                 else tuple(phase.feet))
+        zmp_shift = np.mean([self.feet[s][:2] - ref_feet[s][:2] for s in sides], axis=0)
+        self.zmp = self.support.project(r_ref + zmp_shift)
+        while self._pushes and self._pushes[0].time <= t + 1e-12:
+            self.push(self._pushes.pop(0).impulse)
+        # Touchdown impact: a fraction of the CoM momentum is lost.
+        while self._touchdowns and self._touchdowns[0] <= t + 1e-12:
+            self._touchdowns.pop(0)
+            self.push(-sc.noise.impact_ratio * self.pendulum.com_velocity)
+        self.step(self.zmp, sc.dt)
+        self._actuate(wb_state, nu, rng)
+        self.cache = KinematicsCache(self.cache.model, self.robot)
+        self.com = self.cache.com()
+        self.fallen = self.fallen or fall_detector(
+            self.pendulum.dcm, self.support, self.com[2], self.params.com_height,
+            margin=sc.fall_margin, height_fraction=sc.fall_height_fraction)
+
+    def _actuate(self, wb_state, nu, rng):
+        """Actuation stand-in: position commands (the whole-body controller's
+        integrated state) execute with a bounded white error; velocity
+        commands `nu` execute with velocity noise the joints integrate, so
+        the error can accumulate until feedback catches it."""
+        sc = self._scenario
+        act_std = sc.noise.actuation_std
+        n = self._joint_rates.size
+        if sc.mode == "position":
+            self.robot = wb_state.copy()
+            if act_std > 0.0:
+                self.robot.joint_positions = self.robot.joint_positions \
+                    + rng.normal(0.0, act_std, n)
+            return
+        nu = nu.copy()
+        if act_std > 0.0:
+            nu[6:] += rng.normal(0.0, act_std, n) / sc.dt
+        lag = sc.noise.velocity_lag
+        if lag > 0.0:
+            # Inner velocity loop with finite bandwidth.
+            self._joint_rates += (sc.dt / (lag + sc.dt)) * (nu[6:] - self._joint_rates)
+            nu[6:] = self._joint_rates
+        else:
+            self._joint_rates = nu[6:].copy()
+        self.robot = integrate_state(self.robot, nu, sc.dt)
+
+
+class _SimplifiedLayer:
+    """The simplified-model layer of one run: the scenario's DCM stabilizer,
+    then the ZMP-CoM law.
+
+    It carries the CoM reference `x_ref`, which `advance` moves toward the
+    DCM reference after each cycle, and the commanded ZMP `r_ref`, which the
+    MPC holds between its samples.
+    """
+
+    def __init__(self, scenario, traj, timeline, xi0):
+        sc = scenario
+        omega = traj.omega
+        self._scenario = sc
+        self._traj = traj
+        self._inst = InstantaneousDcmController(
+            InstantaneousGains(kp=sc.dcm_kp * np.eye(2), ki=sc.dcm_ki * np.eye(2)), omega)
+        self._mpc = PredictiveDcmController(
+            MpcConfig(horizon=sc.mpc_horizon, sample_time=sc.mpc_period,
+                      Q=sc.mpc_q * np.eye(2), R=sc.mpc_r * np.eye(2),
+                      Q_terminal=sc.mpc_qn * np.eye(2)), omega)
+        self._polygons = PlanPolygons(timeline) if sc.controller == "predictive" else None
+        self._mpc_stride = round(sc.mpc_period / sc.dt)
+        self._standing = ZmpComGains(k_zmp=sc.k_zmp_standing * np.eye(2),
+                                     k_com=sc.k_com_standing * np.eye(2)).validate(omega)
+        self._walking = ZmpComGains(k_zmp=sc.k_zmp_walking * np.eye(2),
+                                    k_com=sc.k_com_walking * np.eye(2)).validate(omega)
+        self.x_ref = xi0.copy()
+        self.r_ref = xi0.copy()
+
+    def control(self, k, t, x_meas, xi_meas, r_meas):
+        """The simplified stage of cycle k at time t: sets `r_ref` and
+        returns the DCM reference and the commanded CoM velocity."""
+        sc = self._scenario
+        traj = self._traj
+        omega = traj.omega
+        xi_ref, xid_ref = traj.eval(t)
+        xd_ref = omega * (xi_ref - self.x_ref)
+        if sc.controller == "instantaneous":
+            self.r_ref = self._inst.control(xi_meas, xi_ref, xid_ref, sc.dt)
+        elif k % self._mpc_stride == 0:
+            window = np.array([traj.dcm(t + j * sc.mpc_period)
+                               for j in range(sc.mpc_horizon + 1)])
+            polys = [self._polygons.at(t + j * sc.mpc_period)
+                     for j in range(sc.mpc_horizon)]
+            self.r_ref, _ = self._mpc.control(xi_meas, self.r_ref, window, polys)
+        blend = min(max(t / sc.gain_blend_time, 0.0), 1.0) \
+            if sc.gain_blend_time > 0.0 else 1.0
+        gains = self._walking if blend >= 1.0 else gain_schedule(
+            blend, self._standing, self._walking, omega)
+        return xi_ref, zmp_com_control(x_meas, self.x_ref, xd_ref, r_meas, self.r_ref, gains)
+
+    def advance(self, xi_ref):
+        """Exact one-step propagation of the CoM reference toward the DCM ref."""
+        decay = np.exp(-self._traj.omega * self._scenario.dt)
+        self.x_ref = xi_ref + decay * (self.x_ref - xi_ref)
+
+
+def _wholebody(wb, phase, t, xdot_star, x_ref, posture, robot):
+    """The wholebody stage: foot and torso references from the gait phase,
+    then one QP cycle. Returns the foot reference positions by side and the
+    controller's diagnostics."""
+    lf_ref = _foot_reference_at(phase, t, FootSide.LEFT)
+    rf_ref = _foot_reference_at(phase, t, FootSide.RIGHT)
+    torso_ref = rot_z(0.5 * (phase.feet[FootSide.LEFT].yaw
+                             + phase.feet[FootSide.RIGHT].yaw))
+    refs = WholeBodyReferences(com_velocity_cmd=xdot_star, left_foot=lf_ref,
+                               right_foot=rf_ref, torso_rotation=torso_ref,
+                               posture=posture, com_position=x_ref)
+    _, diag = wb.cycle(refs, robot)
+    return {FootSide.LEFT: lf_ref.position, FootSide.RIGHT: rf_ref.position}, diag
 
 
 def run_scenario(scenario, seed=0, model=None):
-    """Closed-loop run; deterministic for a given (scenario, seed)."""
+    """Closed-loop run; deterministic for a given (scenario, seed).
+
+    Each cycle runs five stages: sense (`Plant.sense`), simplified
+    (`_SimplifiedLayer.control`), wholebody (`_wholebody`), plant
+    (`Plant.advance`) and record (one trace row). `cycle_time` times the
+    two control stages only, from the DCM reference lookup through the
+    whole-body QP.
+    """
     rng = np.random.default_rng(seed)
     model = model if model is not None else sample_biped()
     robot0 = home_state(model)
     cache0 = KinematicsCache(model, robot0)
-    com0 = cache0.com()
-    z0 = com0[2]
+    z0 = cache0.com()[2]
     params = PendulumParams.from_height(z0)
-    omega = params.omega
-
     steps, timeline = build_gait(scenario)
-    traj = dcm_planner.build_trajectory(timeline, omega, ds_ratio=scenario.ds_ratio)
-    n_cycles = int(round(scenario.duration / scenario.dt))
-
+    traj = dcm_planner.build_trajectory(timeline, params.omega, ds_ratio=scenario.ds_ratio)
     xi0 = traj.dcm(0.0)
-    pendulum = SimplifiedState.from_com(xi0.copy(), np.zeros(2), omega)
-    plant = Plant(params, pendulum, robot0.copy())
-
-    inst = InstantaneousDcmController(
-        InstantaneousGains(kp=scenario.dcm_kp * np.eye(2),
-                           ki=scenario.dcm_ki * np.eye(2)), omega)
-    mpc = PredictiveDcmController(
-        MpcConfig(horizon=scenario.mpc_horizon, sample_time=scenario.mpc_period,
-                  Q=scenario.mpc_q * np.eye(2), R=scenario.mpc_r * np.eye(2),
-                  Q_terminal=scenario.mpc_qn * np.eye(2)), omega)
-    plan_polygons = PlanPolygons(timeline) if scenario.controller == "predictive" else None
-    standing = ZmpComGains(k_zmp=scenario.k_zmp_standing * np.eye(2),
-                           k_com=scenario.k_com_standing * np.eye(2)).validate(omega)
-    walking = ZmpComGains(k_zmp=scenario.k_zmp_walking * np.eye(2),
-                          k_com=scenario.k_com_walking * np.eye(2)).validate(omega)
+    plant = Plant(scenario, params,
+                  SimplifiedState.from_com(xi0.copy(), np.zeros(2), params.omega),
+                  cache0, timeline)
+    simplified = _SimplifiedLayer(scenario, traj, timeline, xi0)
     wb = WholeBodyController(model, scenario.task_gains, scenario.mode,
                              scenario.dt, z0, robot0)
     posture = robot0.joint_positions.copy()
+    left, right = FootSide.LEFT, FootSide.RIGHT
 
-    dt = scenario.dt
-    mpc_stride = round(scenario.mpc_period / dt)
-    meas_jacobian = cache0.com_jacobian()[:2, 6:]
-    x_ref = xi0.copy()
-    prev_x_meas = None
-    r_ref = xi0.copy()
-    r_realized = xi0.copy()
-    pushes = sorted(scenario.pushes, key=lambda p: p.time)
-    push_idx = 0
-    cache = cache0
-    touchdowns = [ph.swing.t_end for ph in timeline.phases
-                  if ph.kind is PhaseKind.SINGLE_SUPPORT]
-    td_idx = 0
-    realized_sdot = np.zeros(model.n_joints)
-
-    keys = ("t", "xi_ref", "xi_plant", "xi_meas", "x_ref", "x_plant", "r_ref",
-            "r_realized", "r_meas", "xdot_star", "com_kin", "lf_ref", "lf_real",
-            "rf_ref", "rf_real", "hard_residual", "sdot_max", "cycle_time")
-    traces = {k: [] for k in keys}
+    rows = []
     error = None
-
-    for k in range(n_cycles):
-        t = k * dt
+    for k in range(int(round(scenario.duration / scenario.dt))):
+        t = k * scenario.dt
         phase = timeline.phase_at(t)
-        lf_real = cache.frame_pose("left_foot")[0]
-        rf_real = cache.frame_pose("right_foot")[0]
-        support_real = realized_support_polygon(
-            phase, {FootSide.LEFT: lf_real[:2], FootSide.RIGHT: rf_real[:2]})
-
-        # Measurement stand-ins. The CoM estimation error is the encoder noise
-        # propagated through the kinematics (first order in the noise).
-        if scenario.noise.encoder_std > 0.0:
-            noise_j = rng.normal(0.0, scenario.noise.encoder_std, model.n_joints)
-            noisy_robot = RobotState(plant.robot.base_position,
-                                     plant.robot.base_rotation,
-                                     plant.robot.joint_positions + noise_j,
-                                     plant.robot.joint_velocities)
-            e_com = meas_jacobian @ noise_j
-        else:
-            noisy_robot = plant.robot
-            e_com = np.zeros(2)
-        x_meas = plant.pendulum.com + e_com
-        if prev_x_meas is None:
-            xd_meas = plant.pendulum.com_velocity.copy()
-        else:
-            xd_meas = (x_meas - prev_x_meas) / dt
-        prev_x_meas = x_meas
-        xi_meas = x_meas + xd_meas / omega
-        # Measured ZMP: previous cycle's realized ZMP plus sensor noise.
-        r_meas = r_realized + (rng.normal(0.0, scenario.noise.zmp_std, 2)
-                               if scenario.noise.zmp_std > 0.0 else 0.0)
-
-        # Control layers (timed: this is the per-cycle compute budget).
+        robot, x_meas, xi_meas, r_meas = plant.sense(phase, rng)
+        # The control stages, timed: this is the per-cycle compute budget.
         t_clock = time.perf_counter()
-        xi_ref, xid_ref = traj.eval(t)
-        xd_ref = omega * (xi_ref - x_ref)
         try:
-            if scenario.controller == "instantaneous":
-                r_ref = inst.control(xi_meas, xi_ref, xid_ref, dt)
-            elif k % mpc_stride == 0:
-                N = scenario.mpc_horizon
-                window = np.array([traj.dcm(t + j * scenario.mpc_period)
-                                   for j in range(N + 1)])
-                polys = [plan_polygons.at(t + j * scenario.mpc_period)
-                         for j in range(N)]
-                r_ref, _ = mpc.control(xi_meas, r_ref, window, polys)
+            xi_ref, xdot_star = simplified.control(k, t, x_meas, xi_meas, r_meas)
         except MpcInfeasibleError as exc:
             error = f"mpc: {exc}"
             break
-        blend = min(max(t / scenario.gain_blend_time, 0.0), 1.0) \
-            if scenario.gain_blend_time > 0.0 else 1.0
-        zc_gains = walking if blend >= 1.0 else gain_schedule(blend, standing,
-                                                              walking, omega)
-        xdot_star = zmp_com_control(x_meas, x_ref, xd_ref, r_meas, r_ref, zc_gains)
-
-        # Whole-body QP control layer.
-        lf_ref = _foot_reference_at(phase, t, FootSide.LEFT)
-        rf_ref = _foot_reference_at(phase, t, FootSide.RIGHT)
-        torso_ref = rot_z(0.5 * (phase.feet[FootSide.LEFT].yaw
-                                 + phase.feet[FootSide.RIGHT].yaw))
-        refs = WholeBodyReferences(com_velocity_cmd=xdot_star, left_foot=lf_ref,
-                                   right_foot=rf_ref, torso_rotation=torso_ref,
-                                   posture=posture, com_position=x_ref)
         try:
-            command, diag = wb.cycle(refs, noisy_robot)
+            ref_feet, diag = _wholebody(wb, phase, t, xdot_star, simplified.x_ref,
+                                        posture, robot)
         except RuntimeError as exc:
             error = f"wholebody: {exc}"
             break
         cycle_time = time.perf_counter() - t_clock
-
-        # Plant propagation. The ankle realizes the commanded ZMP relative to
-        # the actual stance foot, so foot placement error shifts it, and the
-        # physical ZMP cannot leave the support region; both mismatches
-        # destabilize the DCM.
-        ref_planar = {FootSide.LEFT: lf_ref.position[:2],
-                      FootSide.RIGHT: rf_ref.position[:2]}
-        real_planar = {FootSide.LEFT: lf_real[:2], FootSide.RIGHT: rf_real[:2]}
-        sides = ((phase.stance_side,) if phase.kind is PhaseKind.SINGLE_SUPPORT
-                 else tuple(phase.feet))
-        zmp_shift = np.mean([real_planar[s] - ref_planar[s] for s in sides], axis=0)
-        r_realized = support_real.project(r_ref + zmp_shift)
-        while push_idx < len(pushes) and pushes[push_idx].time <= t + 1e-12:
-            plant.push(pushes[push_idx].impulse)
-            push_idx += 1
-        # Touchdown impact: a fraction of the CoM momentum is lost.
-        while td_idx < len(touchdowns) and touchdowns[td_idx] <= t + 1e-12:
-            plant.push(-scenario.noise.impact_ratio * plant.pendulum.com_velocity)
-            td_idx += 1
-        plant.step(r_realized, dt)
-        # Actuation stand-in: position commands execute with a bounded white
-        # error, velocity commands execute with velocity noise the joints
-        # integrate (so the error can accumulate until feedback catches it).
-        act_std = scenario.noise.actuation_std
-        if scenario.mode == "position":
-            plant.robot = wb.internal_state.copy()
-            if act_std > 0.0:
-                plant.robot.joint_positions = plant.robot.joint_positions \
-                    + rng.normal(0.0, act_std, model.n_joints)
-        else:
-            nu = diag["nu"].copy()
-            if act_std > 0.0:
-                nu[6:] += rng.normal(0.0, act_std, model.n_joints) / dt
-            lag = scenario.noise.velocity_lag
-            if lag > 0.0:
-                # Inner velocity loop with finite bandwidth.
-                realized_sdot += (dt / (lag + dt)) * (nu[6:] - realized_sdot)
-                nu[6:] = realized_sdot
-            else:
-                realized_sdot = nu[6:].copy()
-            plant.robot = integrate_state(plant.robot, nu, dt)
-
-        cache = KinematicsCache(model, plant.robot)
-        com_kin = cache.com()
-        if scenario.noise.encoder_std > 0.0:
-            meas_jacobian = cache.com_jacobian()[:2, 6:]
-        plant.latch_fall(fall_detector(plant.pendulum.dcm, support_real,
-                                       com_kin[2], z0,
-                                       margin=scenario.fall_margin,
-                                       height_fraction=scenario.fall_height_fraction))
-
-        traces["t"].append(t)
-        traces["xi_ref"].append(xi_ref)
-        traces["xi_plant"].append(plant.pendulum.dcm.copy())
-        traces["xi_meas"].append(xi_meas)
-        traces["x_ref"].append(x_ref.copy())
-        traces["x_plant"].append(plant.pendulum.com.copy())
-        traces["r_ref"].append(np.asarray(r_ref, dtype=float).copy())
-        traces["r_realized"].append(r_realized.copy())
-        traces["r_meas"].append(np.asarray(r_meas, dtype=float).reshape(2).copy())
-        traces["xdot_star"].append(xdot_star)
-        traces["com_kin"].append(com_kin)
-        traces["lf_ref"].append(lf_ref.position.copy())
-        traces["lf_real"].append(lf_real)
-        traces["rf_ref"].append(rf_ref.position.copy())
-        traces["rf_real"].append(rf_real)
-        traces["hard_residual"].append(diag["hard_residual"])
-        traces["sdot_max"].append(float(np.abs(diag["nu"][6:]).max()))
-        traces["cycle_time"].append(cycle_time)
-
-        # Exact one-step propagation of the CoM reference toward the DCM ref.
-        x_ref = xi_ref + np.exp(-omega * dt) * (x_ref - xi_ref)
+        plant.advance(t, phase, simplified.r_ref, ref_feet, wb.internal_state,
+                      diag["nu"], rng)
+        rows.append((t, xi_ref, plant.pendulum.dcm, xi_meas, simplified.x_ref,
+                     plant.pendulum.com, simplified.r_ref, plant.zmp, r_meas, xdot_star,
+                     plant.com, ref_feet[left], plant.feet[left], ref_feet[right],
+                     plant.feet[right], diag["hard_residual"],
+                     float(np.abs(diag["nu"][6:]).max()), cycle_time))
+        simplified.advance(xi_ref)
         if plant.fallen:
             break
+    return _run_result(scenario, seed, rows, plant, error, n_steps_planned=len(steps) - 2)
 
-    traces = {k: np.asarray(v) for k, v in traces.items()}
+
+def _run_result(scenario, seed, rows, plant, error, n_steps_planned):
+    columns = zip(*rows) if rows else [()] * len(_TRACE_KEYS)
+    traces = {k: np.asarray(col) for k, col in zip(_TRACE_KEYS, columns)}
     metrics = metrics_from_traces(traces, fallen=plant.fallen, error=error)
     summary = {
         "seed": int(seed),
         "controller": scenario.controller,
         "mode": scenario.mode,
         "forward_velocity": scenario.forward_velocity,
-        "z0": float(z0),
-        "omega": float(omega),
-        "n_steps_planned": len(steps) - 2,
+        "z0": float(plant.params.com_height),
+        "omega": float(plant.params.omega),
+        "n_steps_planned": n_steps_planned,
         "error": error,
         **{k: (bool(v) if isinstance(v, (bool, np.bool_))
                else float(v) if np.isscalar(v) or isinstance(v, np.floating)
@@ -524,7 +565,7 @@ def compare_architectures(base_scenario, velocities, seed=0, model=None):
         best = 0.0
         for v in sorted(velocities):
             scenario = replace(base_scenario, controller=controller, mode=mode,
-                               forward_velocity=v, unicycle=None)
+                               forward_velocity=v)
             result = run_scenario(scenario, seed=seed, model=model)
             if result.metrics.get("completed"):
                 best = v
@@ -544,7 +585,11 @@ def scenario_from_dict(doc):
         kwargs["pushes"] = tuple(Push(time=float(p[0]), impulse=p[1])
                                  for p in doc.pop("pushes"))
     if "unicycle" in doc:
-        kwargs["unicycle"] = UnicycleConfig(**doc.pop("unicycle"))
+        block = dict(doc.pop("unicycle"))
+        inside = sorted({"forward_velocity", "angular_velocity"} & set(block))
+        if inside:
+            raise ValueError(f"set {inside} at the top level, not in the unicycle block")
+        kwargs["unicycle"] = UnicycleConfig(**block)
     if "task_gains" in doc:
         kwargs["task_gains"] = TaskGains(**doc.pop("task_gains"))
     valid = set(Scenario.__dataclass_fields__)

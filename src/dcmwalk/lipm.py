@@ -63,10 +63,6 @@ class SimplifiedState:
         return cls(com=com, com_velocity=com_velocity,
                    dcm=dcm_from_com(com, com_velocity, omega))
 
-    def check(self, omega, tol=1e-9):
-        if np.linalg.norm(self.dcm - (self.com + self.com_velocity / omega)) > tol:
-            raise ValueError("dcm inconsistent with com + com_velocity / omega")
-
 
 def dcm_from_com(com, com_velocity, omega):
     """xi = x + xdot / w."""
@@ -80,15 +76,6 @@ def com_velocity_from_dcm(com, dcm, omega):
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     return omega * (_planar(dcm, "dcm") - _planar(com, "com"))
-
-
-def continuous_dynamics(state, r_zmp, params):
-    """Time derivatives (xdot, xidot) under a given ZMP."""
-    r = _planar(r_zmp, "r_zmp")
-    w = params.omega
-    com_dot = -w * (state.com - state.dcm)
-    dcm_dot = w * (state.dcm - r)
-    return com_dot, dcm_dot
 
 
 def step_exact(state, r_zmp, params, duration):
@@ -112,13 +99,6 @@ def step_exact(state, r_zmp, params, duration):
                 + 0.5 * (state.dcm - r) * (ep - em))
     vel_next = com_velocity_from_dcm(com_next, dcm_next, w)
     return SimplifiedState(com=com_next, com_velocity=vel_next, dcm=dcm_next)
-
-
-def state_matrix(omega):
-    """4x4 matrix of the stacked (x, xi) linear dynamics."""
-    I2 = np.eye(2)
-    Z2 = np.zeros((2, 2))
-    return np.block([[-omega * I2, omega * I2], [Z2, omega * I2]])
 
 
 def skew_vee_error(R, R_des):

@@ -62,28 +62,6 @@ class QpProblem:
         w = np.asarray(w, dtype=float).reshape(-1)
         return 0.5 * w @ np.asarray(self.H, dtype=float) @ w + np.asarray(self.g, dtype=float) @ w
 
-    def dump(self):
-        """Textual dump of all problem sections, for debugging."""
-        out = []
-
-        def section(name, M):
-            out.append(f"[{name}]")
-            if M is None:
-                out.append("(none)")
-            else:
-                M = np.atleast_2d(np.asarray(M, dtype=float))
-                for row in M:
-                    out.append(" ".join(f"{v:.17g}" for v in row))
-        section("H", self.H)
-        section("g", self.g)
-        section("A_eq", self.A_eq)
-        section("b_eq", self.b_eq)
-        section("A_in", self.A_in)
-        section("b_in", self.b_in)
-        section("lb", self.lb)
-        section("ub", self.ub)
-        return "\n".join(out) + "\n"
-
 
 class InequalityRows:
     """The rows a^T w <= b of a problem, in a fixed order: the general rows,

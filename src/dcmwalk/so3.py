@@ -46,13 +46,6 @@ def check_rotation(R, tol=ORTHONORMALITY_TOL, name="rotation"):
     return R
 
 
-def project_rotation(R):
-    """Nearest rotation matrix (polar projection via SVD)."""
-    U, _, Vt = np.linalg.svd(np.asarray(R, dtype=float))
-    D = np.diag([1.0, 1.0, np.linalg.det(U @ Vt)])
-    return U @ D @ Vt
-
-
 def exp_so3(w):
     """Rodrigues formula: rotation matrix of the axis-angle vector w."""
     w = np.asarray(w, dtype=float).reshape(3)

@@ -6,7 +6,7 @@ greedily, taking the earliest sample that satisfies every step bound.
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -171,17 +171,17 @@ def parse_plan(text):
     return steps
 
 
-def _cubic_coeffs(p0, v0, p1, v1, duration):
-    """Hermite cubic a0 + a1 t + a2 t^2 + a3 t^3 on [0, duration]."""
-    T = duration
-    a0 = p0
-    a1 = v0
+def _hermite_coeffs(p0, v0, p1, v1, T):
+    """Coefficients a0..a3 of the Hermite cubic a0 + a1 t + a2 t^2 + a3 t^3 on
+    [0, T] from the boundary values and rates; with per-axis arrays, one
+    column per axis."""
     a2 = (3.0 * (p1 - p0) - (2.0 * v0 + v1) * T) / T**2
     a3 = (2.0 * (p0 - p1) + (v0 + v1) * T) / T**3
-    return np.array([a0, a1, a2, a3])
+    return np.array([p0, v0, a2, a3])
 
 
-def _cubic_eval(coeffs, t):
+def _hermite_eval(coeffs, t):
+    """Value and rate at t of the cubic(s) from `_hermite_coeffs`."""
     a0, a1, a2, a3 = coeffs
     return (a0 + t * (a1 + t * (a2 + t * a3)),
             a1 + t * (2.0 * a2 + 3.0 * t * a3))
@@ -207,19 +207,19 @@ class SwingTrajectory:
         """(position 3-vector, yaw, linear velocity 3-vector, yaw rate) at t."""
         t = np.clip(t, self.t_start, self.t_end)
         tau = t - self.t_start
-        x, vx = _cubic_eval(self.coeffs_xy[0], tau)
-        y, vy = _cubic_eval(self.coeffs_xy[1], tau)
-        yaw, yaw_rate = _cubic_eval(self.coeffs_yaw, tau)
+        x, vx = _hermite_eval(self.coeffs_xy[0], tau)
+        y, vy = _hermite_eval(self.coeffs_xy[1], tau)
+        yaw, yaw_rate = _hermite_eval(self.coeffs_yaw, tau)
         z, vz = self._vertical(tau)
         return np.array([x, y, z]), yaw, np.array([vx, vy, vz]), yaw_rate
 
     def _vertical(self, tau):
         half = 0.5 * (self.t_end - self.t_start)
         if tau <= half:
-            c = _cubic_coeffs(self.ground_height, 0.0, self.ground_height + self.apex, 0.0, half)
-            return _cubic_eval(c, tau)
-        c = _cubic_coeffs(self.ground_height + self.apex, 0.0, self.ground_height, 0.0, half)
-        return _cubic_eval(c, tau - half)
+            c = _hermite_coeffs(self.ground_height, 0.0, self.ground_height + self.apex, 0.0, half)
+            return _hermite_eval(c, tau)
+        c = _hermite_coeffs(self.ground_height + self.apex, 0.0, self.ground_height, 0.0, half)
+        return _hermite_eval(c, tau - half)
 
 
 def swing_trajectory(start, target, phase, apex=0.03):
@@ -234,10 +234,10 @@ def swing_trajectory(start, target, phase, apex=0.03):
     if apex <= 0.0:
         raise ValueError("apex must be positive")
     T = t_end - t_start
-    cx = _cubic_coeffs(start.position[0], 0.0, target.position[0], 0.0, T)
-    cy = _cubic_coeffs(start.position[1], 0.0, target.position[1], 0.0, T)
+    cx = _hermite_coeffs(start.position[0], 0.0, target.position[0], 0.0, T)
+    cy = _hermite_coeffs(start.position[1], 0.0, target.position[1], 0.0, T)
     dyaw = _wrap_angle(target.yaw - start.yaw)
-    cyaw = _cubic_coeffs(start.yaw, 0.0, start.yaw + dyaw, 0.0, T)
+    cyaw = _hermite_coeffs(start.yaw, 0.0, start.yaw + dyaw, 0.0, T)
     return SwingTrajectory(t_start=t_start, t_end=t_end,
                            coeffs_xy=np.array([cx, cy]), coeffs_yaw=cyaw, apex=apex)
 
@@ -271,7 +271,6 @@ class GaitTimeline:
 
     phases: tuple
     footsteps: tuple
-    feet_at: dict = field(default_factory=dict, compare=False)
 
     @property
     def horizon(self):
@@ -330,7 +329,6 @@ def timeline_from_footsteps(steps, ds_ratio=0.2, apex=0.03, final_stand=0.5):
                     for k in range(1, n + 1)]
 
     phases = []
-    feet_at = {0.0: dict(feet)}
     for k, landing in enumerate(moving):
         t_k, t_next = impacts[k], impacts[k + 1]
         stance = feet[landing.side.other]
@@ -348,7 +346,6 @@ def timeline_from_footsteps(steps, ds_ratio=0.2, apex=0.03, final_stand=0.5):
                                 interval_start=t_k, interval_end=t_next,
                                 feet=dict(feet)))
         feet[landing.side] = landing
-        feet_at[t_next] = dict(feet)
         if half[k + 1] > 0.0:
             phases.append(GaitPhase(PhaseKind.DOUBLE_SUPPORT, t_down, t_next,
                                     stance_zmp=stance.position.copy(),
@@ -358,7 +355,7 @@ def timeline_from_footsteps(steps, ds_ratio=0.2, apex=0.03, final_stand=0.5):
     phases.append(GaitPhase(PhaseKind.TERMINAL, t_last, t_last + final_stand,
                             stance_zmp=final_mid, feet=dict(feet)))
     _audit_phases(phases)
-    return GaitTimeline(phases=tuple(phases), footsteps=tuple(steps), feet_at=feet_at)
+    return GaitTimeline(phases=tuple(phases), footsteps=tuple(steps))
 
 
 def _audit_phases(phases):

@@ -91,10 +91,7 @@ class WholeBodyReferences:
     right_foot: FootReference
     torso_rotation: np.ndarray
     posture: np.ndarray
-    # Optional planar CoM position reference. When omitted the controller
-    # integrates com_velocity_cmd internally, which is fine standalone but
-    # drifts from the simplified model whenever its tracking error is biased.
-    com_position: np.ndarray = None
+    com_position: np.ndarray         # planar CoM position reference
 
 
 def _clamp_norm(v, bound):
@@ -104,7 +101,6 @@ def _clamp_norm(v, bound):
 
 @dataclass
 class _Integrators:
-    com_ref: np.ndarray = None       # integrated planar x*
     com_err: np.ndarray = field(default_factory=lambda: np.zeros(2))
     foot_err: dict = field(default_factory=lambda: {LEFT_FOOT: np.zeros(3),
                                                     RIGHT_FOOT: np.zeros(3)})
@@ -187,10 +183,6 @@ class WholeBodyController:
         self._integ = _Integrators()
         self._solver = QpSolver()
 
-    def reset(self, state):
-        self.internal_state = state.copy()
-        self._integ = _Integrators()
-
     def cycle(self, refs, measured_state):
         """One control cycle; returns (command vector, diagnostics dict)."""
         state = self.internal_state if self.mode is ControlMode.POSITION else measured_state
@@ -201,10 +193,7 @@ class WholeBodyController:
             cache.frame_pose(TORSO)[1], refs.torso_rotation)
 
         com = cache.com()
-        if self._integ.com_ref is None:
-            self._integ.com_ref = com[:2].copy()
-        com_ref = (self._integ.com_ref if refs.com_position is None
-                   else np.asarray(refs.com_position, dtype=float).reshape(2))
+        com_ref = np.asarray(refs.com_position, dtype=float).reshape(2)
         v_com, com_err = com_velocity_star(com, com_ref,
                                            refs.com_velocity_cmd, gains,
                                            self._integ.com_err, self.z0)
@@ -242,7 +231,7 @@ class WholeBodyController:
             raise RuntimeError(f"whole-body QP failed: {sol.status.value}")
         nu = sol.w
 
-        self._advance_integrators(com_err, errs, refs)
+        self._advance_integrators(com_err, errs)
         if self.mode is ControlMode.POSITION:
             self.internal_state = integrate_state(self.internal_state, nu, self.dt)
             command = self.internal_state.joint_positions.copy()
@@ -259,7 +248,7 @@ class WholeBodyController:
         }
         return command, diag
 
-    def _advance_integrators(self, com_err, foot_errs, refs):
+    def _advance_integrators(self, com_err, foot_errs):
         integ = self._integ
         dt = self.dt
         prev = com_err if integ.prev_com_err is None else integ.prev_com_err
@@ -272,4 +261,3 @@ class WholeBodyController:
                 integ.foot_err[frame] + 0.5 * dt * (prev + err),
                 self.gains.integral_bound)
             integ.prev_foot_err[frame] = err
-        integ.com_ref = integ.com_ref + dt * np.asarray(refs.com_velocity_cmd, dtype=float)

@@ -1,9 +1,11 @@
 """Command line interface: subcommands, artifacts and exit codes."""
 
 import json
+from types import SimpleNamespace
 
 import yaml
 
+from dcmwalk import cli
 from dcmwalk.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PLAN, EXIT_RUN, main)
 
 
@@ -55,6 +57,13 @@ class TestRun:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["category"] == "config"
 
+    def test_velocity_in_unicycle_block_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"unicycle": {"forward_velocity": 0.3}})
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["category"] == "config"
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "out")])
@@ -75,6 +84,22 @@ class TestSweep:
         rows = json.loads((out / "sweep.json").read_text())
         assert len(rows) == 2
         assert rows[1]["forward_velocity"] == 0.19
+        capsys.readouterr()
+
+    def test_keeps_unicycle_block(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def fake_run(scenario, seed=0):
+            seen.append(scenario.unicycle)
+            return SimpleNamespace(summary={})
+
+        monkeypatch.setattr(cli, "run_scenario", fake_run)
+        cfg = write_config(tmp_path, {"unicycle": {"max_step_length": 0.2}})
+        code = main(["sweep", "--config", cfg, "--velocities", "0.1", "0.3",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        assert [(u.forward_velocity, u.max_step_length) for u in seen] \
+            == [(0.1, 0.2), (0.3, 0.2)]
         capsys.readouterr()
 
 

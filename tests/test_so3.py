@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcmwalk.so3 import (check_rotation, exp_so3, is_rotation, project_rotation,
-                         rot_x, rot_y, rot_z, rpy_to_rotation, sk, skew, vee)
+from dcmwalk.so3 import (check_rotation, exp_so3, is_rotation, rot_x, rot_y, rot_z,
+                         rpy_to_rotation, sk, skew, vee)
 
 
 def test_skew_matches_cross():
@@ -65,15 +65,6 @@ def test_exp_so3_rodrigues_oracle():
 def test_rpy_to_rotation_composition():
     r, p, y = 0.1, -0.2, 0.3
     assert np.allclose(rpy_to_rotation(r, p, y), rot_z(y) @ rot_y(p) @ rot_x(r))
-
-
-def test_project_rotation():
-    rng = np.random.default_rng(5)
-    R = exp_so3(rng.normal(size=3))
-    noisy = R + 1e-6 * rng.normal(size=(3, 3))
-    proj = project_rotation(noisy)
-    assert is_rotation(proj)
-    assert np.linalg.norm(proj - R) < 1e-5
 
 
 def test_check_rotation_rejects():

@@ -133,15 +133,6 @@ class TestModes:
         with pytest.raises(ValueError):
             ControlMode("torque")
 
-    def test_reset_clears_integrators(self):
-        ctrl, model, state = make_controller(mode="velocity")
-        refs = self.perturbed_refs(model, state)
-        for _ in range(10):
-            ctrl.cycle(refs, state)
-        ctrl.reset(state)
-        _, diag = ctrl.cycle(consistent_refs(model, state), state)
-        assert np.linalg.norm(diag["nu"], np.inf) < 1e-10
-
 
 class TestRankDeficiency:
     def degenerate_model(self):
