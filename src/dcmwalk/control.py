@@ -334,10 +334,14 @@ def minimum_jerk(u):
     return u**3 * (10.0 + u * (-15.0 + 6.0 * u))
 
 
-def gain_schedule(blend, standing, walking, omega):
-    """Blend standing and walking gain sets with the minimum-jerk scaling."""
+def gain_schedule(blend, standing, walking):
+    """Blend standing and walking gain sets with the minimum-jerk scaling.
+
+    Each condition of `ZmpComGains.validate` bounds an eigenvalue of a
+    symmetric matrix that is affine in the gains, so it holds on a convex
+    set: a blend of two validated sets is valid and is not checked again.
+    """
     sigma = minimum_jerk(blend)
-    blended = ZmpComGains(
+    return ZmpComGains(
         k_zmp=(1.0 - sigma) * np.asarray(standing.k_zmp) + sigma * np.asarray(walking.k_zmp),
         k_com=(1.0 - sigma) * np.asarray(standing.k_com) + sigma * np.asarray(walking.k_com))
-    return blended.validate(omega)

@@ -69,6 +69,11 @@ class Push:
     def __post_init__(self):
         object.__setattr__(self, "impulse", np.asarray(self.impulse, dtype=float).reshape(2))
 
+    def __eq__(self, other):
+        if type(other) is not Push:
+            return NotImplemented
+        return self.time == other.time and np.array_equal(self.impulse, other.impulse)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -420,7 +425,7 @@ class _SimplifiedLayer:
         blend = min(max(t / sc.gain_blend_time, 0.0), 1.0) \
             if sc.gain_blend_time > 0.0 else 1.0
         gains = self._walking if blend >= 1.0 else gain_schedule(
-            blend, self._standing, self._walking, omega)
+            blend, self._standing, self._walking)
         return xi_ref, zmp_com_control(x_meas, self.x_ref, xd_ref, r_meas, self.r_ref, gains)
 
     def advance(self, xi_ref):

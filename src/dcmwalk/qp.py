@@ -8,9 +8,12 @@ Solves
 
 Problem sizes here are tiny (tens of variables), so every working-set
 iteration solves a dense KKT system directly. The caller may pass a feasible
-start point; without one (or when it is not feasible) the solver starts from
-least squares on the equalities and falls back to a Phase-1 LP only when
-that point breaks an inequality.
+start point. Without one (or when it is not feasible) the solver first
+solves one KKT system for the minimizer under the equalities alone, the
+first step of an active-set method from an empty working set; when that
+point breaks no inequality it is the optimum and is returned after one
+iteration. Otherwise the loop starts from least squares on the equalities,
+and from a Phase-1 LP only when that point breaks an inequality.
 """
 
 from dataclasses import dataclass, field
@@ -165,9 +168,21 @@ class QpSolver:
         rows = InequalityRows(problem)
         m = rows.size
 
-        w = self._initial_point(problem, A_eq, b_eq, rows, start)
+        w = None
+        if start is not None:
+            w0 = np.asarray(start, dtype=float).reshape(-1)
+            if w0.shape == (n,) and self._feasible(w0, A_eq, b_eq, rows):
+                w = w0
         if w is None:
-            return self._infeasible(problem, rows, A_eq.shape[0])
+            # The minimizer under the equalities alone is the first step from
+            # an empty working set; if it breaks no row it is the optimum.
+            w, lam_eq = self._kkt_solve(H, A_eq, -g, b_eq)
+            if w is not None and self._feasible(w, A_eq, b_eq, rows):
+                return self._solution(problem, rows, w, QpStatus.OPTIMAL, 1,
+                                      lam_eq, np.zeros(m), ())
+            w = self._cold_start(problem, A_eq, b_eq, rows)
+            if w is None:
+                return self._infeasible(problem, rows, A_eq.shape[0])
 
         working = set()
         lam_eq = np.zeros(A_eq.shape[0])
@@ -178,7 +193,7 @@ class QpSolver:
             idx = sorted(working)
             A_w = np.vstack([A_eq, rows.dense(idx)]) if idx else A_eq
             grad = H @ w + g
-            p, duals = self._kkt_step(H, grad, A_w)
+            p, duals = self._kkt_solve(H, A_w, -grad, np.zeros(A_w.shape[0]))
             if p is None:
                 # Dependent working set; drop the most recent inequality row.
                 if idx:
@@ -211,14 +226,17 @@ class QpSolver:
                           dual_ub=dual_ub, active_set=tuple(sorted(working)),
                           problem=problem)
 
-    def _kkt_step(self, H, grad, A_w):
+    @staticmethod
+    def _kkt_solve(H, A, top, bottom):
+        """(x, y) with H x + A^T y = top and A x = bottom, or (None, None)
+        when the system is singular."""
         n = H.shape[0]
-        mw = A_w.shape[0]
+        mw = A.shape[0]
         K = np.zeros((n + mw, n + mw))
         K[:n, :n] = H
-        K[:n, n:] = A_w.T
-        K[n:, :n] = A_w
-        rhs = np.concatenate([-grad, np.zeros(mw)])
+        K[:n, n:] = A.T
+        K[n:, :n] = A
+        rhs = np.concatenate([top, bottom])
         try:
             sol = np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:
@@ -227,17 +245,13 @@ class QpSolver:
             return None, None
         return sol[:n], sol[n:]
 
-    def _initial_point(self, problem, A_eq, b_eq, rows, start):
-        n = problem.n
-        if start is not None:
-            w0 = np.asarray(start, dtype=float).reshape(-1)
-            if w0.shape == (n,) and self._feasible(w0, A_eq, b_eq, rows):
-                return w0
-        # Cold start: least-squares on the equalities, then Phase-1 if needed.
+    def _cold_start(self, problem, A_eq, b_eq, rows):
+        """Least squares on the equalities, then Phase-1 if needed; None
+        when no feasible point is found."""
         if A_eq.shape[0]:
             w = np.linalg.lstsq(A_eq, b_eq, rcond=None)[0]
         else:
-            w = np.zeros(n)
+            w = np.zeros(problem.n)
         if self._feasible(w, A_eq, b_eq, rows):
             return w
         w = self._phase1(problem)

@@ -10,7 +10,7 @@ from an internally integrated state and the integrated joint positions are
 the command (differential IK).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -68,6 +68,12 @@ class TaskGains:
         for name in ("foot_integral_gain", "com_integral_gain"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
+
+    def __eq__(self, other):
+        if type(other) is not TaskGains:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)

@@ -349,17 +349,39 @@ class TestGainSchedule:
 
     def test_endpoints(self):
         standing, walking = self.sets()
-        g0 = gain_schedule(0.0, standing, walking, 4.3)
-        g1 = gain_schedule(1.0, standing, walking, 4.3)
+        g0 = gain_schedule(0.0, standing, walking)
+        g1 = gain_schedule(1.0, standing, walking)
         assert np.allclose(g0.k_zmp, standing.k_zmp)
         assert np.allclose(g1.k_com, walking.k_com)
 
     def test_midpoint_mean(self):
         standing, walking = self.sets()
-        g = gain_schedule(0.5, standing, walking, 4.3)
+        g = gain_schedule(0.5, standing, walking)
         assert np.allclose(g.k_zmp, 0.5 * (standing.k_zmp + walking.k_zmp))
 
     def test_out_of_range_rejected(self):
         standing, walking = self.sets()
         with pytest.raises(ValueError):
-            gain_schedule(1.5, standing, walking, 4.3)
+            gain_schedule(1.5, standing, walking)
+
+    @settings(max_examples=150, deadline=None)
+    @given(omega=st.floats(1.0, 10.0), blend=st.floats(0.0, 1.0),
+           angles=st.lists(st.floats(0.0, np.pi), min_size=4, max_size=4),
+           ratios=st.lists(st.floats(0.01, 0.99), min_size=8, max_size=8))
+    def test_blend_of_valid_sets_is_valid(self, omega, blend, angles, ratios):
+        # k_zmp's eigenvalues lie in (0, omega) and k_com's above omega, each
+        # pair along its own random axes, so the two sets differ in shape.
+        def spd(angle, eigs):
+            c, s = np.cos(angle), np.sin(angle)
+            R = np.array([[c, -s], [s, c]])
+            M = R @ np.diag(eigs) @ R.T
+            return 0.5 * (M + M.T)
+
+        def gains(a_zmp, a_com, r):
+            return ZmpComGains(k_zmp=spd(a_zmp, [r[0] * omega, r[1] * omega]),
+                               k_com=spd(a_com, [omega / r[2], omega / r[3]])).validate(omega)
+
+        standing = gains(angles[0], angles[1], ratios[:4])
+        walking = gains(angles[2], angles[3], ratios[4:])
+        blended = gain_schedule(blend, standing, walking)
+        assert blended.validate(omega) is blended

@@ -17,7 +17,7 @@ from dcmwalk.harness import (NoiseModel, PlanPolygons, Push, Scenario, build_gai
                              metrics_from_traces, run_scenario, scenario_from_dict,
                              support_polygon_at)
 from dcmwalk.unicycle import PhaseKind, PlanInfeasibleError, UnicycleConfig
-from dcmwalk.wholebody import WholeBodyController
+from dcmwalk.wholebody import TaskGains, WholeBodyController
 
 
 def quiet(**kw):
@@ -333,19 +333,6 @@ class TestUnicycleBlock:
             assert scenario.unicycle.forward_velocity == scenario.forward_velocity
 
 
-def same(a, b):
-    """Equality of nested dataclasses and tuples, arrays compared by value."""
-    if dataclasses.is_dataclass(a):
-        return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name))
-                                          for f in dataclasses.fields(a))
-    if isinstance(a, tuple):
-        return (isinstance(b, tuple) and len(a) == len(b)
-                and all(same(x, y) for x, y in zip(a, b)))
-    if isinstance(a, np.ndarray):
-        return np.array_equal(a, b)
-    return a == b
-
-
 def as_doc(scenario):
     """The flat config mapping `scenario_from_dict` reads back as `scenario`."""
     doc = {}
@@ -393,6 +380,18 @@ SCENARIO_DOCS = st.fixed_dictionaries({}, optional={
 
 
 class TestScenarioFromDict:
+    def test_arrays_compare_by_value(self):
+        # `TaskGains.torso_weight` and `Push.impulse` are arrays.
+        def scenario(weight=2.0, impulse=0.1):
+            return Scenario(task_gains=TaskGains(torso_weight=weight * np.eye(3)),
+                            pushes=(Push(time=1.0, impulse=[impulse, 0.0]),))
+
+        assert Scenario() == Scenario()
+        assert scenario() == scenario()
+        assert scenario() != scenario(weight=3.0)
+        assert scenario() != scenario(impulse=0.2)
+        assert TaskGains() != TaskGains(foot_position_gain=9.0)
+
     @settings(max_examples=80, deadline=None)
     @given(doc=SCENARIO_DOCS)
     def test_round_trip(self, doc):
@@ -411,7 +410,7 @@ class TestScenarioFromDict:
                 assert getattr(scenario, key) == value, key
         assert scenario.unicycle.forward_velocity == scenario.forward_velocity
         assert scenario.unicycle.angular_velocity == scenario.angular_velocity
-        assert same(scenario_from_dict(as_doc(scenario)), scenario)
+        assert scenario_from_dict(as_doc(scenario)) == scenario
 
     @settings(max_examples=40, deadline=None)
     @given(doc=SCENARIO_DOCS,
@@ -426,6 +425,6 @@ class TestScenarioFromDict:
         scenario = scenario_from_dict(doc)
         moved = dataclasses.replace(scenario, forward_velocity=v)
         assert moved.unicycle == dataclasses.replace(scenario.unicycle, forward_velocity=v)
-        assert same(dataclasses.replace(moved, unicycle=None),
-                    dataclasses.replace(scenario, forward_velocity=v, unicycle=None))
+        assert dataclasses.replace(moved, unicycle=None) \
+            == dataclasses.replace(scenario, forward_velocity=v, unicycle=None)
 

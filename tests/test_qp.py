@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from dcmwalk import qp as qp_module
+from dcmwalk.harness import NoiseModel, Scenario, run_scenario
 from dcmwalk.qp import (InequalityRows, QpProblem, QpSolver, QpStatus, _ratio_test,
                         kkt_residuals, solve)
+from dcmwalk.wholebody import WholeBodyController
 from oracles import brute_force_qp, inequality_rows, random_qp, ratio_test_rowwise
 
 
@@ -301,3 +304,88 @@ def test_lazy_residuals_equal_eager_kkt_residuals():
         assert "residuals" not in vars(sol)
         assert sol.residuals == eager
         assert sol.residuals is sol.residuals
+
+
+def _interior_problem(rng, n, m_eq, m_in):
+    """A QP whose minimizer under the equalities alone lies strictly inside
+    its bounds and inequality rows; returns (spec, that minimizer)."""
+    M = rng.normal(size=(n, n))
+    H = M.T @ M + np.eye(n)
+    g = rng.normal(size=n)
+    A_eq = rng.normal(size=(m_eq, n)) if m_eq else None
+    b_eq = rng.normal(size=m_eq) if m_eq else None
+    w_eq = brute_force_qp(H, g, A_eq, b_eq)
+    A_in = rng.normal(size=(m_in, n))
+    spec = dict(H=H, g=g, A_eq=A_eq, b_eq=b_eq, A_in=A_in,
+                b_in=A_in @ w_eq + rng.uniform(0.1, 1.0, size=m_in),
+                lb=w_eq - rng.uniform(0.1, 1.0, size=n), ub=w_eq + rng.uniform(0.1, 1.0, size=n))
+    return spec, w_eq
+
+
+@pytest.mark.parametrize("m_eq", [0, 2])
+def test_feasible_equality_minimizer_takes_one_solve(monkeypatch, m_eq):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the least-squares start or Phase-1 LP was used")
+    monkeypatch.setattr(qp_module.np.linalg, "lstsq", forbidden)
+    monkeypatch.setattr(qp_module, "linprog", forbidden)
+    rng = np.random.default_rng(30 + m_eq)
+    for _ in range(20):
+        spec, _ = _interior_problem(rng, n=4, m_eq=m_eq, m_in=3)
+        sol = solve(QpProblem(**spec))
+        assert sol.status is QpStatus.OPTIMAL
+        assert sol.iterations == 1
+        assert sol.active_set == ()
+        assert max(sol.residuals.values()) <= 1e-8
+        assert np.linalg.norm(sol.w - brute_force_qp(**spec), np.inf) < 1e-9
+
+
+@pytest.mark.parametrize("m_eq", [0, 2])
+def test_binding_bound_matches_oracle(m_eq):
+    rng = np.random.default_rng(40 + m_eq)
+    for _ in range(20):
+        spec, w_eq = _interior_problem(rng, n=4, m_eq=m_eq, m_in=2)
+        # Cut the equality-constrained minimizer off with one upper bound.
+        j = int(rng.integers(4))
+        spec["ub"][j] = w_eq[j] - rng.uniform(0.05, 0.5)
+        spec["lb"][j] = spec["ub"][j] - 2.0
+        ref = brute_force_qp(**spec)
+        if ref is None:
+            continue
+        sol = solve(QpProblem(**spec))
+        assert sol.status is QpStatus.OPTIMAL
+        assert sol.iterations > 1
+        assert max(sol.residuals.values()) <= 1e-8
+        assert np.linalg.norm(sol.w - ref, np.inf) < 1e-7
+
+
+@pytest.mark.parametrize("with_eq", [False, True])
+def test_random_cold_solves_match_oracle(with_eq):
+    rng = np.random.default_rng(50 + with_eq)
+    iterations = []
+    for _ in range(60):
+        spec, _ = random_qp(rng, n_max=3, m_max=4, with_eq=with_eq)
+        sol = solve(QpProblem(**spec))
+        assert sol.status is QpStatus.OPTIMAL
+        assert np.linalg.norm(sol.w - brute_force_qp(**spec), np.inf) < 1e-7
+        assert max(sol.residuals.values()) <= 1e-8
+        iterations.append(sol.iterations)
+    # Both the one-solve path and the active-set loop were exercised.
+    assert 1 in iterations and max(iterations) > 1
+
+
+@pytest.mark.parametrize("mode", ["position", "velocity"])
+def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
+    cycle = WholeBodyController.cycle
+    iterations = []
+
+    def counted(self, refs, measured_state):
+        command, diag = cycle(self, refs, measured_state)
+        iterations.append(diag["qp_iterations"])
+        return command, diag
+
+    monkeypatch.setattr(WholeBodyController, "cycle", counted)
+    result = run_scenario(Scenario(controller="instantaneous", mode=mode,
+                                   forward_velocity=0.19, duration=3.0, noise=NoiseModel()))
+    assert result.metrics["completed"]
+    assert len(iterations) == len(result.traces["t"]) == 300
+    assert set(iterations) == {1}
