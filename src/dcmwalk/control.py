@@ -14,7 +14,6 @@ followed by the cascaded ZMP-CoM law
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .qp import QpProblem, QpSolver, QpStatus
 
@@ -33,6 +32,31 @@ def _check_spd(M, name, strict=True):
     return M
 
 
+def _cross(o, a, b):
+    """z of (a - o) x (b - o): positive when o -> a -> b turns left."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _convex_hull(points):
+    """Hull vertices of 2-D `points` by Andrew's monotone chain.
+
+    The vertices run counter-clockwise from the lowest (x, y) point, with
+    duplicate and collinear points dropped; fewer than three come back when
+    the points span no area.
+    """
+    pts = sorted(set(map(tuple, points)))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts))
+
+
 @dataclass(frozen=True)
 class SupportPolygon:
     """Convex support region, stored as vertices and unit-norm half-planes."""
@@ -44,10 +68,11 @@ class SupportPolygon:
     @classmethod
     def from_points(cls, points):
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        if pts.shape[0] < 3:
-            raise ValueError("need at least three points")
-        hull = ConvexHull(pts)
-        verts = pts[hull.vertices]
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
+        verts = np.array(_convex_hull(pts.tolist())).reshape(-1, 2)
+        if verts.shape[0] < 3:
+            raise ValueError("need at least three points not on one line")
         rows, offs = [], []
         k = verts.shape[0]
         for i in range(k):

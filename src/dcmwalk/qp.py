@@ -13,7 +13,9 @@ solves one KKT system for the minimizer under the equalities alone, the
 first step of an active-set method from an empty working set; when that
 point breaks no inequality it is the optimum and is returned after one
 iteration. Otherwise the loop starts from least squares on the equalities,
-and from a Phase-1 LP only when that point breaks an inequality.
+and from a Phase-1 LP only when that point breaks an inequality. The LP is
+scipy's HiGHS `linprog`; `scipy.optimize` is imported on the first Phase-1
+solve, so importing this module loads no scipy.
 """
 
 from dataclasses import dataclass, field
@@ -21,9 +23,14 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 DEFAULT_TOL = 1e-8
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first call."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 class QpStatus(Enum):

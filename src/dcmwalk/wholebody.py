@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import qr as scipy_qr
 
 from .kinematics import KinematicsCache, integrate_state
 from .lipm import skew_vee_error
@@ -176,6 +175,17 @@ def _check_task_ranks(stacked, blocks):
     raise RankDeficientTasksError(blocks[-1][0])
 
 
+def _independent_rows(A, tol=1e-10):
+    """Indices of a maximal set of linearly independent rows of A, taken
+    greedily in order: a row is kept when it raises the rank of the rows
+    kept before it."""
+    keep = []
+    for i in range(A.shape[0]):
+        if np.linalg.matrix_rank(A[keep + [i]], tol=tol) > len(keep):
+            keep.append(i)
+    return keep
+
+
 class WholeBodyController:
     """One instance per control loop; owns the mode-dependent internal state."""
 
@@ -224,9 +234,7 @@ class WholeBodyController:
             problem = build_wholebody_qp(self.model, cache, v_torso,
                                          np.zeros(3), np.zeros(6), np.zeros(6),
                                          sdot_star, gains, check_rank=False)
-            _, _, piv = scipy_qr(problem.A_eq.T, pivoting=True)
-            rank = np.linalg.matrix_rank(problem.A_eq, tol=1e-10)
-            keep = sorted(piv[:rank])
+            keep = _independent_rows(problem.A_eq)
             problem = QpProblem(H=problem.H, g=problem.g,
                                 A_eq=problem.A_eq[keep],
                                 b_eq=problem.b_eq[keep],

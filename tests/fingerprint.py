@@ -1,0 +1,86 @@
+"""Behaviour fingerprint of the closed loop: eight short walks, sampled.
+
+The runs are the four architectures, each noise-free and with the default
+`NoiseModel()` at seed 0, for 6 s at 0.37 m/s. A run's fingerprint is its
+length, its error string ("" when it ends without one) and every 10th row of
+each trace column except the wall-clock `cycle_time`.
+
+`test_fingerprint.py` compares the program against the checked-in fixture.
+A change that moves behaviour on purpose rewrites the fixture with
+
+    PYTHONPATH=src python tests/fingerprint.py
+
+which prints, per run, the largest deviation from the old fixture before it
+writes the new one.
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from dcmwalk.harness import ARCHITECTURES, NoiseModel, Scenario, run_scenario
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "fingerprint.npz"
+STRIDE = 10
+SEED = 0
+TIMING_KEYS = ("cycle_time",)
+
+BASE = Scenario(forward_velocity=0.37, duration=6.0)
+RUNS = {f"{controller[:4]}_{mode[:3]}_{label}": replace(
+            BASE, controller=controller, mode=mode, noise=noise)
+        for controller, mode in ARCHITECTURES
+        for label, noise in (("clean", NoiseModel.none()), ("noisy", NoiseModel()))}
+
+
+def fingerprint(name):
+    """Flat {"<run>/<field>": array} fingerprint of run `name`."""
+    result = run_scenario(RUNS[name], seed=SEED)
+    out = {f"{name}/length": np.array(len(result.traces["t"])),
+           f"{name}/error": np.array(result.summary["error"] or "")}
+    for key, column in result.traces.items():
+        if key not in TIMING_KEYS:
+            out[f"{name}/{key}"] = np.asarray(column)[::STRIDE]
+    return out
+
+
+def load_fixture():
+    with np.load(FIXTURE) as data:
+        return {k: data[k] for k in data.files}
+
+
+def deviation(new, old):
+    """Largest absolute difference between two fingerprints of one run;
+    inf when their fields, shapes, lengths or errors differ."""
+    if set(new) != set(old):
+        return np.inf
+    worst = 0.0
+    for key, a in new.items():
+        b = old[key]
+        if a.shape != b.shape or a.dtype.kind != b.dtype.kind:
+            return np.inf
+        if a.dtype.kind == "U" or key.endswith("/length"):
+            if not np.array_equal(a, b):
+                return np.inf
+        elif a.size:
+            worst = max(worst, float(np.max(np.abs(a - b))))
+    return worst
+
+
+def main():
+    old = load_fixture() if FIXTURE.exists() else {}
+    new = {}
+    for name in RUNS:
+        run = fingerprint(name)
+        prior = {k: v for k, v in old.items() if k.startswith(f"{name}/")}
+        shown = f"{deviation(run, prior):.3g}" if prior else "new"
+        print(f"{name:16s} length {int(run[f'{name}/length']):4d}  "
+              f"max deviation {shown}")
+        new.update(run)
+    FIXTURE.parent.mkdir(exist_ok=True)
+    np.savez_compressed(FIXTURE, **new)
+    print(f"wrote {FIXTURE}")
+
+
+if __name__ == "__main__":
+    main()

@@ -5,6 +5,7 @@ against the library internals, so solver and planner bugs cannot cancel out.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -135,6 +136,36 @@ def brute_force_qp(H, g, A_eq=None, b_eq=None, A_in=None, b_in=None,
                 best_obj = obj
                 best_w = w
     return best_w
+
+
+def brute_force_hull(points):
+    """Convex hull vertices of 2-D points by testing every ordered pair.
+
+    (p, q) is a hull edge when every other distinct point lies strictly left
+    of the line p -> q or on the segment pq itself. Turns are computed in
+    exact rational arithmetic. Returns the vertices as tuples,
+    counter-clockwise from the lowest (x, y) point; fewer than three when
+    the points span no area.
+    """
+    pts = sorted(set(map(tuple, np.asarray(points, dtype=float).reshape(-1, 2).tolist())))
+    exact = [tuple(map(Fraction, p)) for p in pts]
+
+    def keeps(p, q, r):
+        turn = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+        if turn:
+            return turn > 0
+        return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+                and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
+
+    successor = {}
+    for i, j in itertools.permutations(range(len(exact)), 2):
+        if all(keeps(exact[i], exact[j], r)
+               for k, r in enumerate(exact) if k not in (i, j)):
+            successor[i] = j
+    cycle = [0]
+    while successor.get(cycle[-1], 0) not in cycle:
+        cycle.append(successor[cycle[-1]])
+    return [pts[i] for i in cycle]
 
 
 def mpc_qp_data_n2(omega, T, Q, R, QN, xi_meas, r_prev, refs):

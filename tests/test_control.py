@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from dcmwalk import qp
@@ -13,7 +13,7 @@ from dcmwalk.control import (InstantaneousDcmController, InstantaneousGains,
                              SupportPolygon, ZmpComGains, gain_schedule,
                              minimum_jerk, zmp_com_control)
 from dcmwalk.lipm import PendulumParams, SimplifiedState, step_exact
-from oracles import mpc_kkt_oracle
+from oracles import brute_force_hull, mpc_kkt_oracle
 
 
 def square(half=1.0, center=(0.0, 0.0)):
@@ -82,7 +82,56 @@ class TestSupportPolygon:
         with pytest.raises(ValueError):
             SupportPolygon.from_points([[0, 0], [1, 1]])
         with pytest.raises(ValueError):
+            SupportPolygon.from_points([[0, 0], [1, 0], [np.nan, 1]])
+        with pytest.raises(ValueError):
             SupportPolygon.from_rectangle([0, 0], 0.0, -0.1, 0.1)
+
+
+# Points on a 1/8 m grid, plus duplicates and points on the segments between
+# them: every turn is computed exactly in floating point, and collinear and
+# repeated points are common.
+grid = st.integers(-4, 4).map(lambda k: k / 8)
+
+
+@st.composite
+def hull_inputs(draw):
+    pts = [(draw(grid), draw(grid)) for _ in range(draw(st.integers(3, 8)))]
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = np.array(draw(st.sampled_from(pts))), np.array(draw(st.sampled_from(pts)))
+        t = draw(st.sampled_from([0.0, 0.25, 0.5]))  # 0: a duplicate
+        pts.append(tuple(a + t * (b - a)))
+    return np.array(pts)
+
+
+class TestConvexHull:
+    @settings(max_examples=300, deadline=None)
+    @given(points=hull_inputs())
+    @example(points=np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0], [1, 1], [0.5, 0.5]]))
+    def test_matches_brute_force(self, points):
+        expected = brute_force_hull(points)
+        if len(expected) < 3:
+            event("no area")
+            with pytest.raises(ValueError):
+                SupportPolygon.from_points(points)
+            return
+        poly = SupportPolygon.from_points(points)
+        verts = poly.vertices
+        assert [tuple(v) for v in verts.tolist()] == expected
+        a, b, c = verts, np.roll(verts, -1, axis=0), np.roll(verts, -2, axis=0)
+        turns = (b - a)[:, 0] * (c - b)[:, 1] - (b - a)[:, 1] * (c - b)[:, 0]
+        assert np.all(turns > 0.0)
+        assert set(map(tuple, verts.tolist())) <= set(map(tuple, points.tolist()))
+        for p in points:
+            assert poly.contains(p, tol=1e-12)
+
+    @pytest.mark.parametrize("points", [
+        [[0, 0], [1, 1], [2, 2]],
+        [[0, 0], [0.5, 0.25], [1, 0.5], [2, 1], [1, 0.5]],
+        [[0.1, 0.2], [0.1, 0.2], [0.1, 0.2], [0.1, 0.2]],
+    ])
+    def test_points_without_area_rejected(self, points):
+        with pytest.raises(ValueError):
+            SupportPolygon.from_points(points)
 
 
 class TestInstantaneous:

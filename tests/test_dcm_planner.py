@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcmwalk.dcm_planner import (backward_recursion, build_trajectory,
                                  ds_segment, ss_segment)
-from dcmwalk.unicycle import UnicycleConfig, plan_footsteps, timeline_from_footsteps
+from dcmwalk.unicycle import (PhaseKind, UnicycleConfig, plan_footsteps,
+                              timeline_from_footsteps)
 from test_unicycle import make_feet
 
 
@@ -157,3 +160,44 @@ class TestBuildTrajectory:
         traj = build_trajectory(tl, 4.3, ds_ratio=0.0)
         from dcmwalk.dcm_planner import ExponentialSegment
         assert all(isinstance(s, ExponentialSegment) for s in traj.segments)
+
+
+class TestTrajectoryProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(v=st.floats(0.0, 0.45), yaw_rate=st.floats(-0.5, 0.5),
+           ds_ratio=st.floats(0.01, 0.6), omega=st.floats(3.0, 5.0))
+    def test_planner_invariants(self, v, yaw_rate, ds_ratio, omega):
+        steps = plan_footsteps(UnicycleConfig(forward_velocity=v, angular_velocity=yaw_rate),
+                               make_feet(), 4.0)
+        tl = timeline_from_footsteps(steps, ds_ratio=ds_ratio, final_stand=0.8)
+        traj = build_trajectory(tl, omega, ds_ratio=ds_ratio)
+
+        def zmp(seg, t):
+            xi, xid = seg.eval_with(t, omega)
+            return xi - xid / omega
+
+        # C1 at every junction (ds_ratio = 0 has no blend, tested above), so
+        # the implied ZMP is continuous too.
+        dp, dv = junction_jumps(traj)
+        assert dp < 1e-9 and dv < 1e-9
+        for a, b in zip(traj.segments, traj.segments[1:]):
+            assert np.linalg.norm(zmp(a, b.t_start) - zmp(b, b.t_start)) < 1e-9
+
+        # Outside the double-support windows the implied ZMP is the stance ZMP.
+        for ph in tl.phases:
+            if ph.kind is PhaseKind.SINGLE_SUPPORT:
+                t0 = ph.t_start
+            elif ph.kind is PhaseKind.TERMINAL:
+                before = tl.phases[-2] if len(tl.phases) > 1 else None
+                t0 = ph.t_start + (before.duration if before is not None and
+                                   before.kind is PhaseKind.DOUBLE_SUPPORT else 0.0)
+            else:
+                continue
+            for t in np.linspace(t0, ph.t_end, 7):
+                assert np.linalg.norm(traj.implied_zmp(t) - ph.stance_zmp) < 1e-9
+
+        # The walk ends at rest on the final ZMP.
+        zmps, _ = tl.step_sequence()
+        assert traj.t_end == tl.horizon
+        assert np.linalg.norm(traj.dcm(traj.t_end) - zmps[-1]) < 1e-12
+        assert np.linalg.norm(traj.dcm_velocity(traj.t_end)) < 1e-12

@@ -7,7 +7,7 @@ from dcmwalk.kinematics import KinematicsCache, home_state, load_model, sample_b
 from dcmwalk.so3 import rot_z
 from dcmwalk.wholebody import (ControlMode, FootReference, RankDeficientTasksError,
                                TaskGains, WholeBodyController, WholeBodyReferences,
-                               build_wholebody_qp)
+                               _independent_rows, build_wholebody_qp)
 
 
 def consistent_refs(model, state, com_velocity=None, posture=None):
@@ -170,6 +170,26 @@ class TestRankDeficiency:
         _, diag = ctrl.cycle(refs, state)
         assert diag["fallback"]
         assert np.all(np.isfinite(diag["nu"]))
+
+    def test_fallback_keeps_independent_rows_of_full_rank(self):
+        from dcmwalk.kinematics import RobotState
+        model = self.degenerate_model()
+        state = RobotState(base_position=np.zeros(3), base_rotation=np.eye(3),
+                           joint_positions=np.zeros(1))
+        cache = KinematicsCache(model, state)
+        # The fallback's problem: zero feet and CoM references, so b_eq = 0.
+        A_full = build_wholebody_qp(model, cache, np.zeros(3), np.zeros(3), np.zeros(6),
+                                    np.zeros(6), np.zeros(1), TaskGains(),
+                                    check_rank=False).A_eq
+        keep = _independent_rows(A_full)
+        rank = np.linalg.matrix_rank(A_full, tol=1e-10)
+        assert rank < A_full.shape[0]
+        assert len(keep) == rank == np.linalg.matrix_rank(A_full[keep], tol=1e-10)
+        assert keep == sorted(set(keep))
+        ctrl = WholeBodyController(model, TaskGains(), "velocity", 0.01, 0.4, state)
+        _, diag = ctrl.cycle(consistent_refs(model, state), state)
+        assert diag["fallback"]
+        assert np.linalg.norm(A_full @ diag["nu"], np.inf) < 1e-10
 
 
 class TestTaskGains:
