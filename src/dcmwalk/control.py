@@ -57,6 +57,15 @@ def _convex_hull(points):
     return chain(pts) + chain(reversed(pts))
 
 
+def _half_planes(verts):
+    """Unit outward half-planes (A, b) of the counter-clockwise polygon
+    `verts`, one row per edge from each vertex to the next."""
+    edges = np.roll(verts, -1, axis=0) - verts
+    A = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    return A, np.einsum("ij,ij->i", A, verts)
+
+
 @dataclass(frozen=True)
 class SupportPolygon:
     """Convex support region, stored as vertices and unit-norm half-planes."""
@@ -73,17 +82,7 @@ class SupportPolygon:
         verts = np.array(_convex_hull(pts.tolist())).reshape(-1, 2)
         if verts.shape[0] < 3:
             raise ValueError("need at least three points not on one line")
-        rows, offs = [], []
-        k = verts.shape[0]
-        for i in range(k):
-            p, q = verts[i], verts[(i + 1) % k]
-            edge = q - p
-            normal = np.array([edge[1], -edge[0]])  # outward for CCW hulls
-            normal /= np.linalg.norm(normal)
-            rows.append(normal)
-            offs.append(normal @ p)
-        A = np.vstack(rows)
-        b = np.asarray(offs)
+        A, b = _half_planes(verts)
         if np.max(A @ verts.T - b[:, None]) > 1e-9:
             raise ValueError("inconsistent half-plane form")
         return cls(vertices=verts, A=A, b=b)
@@ -98,10 +97,7 @@ class SupportPolygon:
         corners = np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]]) * half
         verts = np.asarray(center, dtype=float) + corners @ R.T
         # The corner order above is counter-clockwise, so the hull is known.
-        edges = np.roll(verts, -1, axis=0) - verts
-        A = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
-        A /= np.linalg.norm(A, axis=1, keepdims=True)
-        b = np.einsum("ij,ij->i", A, verts)
+        A, b = _half_planes(verts)
         return cls(vertices=verts, A=A, b=b)
 
     @classmethod

@@ -113,8 +113,9 @@ class Scenario:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
+        # The footstep planner needs a finite walk to plan.
+        if not (self.duration > 0.0 and np.isfinite(self.duration)):
+            raise ValueError("duration must be positive and finite")
         # The MPC samples every mpc_period / dt cycles and models a period of
         # mpc_period, so the two must agree.
         stride = self.mpc_period / self.dt
@@ -123,6 +124,8 @@ class Scenario:
             raise ValueError("mpc_period must be a positive whole multiple of dt")
         if not self.fall_margin >= 0.0:
             raise ValueError("fall_margin must be nonnegative")
+        if not self.fall_height_fraction >= 0.0:
+            raise ValueError("fall_height_fraction must be nonnegative")
         # The planner's velocities are always the scenario's own, so a
         # `unicycle` block only sets the step bounds, and
         # `replace(scenario, forward_velocity=v)` plans at v.
@@ -191,13 +194,20 @@ def foot_rectangle(position, yaw):
     return SupportPolygon.from_rectangle(position, yaw, FOOT_LENGTH, FOOT_WIDTH)
 
 
-def plan_support_polygon(phase):
-    """Plan-level support polygon (SS: stance rectangle, else both feet)."""
+def _support_region(phase, foot_positions):
+    """SS: the stance foot's rectangle, else the hull of both feet's, with
+    the feet at the planar `foot_positions` (by side) and the plan's yaws."""
     if phase.kind is PhaseKind.SINGLE_SUPPORT:
-        stance = phase.feet[phase.stance_side]
-        return foot_rectangle(stance.position, stance.yaw)
-    rects = [foot_rectangle(f.position, f.yaw) for f in phase.feet.values()]
+        side = phase.stance_side
+        return foot_rectangle(foot_positions[side], phase.feet[side].yaw)
+    rects = [foot_rectangle(foot_positions[side], step.yaw)
+             for side, step in phase.feet.items()]
     return SupportPolygon.union_hull(*rects)
+
+
+def plan_support_polygon(phase):
+    """Plan-level support polygon: the feet where the plan puts them."""
+    return _support_region(phase, {side: f.position for side, f in phase.feet.items()})
 
 
 def support_polygon_at(timeline, t):
@@ -221,13 +231,12 @@ class PlanPolygons:
 
 
 def realized_support_polygon(phase, foot_positions):
-    """Support polygon from the realized planar foot positions (plan yaws)."""
-    if phase.kind is PhaseKind.SINGLE_SUPPORT:
-        side = phase.stance_side
-        return foot_rectangle(foot_positions[side], phase.feet[side].yaw)
-    rects = [foot_rectangle(foot_positions[side], step.yaw)
-             for side, step in phase.feet.items()]
-    return SupportPolygon.union_hull(*rects)
+    """Support polygon from the realized planar foot positions (plan yaws).
+
+    `Plant.sense` calls it once per cycle, and nothing else calls it: the
+    benchmark in `perfbench/` counts its calls as cycles.
+    """
+    return _support_region(phase, foot_positions)
 
 
 def fall_detector(dcm, support, com_height, z0, margin=0.3, height_fraction=0.5):

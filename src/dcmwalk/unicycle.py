@@ -95,6 +95,8 @@ def plan_footsteps(config, initial_feet, horizon):
     right = next(f for f in initial_feet if f.side is FootSide.RIGHT)
     if np.linalg.norm(left.position - right.position) < 1e-9:
         raise ValueError("initial feet must not coincide")
+    if not np.isfinite(horizon):
+        raise ValueError("horizon must be finite")
     if horizon <= config.min_step_duration:
         raise ValueError("horizon must exceed one minimum step duration")
     if abs(config.forward_velocity) < 1e-12 and abs(config.angular_velocity) < 1e-12:

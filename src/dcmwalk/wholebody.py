@@ -136,8 +136,7 @@ def com_velocity_star(com, com_ref_planar, com_velocity_cmd, gains, integral, z0
 
 
 def build_wholebody_qp(model, cache, v_torso_star, v_com_star, v_left_star,
-                       v_right_star, sdot_star, gains,
-                       check_rank=True):
+                       v_right_star, sdot_star, gains):
     """Assemble the QP over nu = (base twist, joint velocities)."""
     n = model.n_joints
     nv = model.n_velocities
@@ -154,8 +153,7 @@ def build_wholebody_qp(model, cache, v_torso_star, v_com_star, v_left_star,
     g[6:] += -gains.postural_weight * sdot_star
 
     b_eq = np.concatenate([v_com_star, v_left_star, v_right_star])
-    if check_rank:
-        _check_task_ranks(A_eq, (("com", 3), ("left_foot", 6), ("right_foot", 6)))
+    _check_task_ranks(A_eq, (("com", 3), ("left_foot", 6), ("right_foot", 6)))
     return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq, lb=model.nu_lower, ub=model.nu_upper)
 
 
@@ -175,17 +173,6 @@ def _check_task_ranks(stacked, blocks):
     raise RankDeficientTasksError(blocks[-1][0])
 
 
-def _independent_rows(A, tol=1e-10):
-    """Indices of a maximal set of linearly independent rows of A, taken
-    greedily in order: a row is kept when it raises the rank of the rows
-    kept before it."""
-    keep = []
-    for i in range(A.shape[0]):
-        if np.linalg.matrix_rank(A[keep + [i]], tol=tol) > len(keep):
-            keep.append(i)
-    return keep
-
-
 class WholeBodyController:
     """One instance per control loop; owns the mode-dependent internal state."""
 
@@ -200,7 +187,12 @@ class WholeBodyController:
         self._solver = QpSolver()
 
     def cycle(self, refs, measured_state):
-        """One control cycle; returns (command vector, diagnostics dict)."""
+        """One control cycle; returns (command vector, diagnostics dict).
+
+        Raises `RankDeficientTasksError`, naming the task, when the hard
+        task rows are rank deficient, and `RuntimeError` when the QP does
+        not end optimal.
+        """
         state = self.internal_state if self.mode is ControlMode.POSITION else measured_state
         cache = KinematicsCache(self.model, state)
         gains = self.gains
@@ -221,25 +213,9 @@ class WholeBodyController:
 
         sdot_star = -gains.postural_gain * (state.joint_positions - refs.posture)
 
-        try:
-            problem = build_wholebody_qp(self.model, cache, v_torso, v_com,
-                                         stars[LEFT_FOOT], stars[RIGHT_FOOT],
-                                         sdot_star, gains)
-            fallback = False
-        except RankDeficientTasksError:
-            # Documented fallback: hold the measured stance (zero feet/CoM
-            # velocity references keeps nu = 0 feasible). With b_eq = 0 the
-            # dependent equality rows carry no information, so reduce to an
-            # independent subset to keep the KKT systems nonsingular.
-            problem = build_wholebody_qp(self.model, cache, v_torso,
-                                         np.zeros(3), np.zeros(6), np.zeros(6),
-                                         sdot_star, gains, check_rank=False)
-            keep = _independent_rows(problem.A_eq)
-            problem = QpProblem(H=problem.H, g=problem.g,
-                                A_eq=problem.A_eq[keep],
-                                b_eq=problem.b_eq[keep],
-                                lb=problem.lb, ub=problem.ub)
-            fallback = True
+        problem = build_wholebody_qp(self.model, cache, v_torso, v_com,
+                                     stars[LEFT_FOOT], stars[RIGHT_FOOT],
+                                     sdot_star, gains)
         sol = self._solver.solve(problem)
         if sol.status is not QpStatus.OPTIMAL:
             raise RuntimeError(f"whole-body QP failed: {sol.status.value}")
@@ -256,9 +232,6 @@ class WholeBodyController:
             "hard_residual": float(np.linalg.norm(
                 problem.A_eq @ nu - problem.b_eq, ord=np.inf)),
             "qp_iterations": sol.iterations,
-            "fallback": fallback,
-            "com_error": com_err,
-            "foot_errors": errs,
         }
         return command, diag
 

@@ -64,6 +64,14 @@ class TestRun:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["category"] == "config"
 
+    def test_nan_duration_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"duration": float("nan")})
+        assert ".nan" in (tmp_path / "scenario.yaml").read_text()
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["category"] == "config"
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "out")])

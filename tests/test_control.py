@@ -23,12 +23,20 @@ def square(half=1.0, center=(0.0, 0.0)):
 
 
 class TestSupportPolygon:
-    def test_rectangle_matches_from_points(self):
-        a = SupportPolygon.from_rectangle([0.1, -0.2], 0.4, 0.19, 0.09)
+    @settings(max_examples=100, deadline=None)
+    @given(center=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+           yaw=st.floats(-np.pi, np.pi), length=st.floats(0.01, 1.0),
+           width=st.floats(0.01, 1.0))
+    @example(center=(0.1, -0.2), yaw=0.4, length=0.19, width=0.09)
+    def test_rectangle_matches_from_points(self, center, yaw, length, width):
+        a = SupportPolygon.from_rectangle(center, yaw, length, width)
         b = SupportPolygon.from_points(a.vertices)
-        assert np.allclose(np.sort(a.b), np.sort(b.b))
-        for v in a.vertices:
-            assert b.contains(v, tol=1e-9)
+        # Both run counter-clockwise; from_points starts at the lowest vertex.
+        shift = next(i for i, v in enumerate(a.vertices)
+                     if np.array_equal(v, b.vertices[0]))
+        for name in ("vertices", "A", "b"):
+            assert np.array_equal(np.roll(getattr(a, name), -shift, axis=0),
+                                  getattr(b, name)), name
 
     def test_halfplane_invariant(self):
         poly = SupportPolygon.from_rectangle([0.3, 0.1], -0.7, 0.19, 0.09)

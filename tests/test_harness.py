@@ -155,6 +155,24 @@ class TestPredictiveWithoutLp:
         assert result.metrics["completed"], result.summary["error"]
 
 
+class TestCycleMarker:
+    @pytest.mark.parametrize("controller", ["instantaneous", "predictive"])
+    def test_realized_support_once_per_cycle(self, controller, monkeypatch):
+        # perfbench counts the calls of realized_support_polygon as cycles.
+        calls = []
+        realized = harness.realized_support_polygon
+
+        def counted(*args):
+            calls.append(args)
+            return realized(*args)
+
+        monkeypatch.setattr(harness, "realized_support_polygon", counted)
+        result = run_scenario(Scenario(controller=controller, forward_velocity=0.19,
+                                       duration=1.0), seed=0)
+        assert result.metrics["completed"], result.summary["error"]
+        assert len(calls) == len(result.traces["t"]) == 100
+
+
 class TestMetrics:
     def test_recompute_matches_run(self):
         result = run_scenario(quiet(forward_velocity=0.0))
@@ -234,6 +252,15 @@ class TestSerialization:
                 Scenario(fall_margin=margin)
         with pytest.raises(ValueError, match="fall_margin"):
             scenario_from_dict({"fall_margin": -0.3})
+
+    @pytest.mark.parametrize("name, value", [
+        ("duration", float("nan")), ("duration", float("inf")),
+        ("fall_height_fraction", -0.1), ("fall_height_fraction", float("nan"))])
+    def test_invalid_run_bounds_rejected(self, name, value):
+        # A non-finite duration hangs the footstep planner; a negative
+        # height fraction ends every run as a fall, and NaN turns it off.
+        with pytest.raises(ValueError, match=name):
+            Scenario(**{name: value})
 
 
 class TestNoiseModel:

@@ -95,6 +95,12 @@ class TestPlanFootsteps:
         with pytest.raises(ValueError):
             plan_footsteps(UnicycleConfig(forward_velocity=0.1), feet, 5.0)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_non_finite_horizon_rejected(self, horizon):
+        # min(t, nan) drops the NaN, so the step loop would never end.
+        with pytest.raises(ValueError, match="horizon"):
+            plan_footsteps(UnicycleConfig(forward_velocity=0.1), make_feet(), horizon)
+
 
 class TestSwingTrajectory:
     def test_boundary_conditions(self):

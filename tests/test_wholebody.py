@@ -1,13 +1,16 @@
-"""Whole-body differential-IK layer: QP assembly, modes, fallback."""
+"""Whole-body differential-IK layer: QP assembly, modes, and how a cycle
+fails: rank-deficient hard tasks raise an error that names the task."""
 
 import numpy as np
 import pytest
 
-from dcmwalk.kinematics import KinematicsCache, home_state, load_model, sample_biped
+from dcmwalk.harness import Scenario, run_scenario
+from dcmwalk.kinematics import (KinematicsCache, RobotState, home_state, load_model,
+                                sample_biped)
 from dcmwalk.so3 import rot_z
 from dcmwalk.wholebody import (ControlMode, FootReference, RankDeficientTasksError,
                                TaskGains, WholeBodyController, WholeBodyReferences,
-                               _independent_rows, build_wholebody_qp)
+                               build_wholebody_qp)
 
 
 def consistent_refs(model, state, com_velocity=None, posture=None):
@@ -39,7 +42,6 @@ class TestFixedPoint:
         assert np.linalg.norm(diag["nu"], np.inf) < 1e-10
         assert np.linalg.norm(command, np.inf) < 1e-10
         assert diag["hard_residual"] < 1e-10
-        assert not diag["fallback"]
 
     def test_position_mode_holds_posture(self):
         ctrl, model, state = make_controller(mode="position")
@@ -150,46 +152,33 @@ class TestRankDeficiency:
         }
         return load_model(doc)
 
+    def degenerate_state(self):
+        return RobotState(base_position=np.zeros(3), base_rotation=np.eye(3),
+                          joint_positions=np.zeros(1))
+
     def test_builder_raises_named_offender(self):
-        from dcmwalk.kinematics import RobotState
         model = self.degenerate_model()
-        state = RobotState(base_position=np.zeros(3), base_rotation=np.eye(3),
-                           joint_positions=np.zeros(1))
-        cache = KinematicsCache(model, state)
-        with pytest.raises(RankDeficientTasksError):
+        cache = KinematicsCache(model, self.degenerate_state())
+        with pytest.raises(RankDeficientTasksError) as info:
             build_wholebody_qp(model, cache, np.zeros(3), np.zeros(3),
                                np.zeros(6), np.zeros(6), np.zeros(1), TaskGains())
+        assert info.value.task == "left_foot"
 
-    def test_controller_fallback_flag(self):
-        from dcmwalk.kinematics import RobotState
+    def test_controller_raises_named_offender(self):
         model = self.degenerate_model()
-        state = RobotState(base_position=np.zeros(3), base_rotation=np.eye(3),
-                           joint_positions=np.zeros(1))
+        state = self.degenerate_state()
         ctrl = WholeBodyController(model, TaskGains(), "velocity", 0.01, 0.4, state)
-        refs = consistent_refs(model, state)
-        _, diag = ctrl.cycle(refs, state)
-        assert diag["fallback"]
-        assert np.all(np.isfinite(diag["nu"]))
+        with pytest.raises(RankDeficientTasksError) as info:
+            ctrl.cycle(consistent_refs(model, state), state)
+        assert info.value.task == "left_foot"
 
-    def test_fallback_keeps_independent_rows_of_full_rank(self):
-        from dcmwalk.kinematics import RobotState
-        model = self.degenerate_model()
-        state = RobotState(base_position=np.zeros(3), base_rotation=np.eye(3),
-                           joint_positions=np.zeros(1))
-        cache = KinematicsCache(model, state)
-        # The fallback's problem: zero feet and CoM references, so b_eq = 0.
-        A_full = build_wholebody_qp(model, cache, np.zeros(3), np.zeros(3), np.zeros(6),
-                                    np.zeros(6), np.zeros(1), TaskGains(),
-                                    check_rank=False).A_eq
-        keep = _independent_rows(A_full)
-        rank = np.linalg.matrix_rank(A_full, tol=1e-10)
-        assert rank < A_full.shape[0]
-        assert len(keep) == rank == np.linalg.matrix_rank(A_full[keep], tol=1e-10)
-        assert keep == sorted(set(keep))
-        ctrl = WholeBodyController(model, TaskGains(), "velocity", 0.01, 0.4, state)
-        _, diag = ctrl.cycle(consistent_refs(model, state), state)
-        assert diag["fallback"]
-        assert np.linalg.norm(A_full @ diag["nu"], np.inf) < 1e-10
+    def test_run_ends_at_first_cycle_and_says_why(self):
+        result = run_scenario(Scenario(duration=1.0), model=self.degenerate_model())
+        assert len(result.traces["t"]) == 0
+        assert result.summary["error"] == \
+            "wholebody: hard task rows are rank deficient: left_foot"
+        assert result.metrics["completed"] is False
+        assert result.metrics["failed"] is True
 
 
 class TestTaskGains:
