@@ -22,6 +22,9 @@ def _check_spd(M, name, strict=True):
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2")
+    # The tests below are all False on NaN, so they cannot reject it.
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} must be finite")
     if np.linalg.norm(M - M.T, ord=np.inf) > 1e-12 * max(1.0, np.abs(M).max()):
         raise ValueError(f"{name} must be symmetric")
     lo = np.linalg.eigvalsh(M).min()

@@ -16,8 +16,9 @@ ZMP is the realized ZMP plus white noise.
 
 import csv
 import json
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,10 +50,11 @@ class NoiseModel:
     impact_ratio: float = 0.4     # CoM velocity fraction lost at touchdown
 
     def __post_init__(self):
+        # Written so that NaN fails: every comparison with NaN is False.
         for name in ("zmp_std", "encoder_std", "actuation_std", "velocity_lag",
                      "impact_ratio"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         if self.impact_ratio >= 1.0:
             raise ValueError("impact_ratio must be below 1")
 
@@ -111,21 +113,24 @@ class Scenario:
             raise ValueError(f"unknown controller {self.controller!r}")
         if self.mode not in ("position", "velocity"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        # A NaN fails every comparison, so a check like `gain > 0` would let
+        # it through; an infinite duration hangs the footstep planner.
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        # The footstep planner needs a finite walk to plan.
-        if not (self.duration > 0.0 and np.isfinite(self.duration)):
-            raise ValueError("duration must be positive and finite")
+        if self.duration <= 0.0:
+            raise ValueError("duration must be positive")
         # The MPC samples every mpc_period / dt cycles and models a period of
         # mpc_period, so the two must agree.
         stride = self.mpc_period / self.dt
         if not (np.isfinite(stride) and stride >= 0.5 and abs(
                 round(stride) * self.dt - self.mpc_period) <= 1e-9 * self.mpc_period):
             raise ValueError("mpc_period must be a positive whole multiple of dt")
-        if not self.fall_margin >= 0.0:
-            raise ValueError("fall_margin must be nonnegative")
-        if not self.fall_height_fraction >= 0.0:
-            raise ValueError("fall_height_fraction must be nonnegative")
+        for name in ("fall_margin", "fall_height_fraction", "gain_blend_time"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
         # The planner's velocities are always the scenario's own, so a
         # `unicycle` block only sets the step bounds, and
         # `replace(scenario, forward_velocity=v)` plans at v.

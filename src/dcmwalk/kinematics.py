@@ -64,9 +64,11 @@ class UnknownFrameError(KeyError):
     pass
 
 
-# Component order of the cross product: (a x r)_i = a_i1 r_i2 - a_i2 r_i1.
-_CROSS_1 = [1, 2, 0]
-_CROSS_2 = [2, 0, 1]
+# -skew(d) = [[0, d_z, -d_y], [-d_z, 0, d_x], [d_y, -d_x, 0]]: the (row,
+# column) entries that hold -d_x, -d_y, -d_z and +d_x, +d_y, +d_z, with the
+# columns offset to nu's base angular block (3:6).
+_MINUS_D_ROWS, _MINUS_D_COLS = np.array([2, 0, 1]), np.array([4, 5, 3])
+_PLUS_D_ROWS, _PLUS_D_COLS = np.array([1, 2, 0]), np.array([5, 3, 4])
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 
@@ -87,15 +89,14 @@ class KinematicModel:
         self._parent_joint = {j.child: j for j in self.joints}
         self._link_order = list(self.links)
         link_index = {name: i for i, name in enumerate(self._link_order)}
-        self._base_index = link_index[self.base_link]
         n = len(self.joints)
         joints = self.joints
 
         # Per-joint arrays, built once; a KinematicsCache only indexes them.
         self._parent_link = np.array([link_index[j.parent] for j in joints], dtype=int)
-        self._fk_order = [(self._joint_index[j.name], link_index[j.parent],
-                           link_index[j.child]) for j in order]
+        self._fk_joints, self._fk_levels, self._fk_rows = self._tree_levels(order)
         self._revolute = np.array([j.kind == "revolute" for j in joints], dtype=bool)
+        self._prismatic = np.flatnonzero(~self._revolute)
         axes = np.array([j.axis for j in joints]).reshape(n, 3)
         self._axis_skew = np.array([skew(a) for a in axes]).reshape(n, 3, 3)
         self._axis_skew2 = self._axis_skew @ self._axis_skew
@@ -164,6 +165,42 @@ class KinematicModel:
             raise ValueError(f"links not reachable from base: {sorted(missing)}")
         return order
 
+    def _tree_levels(self, order):
+        """The tree pass, grouped by depth: level d holds the joints whose
+        child link is d joints below the base.
+
+        The pass keeps its poses in its own row order: row 0 is the base and
+        row i + 1 the child link of joint `joints[i]`, the joints taken level
+        by level, each level sorted by parent row. A level is then one
+        batched product of its parent rows with a slice of joints, into a
+        slice of child rows. Its parent rows are a slice when they are one
+        row (broadcast) or consecutive, else an index array. Returns
+        (joints, levels, the row of each link in link order).
+        """
+        depth = {self.base_link: 0}
+        by_depth = []
+        for j in order:
+            d = depth[j.child] = depth[j.parent] + 1
+            if d > len(by_depth):
+                by_depth.append([])
+            by_depth[d - 1].append(j)
+        row = {self.base_link: 0}
+        joints, levels = [], []
+        for level in by_depth:
+            level.sort(key=lambda j: row[j.parent])
+            start = len(joints)
+            for j in level:
+                joints.append(self._joint_index[j.name])
+                row[j.child] = len(joints)
+            parents = np.array([row[j.parent] for j in level])
+            step = set(np.diff(parents).tolist())
+            if step <= {0} or step == {1}:
+                parents = slice(int(parents[0]), int(parents[-1]) + 1)
+            levels.append((slice(start, len(joints)), parents,
+                           slice(start + 1, len(joints) + 1)))
+        return (np.array(joints, dtype=int), levels,
+                np.array([row[name] for name in self._link_order], dtype=int))
+
     @property
     def n_joints(self):
         return len(self.joints)
@@ -221,7 +258,7 @@ class KinematicsCache:
     """All link poses of one robot state, and the task Jacobians built from them.
 
     The joint rotations come from one batched Rodrigues step; the pass down
-    the tree is one 4x4 product per joint.
+    the tree is one batched 4x4 product per depth level.
     """
 
     def __init__(self, model, state):
@@ -238,13 +275,15 @@ class KinematicsCache:
         local[:, :3, 3] = (model._joint_offsets[:, :, 0]
                            + np.where(revolute, 0.0, s)[:, None] * model._joint_offsets[:, :, 1])
         local[:, 3, 3] = 1.0
+        # The tree pass, in its own row order (`KinematicModel._tree_levels`).
+        local = local[model._fk_joints]
         pose = np.empty((len(model._link_order), 4, 4))
-        base = pose[model._base_index]
-        base[:3, :3] = state.base_rotation
-        base[:3, 3] = state.base_position
-        base[3] = (0.0, 0.0, 0.0, 1.0)
-        for j, parent, child in model._fk_order:
-            pose[child] = pose[parent] @ local[j]
+        pose[0, :3, :3] = state.base_rotation
+        pose[0, :3, 3] = state.base_position
+        pose[0, 3] = (0.0, 0.0, 0.0, 1.0)
+        for joints, parents, children in model._fk_levels:
+            np.matmul(pose[parents], local[joints], out=pose[children])
+        pose = pose[model._fk_rows]
         self._rotation = pose[:, :3, :3]
         self._position = pose[:, :3, 3]
         self._com_points = None
@@ -274,30 +313,30 @@ class KinematicsCache:
             self._joint_world = (self._position[parent] + offsets[:, :, 0], offsets[:, :, 1])
         return self._joint_world
 
-    def _angular_rows(self, links, axes):
-        """Angular-velocity rows (len(links) x 3 x (6+n)) of frames on `links`."""
-        model = self.model
-        J = np.zeros((len(links), 3, model.n_velocities))
-        J[:, :, 3:6] = _EYE3
-        J[:, :, 6:] = (model._angular_mask[links][:, :, None] * axes).transpose(0, 2, 1)
-        return J
+    def _angular_rows(self, links, axes, out):
+        """Write the angular-velocity rows of frames on `links` into the
+        zeroed `out` (len(links) x 3 x (6+n))."""
+        out[:, :, 3:6] = _EYE3
+        out[:, :, 6:] = (self.model._angular_mask[links][:, :, None] * axes).transpose(0, 2, 1)
 
     def task_jacobian(self, frames=()):
         """Stacked task Jacobian [J_com; J_frames[0]; J_frames[1]; ...].
 
         Three linear-velocity rows for the CoM, then six rows per frame
         (linear, then angular). The linear columns of every task come from
-        one batched cross product of the joint axes with the lever arms.
+        one batched cross product of the joint axes with the lever arms,
+        written component by component into the joint columns.
         """
         model = self.model
         nf = len(frames)
         nv = model.n_velocities
         origins, axes = self._joint_axes()
-        links = [model._frame(f)[0] for f in frames]
+        frame_defs = [model._frame(f) for f in frames]
+        links = [link for link, _ in frame_defs]
         points = np.empty((1 + nf, 3))
         points[0] = self.com()
-        for i, f in enumerate(frames):
-            points[1 + i] = self.frame_pose(f)[0]
+        for i, (link, fd) in enumerate(frame_defs):
+            points[1 + i] = self._position[link] + self._rotation[link] @ fd.xyz
         # weights[t, j]: share of task t that joint j moves (CoM: subtree
         # mass share; a frame: 1 on its chain). lever[t, j]: weighted lever
         # arm from joint j's origin.
@@ -307,21 +346,30 @@ class KinematicsCache:
         lever = np.empty((1 + nf, model.n_joints, 3))
         lever[0] = model._subtree_weight @ self._link_coms() - weights[0][:, None] * origins
         lever[1:] = weights[1:, :, None] * (points[1:, None, :] - origins)
-        cross = axes[:, _CROSS_1] * lever[..., _CROSS_2] - axes[:, _CROSS_2] * lever[..., _CROSS_1]
-        columns = np.where(model._revolute[:, None], cross, weights[:, :, None] * axes)
 
+        # linear[t]: the linear-velocity rows of task t.
         linear = np.zeros((1 + nf, 3, nv))
         linear[:, :, 0:3] = _EYE3
         # Base angular columns: -skew(point - base position).
         d = points - self.state.base_position
-        linear[:, [2, 0, 1], [4, 5, 3]] = -d
-        linear[:, [1, 2, 0], [5, 3, 4]] = d
-        linear[:, :, 6:] = columns.transpose(0, 2, 1)
-        J = np.empty((3 + 6 * nf, nv))
+        linear[:, _MINUS_D_ROWS, _MINUS_D_COLS] = -d
+        linear[:, _PLUS_D_ROWS, _PLUS_D_COLS] = d
+        # Joint columns: axis x lever for a revolute joint, weighted axis
+        # for a prismatic one.
+        (ax, ay, az), (lx, ly, lz) = axes.T, lever.transpose(2, 0, 1)
+        columns = linear[:, :, 6:]
+        np.subtract(ay * lz, az * ly, out=columns[:, 0])
+        np.subtract(az * lx, ax * lz, out=columns[:, 1])
+        np.subtract(ax * ly, ay * lx, out=columns[:, 2])
+        prismatic = model._prismatic
+        if prismatic.size:
+            columns[:, :, prismatic] = weights[:, None, prismatic] * axes.T[:, prismatic]
+
+        J = np.zeros((3 + 6 * nf, nv))
         J[:3] = linear[0]
         blocks = J[3:].reshape(nf, 6, nv)
         blocks[:, :3] = linear[1:]
-        blocks[:, 3:] = self._angular_rows(links, axes)
+        self._angular_rows(links, axes, blocks[:, 3:])
         return J
 
     def frame_jacobian(self, name):
@@ -331,7 +379,9 @@ class KinematicsCache:
     def angular_jacobian(self, name):
         """3 x (6+n) angular-velocity rows of a frame."""
         link = self.model._frame(name)[0]
-        return self._angular_rows([link], self._joint_axes()[1])[0]
+        J = np.zeros((1, 3, self.model.n_velocities))
+        self._angular_rows([link], self._joint_axes()[1], J)
+        return J[0]
 
     def com_jacobian(self):
         """3 x (6+n) Jacobian of the whole-body CoM."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import check_rotation, sk, vee
+from .so3 import check_rotation
 
 
 def _planar(v, name="vector"):
@@ -102,7 +102,17 @@ def step_exact(state, r_zmp, params, duration):
 
 
 def skew_vee_error(R, R_des):
-    """Rotation-error feedback term vee(sk(R R_des^T))."""
-    R = check_rotation(R, name="R")
-    R_des = check_rotation(R_des, name="R_des")
-    return vee(sk(R @ R_des.T))
+    """Rotation-error feedback term vee(sk(R R_des^T)).
+
+    Entry (i, j) of R R_des^T is row i of R dotted with row j of R_des;
+    the term needs only the six off-diagonal entries.
+    """
+    r0, r1, r2 = check_rotation(R, name="R").tolist()
+    d0, d1, d2 = check_rotation(R_des, name="R_des").tolist()
+
+    def entry(r, d):
+        return r[0] * d[0] + r[1] * d[1] + r[2] * d[2]
+
+    return np.array([0.5 * (entry(r2, d1) - entry(r1, d2)),
+                     0.5 * (entry(r0, d2) - entry(r2, d0)),
+                     0.5 * (entry(r1, d0) - entry(r0, d1))])

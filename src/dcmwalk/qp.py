@@ -55,7 +55,9 @@ class QpProblem:
         H = np.asarray(self.H, dtype=float)
         if H.shape != (n, n):
             raise ValueError("H must be square and match g")
-        if np.linalg.norm(H - H.T, ord=np.inf) > 1e-9 * max(1.0, np.linalg.norm(H, ord=np.inf)):
+        # Infinity norms (largest absolute row sums) of H - H^T and of H.
+        if (np.abs(H - H.T).sum(axis=1).max()
+                > 1e-9 * max(1.0, np.abs(H).sum(axis=1).max())):
             raise ValueError("H must be symmetric")
         for A, b, name in ((self.A_eq, self.b_eq, "eq"), (self.A_in, self.b_in, "in")):
             if (A is None) != (b is None):
@@ -155,11 +157,17 @@ class QpSolution:
 
 
 class QpSolver:
-    """Primal active-set solver."""
+    """Primal active-set solver.
+
+    A solver keeps the `InequalityRows` of its last bound-only problem (no
+    `A_in`) and reuses them while `lb` and `ub` are the same read-only
+    arrays, as a model's joint-rate bounds are on every whole-body cycle.
+    """
 
     def __init__(self, tol=DEFAULT_TOL, max_iter=200):
         self.tol = tol
         self.max_iter = max_iter
+        self._bounds = None   # (lb, ub, their InequalityRows)
 
     def solve(self, problem, start=None):
         """Solve `problem`; `start` is an optional feasible start point."""
@@ -172,7 +180,7 @@ class QpSolver:
         else:
             A_eq = np.zeros((0, n))
             b_eq = np.zeros(0)
-        rows = InequalityRows(problem)
+        rows = self._inequality_rows(problem)
         m = rows.size
 
         w = None
@@ -225,6 +233,19 @@ class QpSolver:
                 working.add(blocking)
         return self._solution(problem, rows, w, QpStatus.MAX_ITER, it, lam_eq, mu, working)
 
+    def _inequality_rows(self, problem):
+        lb, ub = problem.lb, problem.ub
+        if problem.A_in is not None:
+            return InequalityRows(problem)
+        if self._bounds is not None and self._bounds[0] is lb and self._bounds[1] is ub:
+            return self._bounds[2]
+        rows = InequalityRows(problem)
+        # A read-only array that owns its data cannot change under a view.
+        if all(isinstance(b, np.ndarray) and b.flags.owndata and not b.flags.writeable
+               for b in (lb, ub)):
+            self._bounds = (lb, ub, rows)
+        return rows
+
     @staticmethod
     def _solution(problem, rows, w, status, iterations, lam_eq, mu, working):
         dual_in, dual_lb, dual_ub = rows.split(mu)
@@ -248,7 +269,7 @@ class QpSolver:
             sol = np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:
             return None, None
-        if not np.all(np.isfinite(sol)):
+        if not np.isfinite(sol).all():
             return None, None
         return sol[:n], sol[n:]
 
@@ -268,9 +289,9 @@ class QpSolver:
 
     def _feasible(self, w, A_eq, b_eq, rows, slack=None):
         slack = self.tol if slack is None else slack
-        if A_eq.shape[0] and np.linalg.norm(A_eq @ w - b_eq, ord=np.inf) > slack:
+        if A_eq.shape[0] and np.abs(A_eq @ w - b_eq).max() > slack:
             return False
-        if rows.size and np.max(-rows.slack(w)) > slack:
+        if rows.size and rows.slack(w).min() < -slack:
             return False
         return True
 

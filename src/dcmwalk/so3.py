@@ -23,18 +23,22 @@ def sk(A):
     return 0.5 * (A - A.T)
 
 
-_EYE3 = np.eye(3)
-_EYE3.setflags(write=False)
-
-
 def is_rotation(R, tol=ORTHONORMALITY_TOL):
     """|R^T R - I|_inf <= tol (max absolute row sum) and |det R - 1| <= tol."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         return False
-    if np.abs(R.T @ R - _EYE3).sum(axis=1).max() > tol:
-        return False
     (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    # R^T R - I from the column dot products; one row sum per column of R.
+    xx = a * a + d * d + g * g - 1.0
+    yy = b * b + e * e + h * h - 1.0
+    zz = c * c + f * f + i * i - 1.0
+    xy = a * b + d * e + g * h
+    xz = a * c + d * f + g * i
+    yz = b * c + e * f + h * i
+    if (abs(xx) + abs(xy) + abs(xz) > tol or abs(xy) + abs(yy) + abs(yz) > tol
+            or abs(xz) + abs(yz) + abs(zz) > tol):
+        return False
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     return abs(det - 1.0) <= tol
 

@@ -6,7 +6,8 @@ greedily, taking the earliest sample that satisfies every step bound.
 """
 
 import io
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -46,6 +47,10 @@ class UnicycleConfig:
     sampling_dt: float = 0.01          # s, path integration step
 
     def __post_init__(self):
+        # The checks below let NaN and infinite bounds through.
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not (0.0 < self.min_step_duration < self.max_step_duration):
             raise ValueError("step duration bounds must satisfy 0 < min < max")
         if not (0.0 < self.min_step_length < self.max_step_length):

@@ -10,6 +10,7 @@ from an internally integrated state and the integrated joint positions are
 the command (differential IK).
 """
 
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -56,17 +57,19 @@ class TaskGains:
     def __post_init__(self):
         W = np.asarray(self.torso_weight, dtype=float) if self.torso_weight is not None \
             else 5.0 * np.eye(3)
-        if W.shape != (3, 3) or np.linalg.eigvalsh(0.5 * (W + W.T)).min() <= 0.0:
-            raise ValueError("torso_weight must be 3x3 positive definite")
+        # Written so that NaN fails: every comparison with NaN is False.
+        if W.shape != (3, 3) or not np.isfinite(W).all() \
+                or not np.linalg.eigvalsh(0.5 * (W + W.T)).min() > 0.0:
+            raise ValueError("torso_weight must be finite, 3x3 and positive definite")
         object.__setattr__(self, "torso_weight", W)
         for name in ("postural_weight", "postural_gain", "torso_rotation_gain",
                      "foot_position_gain", "foot_rotation_gain",
                      "com_position_gain", "com_height_gain", "integral_bound"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("foot_integral_gain", "com_integral_gain"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
     def __eq__(self, other):
         if type(other) is not TaskGains:
@@ -100,7 +103,7 @@ class WholeBodyReferences:
 
 
 def _clamp_norm(v, bound):
-    n = np.linalg.norm(v)
+    n = math.sqrt(v @ v)
     return v if n <= bound else v * (bound / n)
 
 
@@ -138,7 +141,6 @@ def com_velocity_star(com, com_ref_planar, com_velocity_cmd, gains, integral, z0
 def build_wholebody_qp(model, cache, v_torso_star, v_com_star, v_left_star,
                        v_right_star, sdot_star, gains):
     """Assemble the QP over nu = (base twist, joint velocities)."""
-    n = model.n_joints
     nv = model.n_velocities
     J_torso = cache.angular_jacobian(TORSO)
     # Hard task rows [J_com; J_left_foot; J_right_foot].
@@ -146,8 +148,9 @@ def build_wholebody_qp(model, cache, v_torso_star, v_com_star, v_left_star,
 
     K_T = gains.torso_weight
     H = J_torso.T @ K_T @ J_torso
-    H[6:, 6:] += gains.postural_weight * np.eye(n)
-    H += BASE_REGULARIZATION * np.eye(nv)
+    diagonal = H.reshape(-1)[::nv + 1]   # a view: writes go into H
+    diagonal[6:] += gains.postural_weight
+    diagonal += BASE_REGULARIZATION
     H = 0.5 * (H + H.T)
     g = -J_torso.T @ K_T @ v_torso_star
     g[6:] += -gains.postural_weight * sdot_star
@@ -158,8 +161,14 @@ def build_wholebody_qp(model, cache, v_torso_star, v_com_star, v_left_star,
 
 
 def _check_task_ranks(stacked, blocks):
-    """`blocks` names consecutive row blocks of `stacked` with their sizes."""
-    if np.linalg.matrix_rank(stacked, tol=1e-10) == stacked.shape[0]:
+    """`blocks` names consecutive row blocks of `stacked` with their sizes.
+
+    The rows are full rank when every singular value is above 1e-10, the
+    count `np.linalg.matrix_rank(stacked, tol=1e-10)` makes. More rows than
+    columns give fewer singular values than rows, so never full row rank.
+    """
+    if (stacked.shape[0] <= stacked.shape[1]
+            and np.linalg.svd(stacked, compute_uv=False).min() > 1e-10):
         return
     # Deficient: walk the blocks to name the first offender.
     rank = 0
@@ -229,8 +238,7 @@ class WholeBodyController:
             command = nu[6:].copy()
         diag = {
             "nu": nu,
-            "hard_residual": float(np.linalg.norm(
-                problem.A_eq @ nu - problem.b_eq, ord=np.inf)),
+            "hard_residual": float(np.abs(problem.A_eq @ nu - problem.b_eq).max()),
             "qp_iterations": sol.iterations,
         }
         return command, diag

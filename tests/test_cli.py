@@ -72,6 +72,15 @@ class TestRun:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["category"] == "config"
 
+    def test_nan_gain_exit_code(self, tmp_path, capsys):
+        # A NaN gain used to run, and end at cycle 0 as an infeasible QP.
+        cfg = write_config(tmp_path, {"dcm_kp": float("nan"), "duration": 3.0})
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["category"] == "config"
+        assert "dcm_kp must be finite" in err["message"]
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "out")])

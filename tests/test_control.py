@@ -154,6 +154,16 @@ class TestInstantaneous:
         # ki = 0 is admissible (positive semidefinite).
         InstantaneousGains(kp=2 * np.eye(2), ki=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["kp", "ki"])
+    def test_non_finite_gains_rejected(self, name, bad):
+        # Every eigenvalue test is False on NaN, so only a finiteness check
+        # stops it.
+        gains = {"kp": 2 * np.eye(2), "ki": 0.5 * np.eye(2)}
+        gains[name] = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            InstantaneousGains(**gains)
+
     def test_zero_error_feedforward(self):
         ctrl = InstantaneousDcmController(self.gains(), 4.3)
         xi_ref = np.array([0.2, 0.1])
@@ -294,6 +304,11 @@ class TestPredictive:
         with pytest.raises(ValueError):
             MpcConfig(Q=-np.eye(2))
 
+    @pytest.mark.parametrize("name", ["Q", "R", "Q_terminal"])
+    def test_non_finite_weights_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            MpcConfig(**{name: np.full((2, 2), np.nan)})
+
 
 coord = st.floats(-0.5, 0.5)
 
@@ -389,6 +404,13 @@ class TestZmpCom:
         with pytest.raises(ValueError):
             ZmpComGains(k_zmp=omega * np.eye(2), k_com=6.0 * np.eye(2)).validate(omega)
         ZmpComGains(k_zmp=1.0 * np.eye(2), k_com=6.0 * np.eye(2)).validate(omega)
+
+    @pytest.mark.parametrize("name", ["k_zmp", "k_com"])
+    def test_non_finite_gains_rejected(self, name):
+        gains = {"k_zmp": 1.0 * np.eye(2), "k_com": 6.0 * np.eye(2)}
+        gains[name] = np.nan * np.eye(2)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ZmpComGains(**gains).validate(4.3)
 
 
 class TestGainSchedule:

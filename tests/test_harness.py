@@ -255,11 +255,28 @@ class TestSerialization:
 
     @pytest.mark.parametrize("name, value", [
         ("duration", float("nan")), ("duration", float("inf")),
-        ("fall_height_fraction", -0.1), ("fall_height_fraction", float("nan"))])
+        ("fall_height_fraction", -0.1), ("fall_height_fraction", float("nan")),
+        ("gain_blend_time", -1.0)])
     def test_invalid_run_bounds_rejected(self, name, value):
         # A non-finite duration hangs the footstep planner; a negative
-        # height fraction ends every run as a fall, and NaN turns it off.
+        # height fraction ends every run as a fall, and NaN turns it off; a
+        # negative blend time acted as 0.
         with pytest.raises(ValueError, match=name):
+            Scenario(**{name: value})
+
+    FLOAT_FIELDS = [f.name for f in dataclasses.fields(Scenario) if f.type is float]
+
+    def test_float_fields_listed(self):
+        assert len(self.FLOAT_FIELDS) == 21
+        assert {"gain_blend_time", "dcm_kp", "k_zmp_walking", "apex", "mpc_q"} \
+            <= set(self.FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_number_rejected(self, name, value):
+        # Before, a NaN gain or apex ended the run at cycle 0 as a solver
+        # failure, and a NaN blend time acted as 0.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
             Scenario(**{name: value})
 
 
@@ -268,6 +285,15 @@ class TestNoiseModel:
         n = NoiseModel.none()
         assert (n.zmp_std, n.encoder_std, n.actuation_std,
                 n.velocity_lag, n.impact_ratio) == (0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["zmp_std", "encoder_std", "actuation_std",
+                                      "velocity_lag", "impact_ratio"])
+    def test_non_finite_rejected(self, name, value):
+        # A NaN impact ratio used to end a run at the first touchdown with a
+        # ValueError from the pendulum; a NaN standard deviation acted as 0.
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite"):
+            NoiseModel(**{name: value})
 
     def test_validation(self):
         with pytest.raises(ValueError):

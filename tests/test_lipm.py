@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcmwalk.lipm import (PendulumParams, SimplifiedState, com_velocity_from_dcm,
                           dcm_from_com, skew_vee_error, step_exact)
-from dcmwalk.so3 import rot_z
+from dcmwalk.so3 import exp_so3, rot_z, sk, vee
 
 
 def make_params(omega=3.0, z0=None):
@@ -146,3 +148,18 @@ class TestSkewVeeError:
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ValueError):
             skew_vee_error(1.1 * np.eye(3), np.eye(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+           w_des=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3))
+    def test_matches_matrix_form(self, w, w_des):
+        R, R_des = exp_so3(np.array(w)), exp_so3(np.array(w_des))
+        err = skew_vee_error(R, R_des)
+        assert np.abs(err - vee(sk(R @ R_des.T))).max() <= 1e-15
+        # Either argument off SO(3) is still rejected.
+        for bad in ((1.0 + 1e-6) * R, R @ np.diag([1.0, 1.0, -1.0]),
+                    np.where(np.eye(3) == 1.0, np.nan, R)):
+            with pytest.raises(ValueError, match="R is not orthonormal"):
+                skew_vee_error(bad, R_des)
+            with pytest.raises(ValueError, match="R_des is not orthonormal"):
+                skew_vee_error(R, bad)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dcmwalk import qp as qp_module
+from dcmwalk import wholebody
 from dcmwalk.harness import NoiseModel, Scenario, run_scenario
 from dcmwalk.qp import (InequalityRows, QpProblem, QpSolver, QpStatus, _ratio_test,
                         kkt_residuals, solve)
@@ -375,17 +376,40 @@ def test_random_cold_solves_match_oracle(with_eq):
 
 @pytest.mark.parametrize("mode", ["position", "velocity"])
 def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
+    # Every cycle of a steady walk ends its QP after one iteration, and does
+    # one tree pass, one SVD (the rank test) and one dense solve (the KKT
+    # system): a second factorization per cycle fails here.
     cycle = WholeBodyController.cycle
     iterations = []
+    per_cycle = []
+    running = []   # the counts of the cycle in progress, if any
 
     def counted(self, refs, measured_state):
-        command, diag = cycle(self, refs, measured_state)
+        running.append(dict.fromkeys(("KinematicsCache", "svd", "solve", "matrix_rank"), 0))
+        try:
+            command, diag = cycle(self, refs, measured_state)
+        finally:
+            per_cycle.append(running.pop())
         iterations.append(diag["qp_iterations"])
         return command, diag
 
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            if running:
+                running[-1][name] += 1
+            return fn(*args, **kwargs)
+        return call
+
     monkeypatch.setattr(WholeBodyController, "cycle", counted)
+    monkeypatch.setattr(wholebody, "KinematicsCache",
+                        counting("KinematicsCache", wholebody.KinematicsCache))
+    for name in ("svd", "solve", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     result = run_scenario(Scenario(controller="instantaneous", mode=mode,
                                    forward_velocity=0.19, duration=3.0, noise=NoiseModel()))
+    monkeypatch.undo()
     assert result.metrics["completed"]
     assert len(iterations) == len(result.traces["t"]) == 300
     assert set(iterations) == {1}
+    work = {tuple(sorted(counts.items())) for counts in per_cycle}
+    assert work == {(("KinematicsCache", 1), ("matrix_rank", 0), ("solve", 1), ("svd", 1))}

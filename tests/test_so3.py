@@ -100,7 +100,9 @@ def test_is_rotation_agrees_with_linalg(w, kind, scale, direction):
     det = np.linalg.det(R)
     (a, b, c), (d, e, f), (g, h, i) = R.tolist()
     assert abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - det) < 1e-14
-    # The two determinants may round apart, so a determinant within that
-    # rounding of the tolerance can fall either way.
-    if abs(abs(det - 1.0) - tol) > 1e-14:
+    # The two determinants may round apart, and so may the two forms of
+    # |R^T R - I|_inf (scalar sums against BLAS products, about 1e-16 apart),
+    # so a term within that rounding of the tolerance can fall either way.
+    orthonormality = np.linalg.norm(R.T @ R - np.eye(3), ord=np.inf)
+    if abs(abs(det - 1.0) - tol) > 1e-14 and abs(orthonormality - tol) > 1e-14:
         assert is_rotation(R, tol) == _is_rotation_linalg(R, tol)

@@ -101,6 +101,17 @@ class TestPlanFootsteps:
         with pytest.raises(ValueError, match="horizon"):
             plan_footsteps(UnicycleConfig(forward_velocity=0.1), make_feet(), horizon)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["forward_velocity", "angular_velocity",
+                                      "min_step_duration", "max_step_duration",
+                                      "min_step_length", "max_step_length", "max_feet_yaw",
+                                      "feet_spacing", "sampling_dt"])
+    def test_non_finite_config_rejected(self, name, value):
+        # Before, a NaN yaw bound or an infinite step bound acted as no bound,
+        # and a NaN spacing or sampling step failed deep in the planner.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            UnicycleConfig(**{name: value})
+
 
 class TestSwingTrajectory:
     def test_boundary_conditions(self):

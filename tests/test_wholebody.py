@@ -10,7 +10,7 @@ from dcmwalk.kinematics import (KinematicsCache, RobotState, home_state, load_mo
 from dcmwalk.so3 import rot_z
 from dcmwalk.wholebody import (ControlMode, FootReference, RankDeficientTasksError,
                                TaskGains, WholeBodyController, WholeBodyReferences,
-                               build_wholebody_qp)
+                               _check_task_ranks, build_wholebody_qp)
 
 
 def consistent_refs(model, state, com_velocity=None, posture=None):
@@ -181,6 +181,48 @@ class TestRankDeficiency:
         assert result.metrics["failed"] is True
 
 
+class TestRankThreshold:
+    """`_check_task_ranks` on a 15 x 20 stack built from its SVD: rows are
+    full rank when every singular value is above 1e-10."""
+
+    BLOCKS = (("com", 3), ("left_foot", 6), ("right_foot", 6))
+
+    def stack(self, sigma_min, block, seed=0):
+        # Left singular vectors that keep each block's rows to itself, so
+        # the smallest singular value belongs to the rows of `block`.
+        rng = np.random.default_rng(seed)
+        U = np.zeros((15, 15))
+        start = 0
+        for _, rows in self.BLOCKS:
+            U[start:start + rows, start:start + rows] = np.linalg.qr(
+                rng.normal(size=(rows, rows)))[0]
+            start += rows
+        V = np.linalg.qr(rng.normal(size=(20, 20)))[0]
+        sigma = np.logspace(0.0, -3.0, 15)
+        first = {"com": 0, "left_foot": 3, "right_foot": 9}[block]
+        sigma[first + 1] = sigma_min
+        return U @ np.diag(sigma) @ V[:, :15].T
+
+    @pytest.mark.parametrize("block", ["com", "left_foot", "right_foot"])
+    def test_threshold(self, block):
+        stacked = self.stack(2e-10, block)
+        assert np.linalg.svd(stacked, compute_uv=False).min() > 1e-10
+        _check_task_ranks(stacked, self.BLOCKS)
+        stacked = self.stack(5e-11, block)
+        with pytest.raises(RankDeficientTasksError) as info:
+            _check_task_ranks(stacked, self.BLOCKS)
+        assert info.value.task == block
+
+    def test_more_rows_than_columns_is_deficient(self):
+        # Fifteen rows over 7 velocities: the SVD has only 7 singular values,
+        # all large here, and the rows still cannot be independent.
+        rng = np.random.default_rng(1)
+        stacked = rng.normal(size=(15, 7))
+        assert np.linalg.svd(stacked, compute_uv=False).min() > 1e-3
+        with pytest.raises(RankDeficientTasksError):
+            _check_task_ranks(stacked, self.BLOCKS)
+
+
 class TestTaskGains:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -192,6 +234,17 @@ class TestTaskGains:
         with pytest.raises(ValueError):
             TaskGains(foot_integral_gain=-0.1)
         TaskGains(com_integral_gain=0.0)  # integral gains may be zero
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", [
+        "torso_weight", "postural_weight", "postural_gain", "torso_rotation_gain",
+        "foot_position_gain", "foot_integral_gain", "foot_rotation_gain",
+        "com_position_gain", "com_integral_gain", "com_height_gain", "integral_bound"])
+    def test_non_finite_rejected(self, name, value):
+        # A NaN gain used to pass every check and end the run at cycle 0 as
+        # an infeasible whole-body QP.
+        with pytest.raises(ValueError, match=name):
+            TaskGains(**{name: np.full((3, 3), value) if name == "torso_weight" else value})
 
     def test_integral_clamped(self):
         gains = TaskGains(integral_bound=0.02)
