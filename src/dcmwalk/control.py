@@ -277,17 +277,16 @@ class PredictiveDcmController:
         b_eq = np.zeros(2 * N + 2)
         b_eq[2 * N:2 * N + 2] = np.asarray(xi_meas, dtype=float).reshape(2)
 
-        A_in, b_in = None, None
-        constrained = [(j, poly) for j, poly in enumerate(polygons[:N])
-                       if poly is not None] if polygons is not None else []
-        if constrained:
-            A_in = np.zeros((sum(poly.A.shape[0] for _, poly in constrained), n))
-            row = 0
-            for j, poly in constrained:
-                k = poly.A.shape[0]
-                A_in[row:row + k, n_xi + 2 * j:n_xi + 2 * j + 2] = poly.A
-                row += k
-            b_in = np.concatenate([poly.b for _, poly in constrained])
+        constrained = [(j, poly) for j, poly in enumerate((polygons or [])[:N])
+                       if poly is not None]
+        m = sum(poly.A.shape[0] for _, poly in constrained)
+        A_in, b_in = np.zeros((m, n)), np.zeros(m)
+        row = 0
+        for j, poly in constrained:
+            k = poly.A.shape[0]
+            A_in[row:row + k, n_xi + 2 * j:n_xi + 2 * j + 2] = poly.A
+            b_in[row:row + k] = poly.b
+            row += k
         return QpProblem(H=self._H, g=grad, A_eq=self._A_eq, b_eq=b_eq,
                          A_in=A_in, b_in=b_in)
 

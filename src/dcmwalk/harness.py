@@ -69,7 +69,10 @@ class Push:
     impulse: np.ndarray  # planar CoM velocity change, m/s
 
     def __post_init__(self):
-        object.__setattr__(self, "impulse", np.asarray(self.impulse, dtype=float).reshape(2))
+        impulse = np.asarray(self.impulse, dtype=float).reshape(2)
+        if not (math.isfinite(self.time) and np.isfinite(impulse).all()):
+            raise ValueError("push time and impulse must be finite")
+        object.__setattr__(self, "impulse", impulse)
 
     def __eq__(self, other):
         if type(other) is not Push:

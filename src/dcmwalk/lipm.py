@@ -34,16 +34,16 @@ class PendulumParams:
 
     @classmethod
     def from_height(cls, com_height, gravity=9.80665):
-        if gravity <= 0.0:
-            raise ValueError("gravity must be positive")
-        if com_height <= 0.0:
-            raise ValueError("com_height must be positive")
-        return cls(gravity=gravity, com_height=com_height,
-                   omega=float(np.sqrt(gravity / com_height)))
+        # A bad height gives a NaN or inf omega, which __post_init__ rejects.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            omega = float(np.sqrt(np.divide(gravity, com_height)))
+        return cls(gravity=gravity, com_height=com_height, omega=omega)
 
     def __post_init__(self):
-        if self.gravity <= 0.0 or self.com_height <= 0.0:
-            raise ValueError("gravity and com_height must be positive")
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not (0.0 < self.gravity < np.inf and 0.0 < self.com_height < np.inf
+                and 0.0 < self.omega < np.inf):
+            raise ValueError("gravity, com_height and omega must be positive and finite")
         if abs(self.omega - np.sqrt(self.gravity / self.com_height)) > 1e-9 * self.omega:
             raise ValueError("omega inconsistent with sqrt(gravity / com_height)")
 
@@ -82,9 +82,9 @@ def step_exact(state, r_zmp, params, duration):
     """Exact flow of the planar dynamics under a constant ZMP over `duration`.
 
     The DCM row is the scalar exponential xi+ = e^{wT} xi + (1 - e^{wT}) r.
-    The CoM row is the closed-form solution of the lower-triangular system:
-        x(T) = r + e^{-wT}(x0 - r) + w T e^{-wT} * 0 ...  computed via the
-    particular solution driven by the diverging DCM mode.
+    The CoM row is the closed-form solution of x' = -w (x - xi(t)) driven by
+    that diverging DCM:
+        x(T) = r + e^{-wT} (x0 - r) + (xi0 - r) (e^{wT} - e^{-wT}) / 2.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
@@ -93,8 +93,6 @@ def step_exact(state, r_zmp, params, duration):
     ep = np.exp(w * duration)
     em = np.exp(-w * duration)
     dcm_next = r + ep * (state.dcm - r)
-    # x' = -w x + w xi(t), xi(t) = r + e^{wt}(xi0 - r):
-    # x(T) = e^{-wT}(x0 - r) + r + (xi0 - r) * (e^{wT} - e^{-wT}) / 2
     com_next = (r + em * (state.com - r)
                 + 0.5 * (state.dcm - r) * (ep - em))
     vel_next = com_velocity_from_dcm(com_next, dcm_next, w)

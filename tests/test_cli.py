@@ -81,6 +81,20 @@ class TestRun:
         assert err["category"] == "config"
         assert "dcm_kp must be finite" in err["message"]
 
+    def test_nan_push_exit_code(self, tmp_path, capsys, monkeypatch):
+        # A NaN impulse used to run to the push at t = 1 s and fail there.
+        def ran(*args, **kwargs):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(cli, "run_scenario", ran)
+        cfg = write_config(tmp_path, {"pushes": [[1.0, [float("nan"), 0.0]]]})
+        out = tmp_path / "out"
+        code = main(["run", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["category"] == "config"
+        assert "push time and impulse must be finite" in err["message"]
+        assert not out.exists()
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "out")])

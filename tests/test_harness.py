@@ -218,6 +218,17 @@ class TestSerialization:
         assert scenario.unicycle.max_step_length == 0.3
         assert scenario.unicycle.forward_velocity == 0.19
 
+    @pytest.mark.parametrize("time, impulse", [
+        (float("nan"), [0.3, 0.0]), (float("inf"), [0.3, 0.0]),
+        (1.0, [float("nan"), 0.0]), (1.0, [0.0, -float("inf")])])
+    def test_non_finite_push_rejected(self, time, impulse):
+        # A NaN impulse used to end the run at the push as a config error;
+        # a NaN time made the push never happen.
+        with pytest.raises(ValueError, match="push time and impulse must be finite"):
+            Push(time=time, impulse=impulse)
+        with pytest.raises(ValueError, match="push"):
+            scenario_from_dict({"pushes": [[time, impulse]]})
+
     def test_scenario_from_dict_unknown_key(self):
         with pytest.raises(ValueError, match="unknown scenario keys"):
             scenario_from_dict({"walk_speed": 0.2})

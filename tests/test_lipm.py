@@ -76,8 +76,16 @@ class TestPendulumParams:
             PendulumParams(gravity=9.81, com_height=0.5, omega=1.0)
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            PendulumParams.from_height(-0.5)
+        # from_height(nan) used to return omega = nan, and
+        # PendulumParams(9.8, inf, 0.0) was accepted.
+        for height in (-0.5, 0.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                PendulumParams.from_height(height)
+        for args in ((9.8, float("inf"), 0.0), (float("nan"), 0.5, 4.0),
+                     (float("inf"), 0.5, float("inf")), (9.8, 0.5, float("nan")),
+                     (0.0, 0.5, 0.0)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                PendulumParams(*args)
 
 
 class TestStepExact:

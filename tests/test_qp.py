@@ -6,7 +6,8 @@ import pytest
 from dcmwalk import qp as qp_module
 from dcmwalk import wholebody
 from dcmwalk.harness import NoiseModel, Scenario, run_scenario
-from dcmwalk.qp import (InequalityRows, QpProblem, QpSolver, QpStatus, _ratio_test,
+from dcmwalk.kinematics import sample_biped
+from dcmwalk.qp import (QpProblem, QpSolver, QpStatus, _inequality_rows, _ratio_test,
                         kkt_residuals, solve)
 from dcmwalk.wholebody import WholeBodyController
 from oracles import brute_force_qp, inequality_rows, random_qp, ratio_test_rowwise
@@ -137,6 +138,46 @@ def test_dimension_validation():
     with pytest.raises(ValueError):
         asym = np.array([[1.0, 0.5], [0.0, 1.0]])
         QpProblem(H=asym, g=np.zeros(2))
+    base = dict(H=np.eye(2), g=np.zeros(2))
+    # Each of these used to be accepted; an ub of length 3 then made `solve`
+    # raise IndexError.
+    for bad in (dict(ub=np.ones(3)), dict(lb=np.zeros((2, 1))), dict(lb=np.zeros(1)),
+                dict(g=np.zeros((2, 1))), dict(A_in=np.ones((1, 3)), b_in=np.ones(1)),
+                dict(A_in=np.ones((2, 2)), b_in=np.ones(3)),
+                dict(A_eq=np.ones(2), b_eq=np.ones(1)),
+                dict(A_eq=np.ones((1, 2)), b_eq=np.ones((1, 1)))):
+        with pytest.raises(ValueError):
+            QpProblem(**dict(base, **bad))
+    # A non-finite entry, or a NaN bound, is rejected; a NaN in g used to
+    # come back INFEASIBLE. Infinite bounds are allowed.
+    full = dict(base, A_eq=np.ones((1, 2)), b_eq=np.ones(1), A_in=np.ones((1, 2)),
+                b_in=np.ones(1), lb=np.full(2, -np.inf), ub=np.full(2, np.inf))
+    QpProblem(**full)
+    for name in ("H", "g", "A_eq", "b_eq", "A_in", "b_in", "lb", "ub"):
+        for value in (np.nan, np.inf, -np.inf):
+            spec = dict(full, **{name: full[name].copy()})
+            spec[name].flat[-1] = value
+            if name in ("lb", "ub") and not np.isnan(value):
+                QpProblem(**spec)
+                continue
+            with pytest.raises(ValueError, match=name):
+                QpProblem(**spec)
+
+
+def test_problem_normalized_once():
+    # Absent blocks become empty blocks and absent bounds infinite; float64
+    # arrays of the right shape are kept as the same objects.
+    H, g, lb = np.eye(3), np.zeros(3), np.full(3, -1.0)
+    lb.setflags(write=False)
+    prob = QpProblem(H=H, g=g, lb=lb)
+    assert prob.H is H and prob.g is g and prob.lb is lb
+    assert prob.A_eq.shape == prob.A_in.shape == (0, 3)
+    assert prob.b_eq.shape == prob.b_in.shape == (0,)
+    assert np.array_equal(prob.ub, np.full(3, np.inf))
+    listed = QpProblem(H=[[2, 0], [0, 2]], g=[1, 0], A_in=[[1, 1]], b_in=[3])
+    for name in ("H", "g", "A_in", "b_in"):
+        assert getattr(listed, name).dtype == np.float64
+    assert np.array_equal(listed.lb, [-np.inf, -np.inf])
 
 
 def test_max_iter_status():
@@ -156,9 +197,16 @@ def test_infeasible_start_point_ignored():
 
 
 def _rows(prob):
-    """The solver's inequality rows written out: (A, b, rows)."""
-    rows = InequalityRows(prob)
-    return rows.dense(np.arange(rows.size)), rows.slack(np.zeros(prob.n)), rows
+    """The solver's inequality rows: (G, h, rows)."""
+    rows = _inequality_rows(prob)
+    return rows[0], rows[1], rows
+
+
+def _split(prob, rows, mu):
+    """Row duals `mu` as the solver splits them: (dual_in, dual_lb, dual_ub)."""
+    sol = QpSolver._solution(prob, rows, np.zeros(prob.n), QpStatus.OPTIMAL, 1,
+                             np.zeros(prob.A_eq.shape[0]), mu, ())
+    return sol.dual_in, sol.dual_lb, sol.dual_ub
 
 
 def _split_by_kind(mu, kind, n):
@@ -172,13 +220,14 @@ def _split_by_kind(mu, kind, n):
 
 
 def _assert_rows_match(prob, rng):
-    A, b, rows = _rows(prob)
+    G, h, rows = _rows(prob)
     A_ref, b_ref, kind_ref = inequality_rows(prob.n, prob.A_in, prob.b_in, prob.lb, prob.ub)
-    assert np.array_equal(A, A_ref)
-    assert np.array_equal(b, b_ref)
+    assert G.shape == A_ref.shape and h.shape == b_ref.shape
+    assert np.array_equal(G, A_ref)
+    assert np.array_equal(h, b_ref)
     # Each row's dual goes where the oracle's label says.
-    mu = rng.standard_normal(rows.size)
-    for got, want in zip(rows.split(mu), _split_by_kind(mu, kind_ref, prob.n)):
+    mu = rng.standard_normal(h.size)
+    for got, want in zip(_split(prob, rows, mu), _split_by_kind(mu, kind_ref, prob.n)):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
@@ -207,13 +256,19 @@ def test_expanded_inequalities_infinite_bounds():
                  dict(rows),
                  dict()):
         _assert_rows_match(QpProblem(**base, **spec), rng)
-    A, b, rows = _rows(QpProblem(**base, lb=np.full(n, -np.inf), ub=np.full(n, np.inf)))
-    assert A.shape == (0, n) and b.shape == (0,) and rows.size == 0
-    A, _, rows = _rows(QpProblem(**base, lb=mixed_lb, ub=mixed_ub))
+    G, h, _ = _rows(QpProblem(**base, lb=np.full(n, -np.inf), ub=np.full(n, np.inf)))
+    assert G.shape == (0, n) and h.shape == (0,)
+    # With no finite bound the general rows are used as they are, not copied.
+    prob = QpProblem(**base, **rows)
+    G, h, _ = _rows(prob)
+    assert G is prob.A_in and h is prob.b_in
+    prob = QpProblem(**base, lb=mixed_lb, ub=mixed_ub)
+    G, h, rows = _rows(prob)
     # Rows: +w1 <= 2, +w3 <= 3, -w0 <= 1, -w2 <= -0.5.
-    assert np.array_equal(A[0], [0.0, 1.0, 0.0, 0.0])
-    assert np.array_equal(A[2], [-1.0, 0.0, 0.0, 0.0])
-    dual_in, dual_lb, dual_ub = rows.split(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert np.array_equal(G[0], [0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(G[2], [-1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(h, [2.0, 3.0, 1.0, -0.5])
+    dual_in, dual_lb, dual_ub = _split(prob, rows, np.array([1.0, 2.0, 3.0, 4.0]))
     assert dual_in.shape == (0,)
     assert np.array_equal(dual_ub, [0.0, 1.0, 0.0, 2.0])
     assert np.array_equal(dual_lb, [3.0, 0.0, 4.0, 0.0])
@@ -265,35 +320,83 @@ def _bound_problems():
 
 
 def test_bound_rows_by_index_match_dense_rows():
-    # Bound rows are kept as indices; their A p, slack b - A w and the
-    # feasibility test equal those of the dense oracle rows bit for bit.
+    # A +-e_j bound row times a vector is exactly +-that vector's entry j,
+    # and its slack is exactly the bound's; the feasibility test agrees with
+    # the oracle's rows.
     rng = np.random.default_rng(19)
     for prob, w0 in _bound_problems():
-        rows = InequalityRows(prob)
+        G, h, (_, _, upper, lower) = _rows(prob)
         A, b, _ = inequality_rows(prob.n, prob.A_in, prob.b_in, prob.lb, prob.ub)
-        assert rows.size == A.shape[0]
-        m_in = rows.m_in
+        m_in = prob.A_in.shape[0]
         for _ in range(5):
             p, w = rng.normal(size=prob.n), rng.normal(size=prob.n)
-            Ap, slack = rows.times(p), rows.slack(w)
-            assert np.array_equal(Ap[m_in:], A[m_in:] @ p)
-            assert np.array_equal(slack[m_in:], b[m_in:] - A[m_in:] @ w)
-            # General rows are the same product whether stacked or not only
-            # when nothing else is stacked under them: BLAS may round a row
-            # differently in a taller matrix.
-            assert np.array_equal(Ap[:m_in], A[:m_in] @ p)
-            assert np.array_equal(slack[:m_in], b[:m_in] - A[:m_in] @ w)
-            if m_in == 0 or m_in == rows.size:
-                assert np.array_equal(Ap, A @ p)
-                assert np.array_equal(slack, b - A @ w)
+            assert np.array_equal((G @ p)[m_in:], np.concatenate([p[upper], -p[lower]]))
+            assert np.array_equal((h - G @ w)[m_in:],
+                                  np.concatenate([prob.ub[upper] - w[upper],
+                                                  w[lower] - prob.lb[lower]]))
             # Points from w0 toward w cross from feasible to infeasible.
             solver = QpSolver()
+            eq_free = QpProblem(H=prob.H, g=prob.g)
             for t in (0.0, 1e-9, 1e-3, 1.0):
                 x = w0 + t * (w - w0)
                 dense = A.shape[0] == 0 or np.max(A @ x - b) <= solver.tol
-                assert solver._feasible(x, np.zeros((0, prob.n)), np.zeros(0), rows) == dense
-            subset = np.flatnonzero(rng.uniform(size=rows.size) < 0.5)
-            assert np.array_equal(rows.dense(subset), A[subset])
+                assert solver._feasible(x, eq_free, G, h) == dense
+
+
+def _counting_rows(monkeypatch):
+    built = []
+
+    def counted(problem):
+        built.append(problem)
+        return _inequality_rows(problem)
+    monkeypatch.setattr(qp_module, "_inequality_rows", counted)
+    return built
+
+
+def test_bound_rows_cached_for_read_only_bounds(monkeypatch):
+    # The rows of a model's read-only joint-rate bounds are built once per
+    # solver, however many problems carry them.
+    model = sample_biped()
+    lb, ub = model.nu_lower, model.nu_upper
+    n = lb.shape[0]
+    built = _counting_rows(monkeypatch)
+    solver = QpSolver()
+    rng = np.random.default_rng(22)
+    for _ in range(4):
+        prob = QpProblem(H=np.eye(n), g=rng.normal(scale=20.0, size=n), lb=lb, ub=ub)
+        sol = solver.solve(prob)
+        assert sol.status is QpStatus.OPTIMAL
+        assert np.array_equal(sol.w, np.clip(-prob.g, lb, ub))
+    assert len(built) == 1
+    # Rows with general inequalities are built for each problem.
+    for _ in range(2):
+        solver.solve(QpProblem(H=np.eye(n), g=np.zeros(n), A_in=np.ones((1, n)),
+                               b_in=np.ones(1), lb=lb, ub=ub))
+    assert len(built) == 3
+
+
+def test_bound_rows_rebuilt_for_writeable_or_other_bounds(monkeypatch):
+    # A writeable bound can change between solves, so it never reuses rows.
+    built = _counting_rows(monkeypatch)
+    solver = QpSolver()
+    H, g = np.eye(2), np.array([-2.0, -2.0])
+    ub = np.ones(2)
+    assert np.array_equal(solver.solve(QpProblem(H=H, g=g, ub=ub)).w, [1.0, 1.0])
+    ub[0] = 0.5
+    assert np.array_equal(solver.solve(QpProblem(H=H, g=g, ub=ub)).w, [0.5, 1.0])
+    assert len(built) == 2
+    # Read-only bounds are reused only while both are the same arrays; a
+    # read-only view is rebuilt each time, since its base may still change.
+    lo, frozen, other = np.full(2, -np.inf), np.array([0.25, 1.0]), np.array([1.0, 0.75])
+    for bound in (lo, frozen, other):
+        bound.setflags(write=False)
+    view = ub.view()
+    view.setflags(write=False)
+    for bound, builds in ((frozen, 3), (frozen, 3), (view, 4), (view, 5), (frozen, 5),
+                          (other, 6), (frozen, 7)):
+        sol = solver.solve(QpProblem(H=H, g=g, lb=lo, ub=bound))
+        assert np.array_equal(sol.w, np.minimum(bound, 2.0))
+        assert len(built) == builds
 
 
 def test_lazy_residuals_equal_eager_kkt_residuals():
