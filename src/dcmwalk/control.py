@@ -12,6 +12,7 @@ followed by the cascaded ZMP-CoM law
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +107,11 @@ class SupportPolygon:
     @classmethod
     def union_hull(cls, *polygons):
         return cls.from_points(np.vstack([p.vertices for p in polygons]))
+
+    @cached_property
+    def centroid(self):
+        """Vertex mean, strictly inside the polygon."""
+        return self.vertices.mean(axis=0)
 
     def contains(self, point, tol=1e-9):
         return self.violation(point) <= tol
@@ -268,10 +274,10 @@ class PredictiveDcmController:
         n = n_xi + 2 * N
         Q, R, QN = self.config.Q, self.config.R, self.config.Q_terminal
 
-        grad = np.zeros(n)
-        for j in range(N):
-            grad[2 * j:2 * j + 2] = -2.0 * Q @ refs[j]
-        grad[2 * N:2 * N + 2] = -2.0 * QN @ refs[N]
+        # -2 Q ref_j for every sample as one stacked matrix-vector product,
+        # which rounds as the product per sample does (refs @ Q.T does not).
+        grad = np.concatenate([(-2.0 * Q @ refs[:N, :, None]).ravel(),
+                               (-2.0 * QN @ refs[N:, :, None]).ravel(), np.zeros(2 * N)])
         grad[n_xi:n_xi + 2] += -2.0 * R @ np.asarray(r_prev, dtype=float)
 
         b_eq = np.zeros(2 * N + 2)
@@ -279,14 +285,18 @@ class PredictiveDcmController:
 
         constrained = [(j, poly) for j, poly in enumerate((polygons or [])[:N])
                        if poly is not None]
-        m = sum(poly.A.shape[0] for _, poly in constrained)
-        A_in, b_in = np.zeros((m, n)), np.zeros(m)
-        row = 0
-        for j, poly in constrained:
-            k = poly.A.shape[0]
-            A_in[row:row + k, n_xi + 2 * j:n_xi + 2 * j + 2] = poly.A
-            b_in[row:row + k] = poly.b
-            row += k
+        if not constrained:
+            return QpProblem(H=self._H, g=grad, A_eq=self._A_eq, b_eq=b_eq,
+                             A_in=np.zeros((0, n)), b_in=np.zeros(0))
+        A = np.concatenate([poly.A for _, poly in constrained])
+        b_in = np.concatenate([poly.b for _, poly in constrained])
+        # Row i constrains r_j of its polygon: columns n_xi + 2j and + 1.
+        rows = np.arange(A.shape[0])
+        cols = n_xi + 2 * np.repeat([j for j, _ in constrained],
+                                    [poly.A.shape[0] for _, poly in constrained])
+        A_in = np.zeros((A.shape[0], n))
+        A_in[rows, cols] = A[:, 0]
+        A_in[rows, cols + 1] = A[:, 1]
         return QpProblem(H=self._H, g=grad, A_eq=self._A_eq, b_eq=b_eq,
                          A_in=A_in, b_in=b_in)
 
@@ -302,14 +312,18 @@ class PredictiveDcmController:
         N = self.config.horizon
         polygons = [] if polygons is None else list(polygons[:N])
         polygons += [None] * (N - len(polygons))
-        r = np.array([np.asarray(r_prev, dtype=float).reshape(2) if poly is None
-                      else poly.vertices.mean(axis=0) for poly in polygons])
-        xi = np.empty((N + 1, 2))
-        xi[0] = np.asarray(xi_meas, dtype=float).reshape(2)
-        f = self._f
-        for k in range(N):
-            xi[k + 1] = f * xi[k] + (1.0 - f) * r[k]
-        return np.concatenate([xi.ravel(), r.ravel()])
+        r_prev = np.asarray(r_prev, dtype=float).reshape(2)
+        r = np.array([r_prev if poly is None else poly.centroid for poly in polygons])
+        # The rollout in float arithmetic: the same IEEE products and sums as
+        # f * xi_k + (1 - f) * r_k on 2-vectors, without per-step arrays.
+        f = float(self._f)
+        x, y = np.asarray(xi_meas, dtype=float).reshape(2).tolist()
+        xi = [x, y]
+        for rx, ry in r.tolist():
+            x = f * x + (1.0 - f) * rx
+            y = f * y + (1.0 - f) * ry
+            xi += (x, y)
+        return np.concatenate([xi, r.ravel()])
 
     def control(self, xi_meas, r_prev, xi_refs, polygons=None):
         problem = self.assemble(xi_meas, r_prev, xi_refs, polygons)

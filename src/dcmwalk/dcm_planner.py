@@ -123,9 +123,11 @@ class DcmTrajectory:
     segments: tuple
     omega: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "_starts", [s.t_start for s in self.segments])
+
     def _segment_at(self, t):
-        starts = [s.t_start for s in self.segments]
-        i = bisect_right(starts, t) - 1
+        i = bisect_right(self._starts, t) - 1
         i = min(max(i, 0), len(self.segments) - 1)
         return self.segments[i]
 

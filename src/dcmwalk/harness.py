@@ -125,6 +125,11 @@ class Scenario:
             raise ValueError("dt must be positive")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
+        # The plant applies a push at the first step at or after its time, so
+        # one before t = 0 acted at t = 0 and one after the run never acted.
+        for push in self.pushes:
+            if not 0.0 <= push.time <= self.duration:
+                raise ValueError(f"push time {push.time} is outside [0, duration]")
         # The MPC samples every mpc_period / dt cycles and models a period of
         # mpc_period, so the two must agree.
         stride = self.mpc_period / self.dt

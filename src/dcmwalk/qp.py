@@ -9,18 +9,24 @@ Solves
 Problem sizes here are tiny (tens of variables), so everything is dense.
 `QpProblem` checks its fields once and fills in absent ones, so the solver
 sees one form. It stacks every inequality, general rows and finite bounds
-alike, into one row block G w <= h, and each working-set iteration solves a
-dense KKT system directly. The caller may pass a feasible start point.
-Without one (or when it is not feasible) the solver first solves one KKT
-system for the minimizer under the equalities alone, the first step of an
-active-set method from an empty working set; when that point breaks no
+alike, into one row block G w <= h. The caller may pass a feasible start
+point. Without one (or when it is not feasible) the solver first solves one
+KKT system for the minimizer under the equalities alone, the first step of
+an active-set method from an empty working set; when that point breaks no
 inequality it is the optimum and is returned after one iteration. Otherwise
 the loop starts from least squares on the equalities, and from a Phase-1 LP
 only when that point breaks an inequality. The LP is scipy's HiGHS
 `linprog`; `scipy.optimize` is imported on the first Phase-1 solve, so
 importing this module loads no scipy.
+
+The loop takes each step by block elimination (the Schur-complement method,
+Nocedal & Wright, Numerical Optimization, sec. 16.2). The fixed block
+K0 = [H A_eq^T; A_eq 0] is inverted once, and an iteration with working rows
+G_W solves only the |W| x |W| system S = G_W K0^-1[:n, :n] G_W^T. A singular
+K0 makes the solve INFEASIBLE.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -78,10 +84,12 @@ class QpProblem:
             if A.ndim != 2 or A.shape[1] != n or b.shape != (A.shape[0],):
                 raise ValueError(f"inconsistent {kind}-constraint dimensions")
             arrays["A_" + kind], arrays["b_" + kind] = A, b
-        # Every QP of every cycle passes here: count_nonzero is the cheapest
-        # exact test measured.
+        # Every QP of every cycle passes here, so each array is tested with
+        # one BLAS call: a finite sum of squares proves every entry finite
+        # (NaN and inf propagate). Only a sum that is not, which finite
+        # entries give when it overflows, is followed by the entrywise scan.
         for name, a in arrays.items():
-            if a.size and np.count_nonzero(np.isfinite(a)) != a.size:
+            if a.size and not math.isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
                 raise ValueError(f"{name} has non-finite entries")
         # Infinity norms (largest absolute row sums) of H - H^T and of H; an
         # exactly symmetric H, as both callers build, needs neither.
@@ -92,7 +100,8 @@ class QpProblem:
         for name, fill in (("lb", -np.inf), ("ub", np.inf)):
             value = getattr(self, name)
             bound = np.full(n, fill) if value is None else np.asarray(value, dtype=float)
-            if bound.shape != (n,) or np.count_nonzero(np.isnan(bound)):
+            # A sum of squares is NaN exactly when an entry is: inf^2 is inf.
+            if bound.shape != (n,) or math.isnan(np.vdot(bound, bound)):
                 raise ValueError(f"{name} must have shape ({n},) and no NaN entries")
             arrays[name] = bound
         for name, a in arrays.items():
@@ -131,13 +140,16 @@ class QpSolver:
     A solver keeps the rows (G, h) of its last bound-only problem (no
     inequality rows in `A_in`) and reuses them while `lb` and `ub` are the
     same read-only arrays, as a model's joint-rate bounds are on every
-    whole-body cycle.
+    whole-body cycle. Likewise it keeps the inverse of K0 = [H A_eq^T; A_eq 0]
+    while `H` and `A_eq` are the same read-only arrays, as an MPC
+    controller's are on every sample.
     """
 
     def __init__(self, tol=DEFAULT_TOL, max_iter=200):
         self.tol = tol
         self.max_iter = max_iter
         self._bounds = None   # (lb, ub, their _inequality_rows)
+        self._kkt = None      # (H, A_eq, their _kkt_columns)
 
     def solve(self, problem, start=None):
         """Solve `problem`; `start` is an optional feasible start point."""
@@ -163,6 +175,9 @@ class QpSolver:
             if w is None:
                 return self._infeasible(problem, rows)
 
+        K_cols = self._kkt_columns(problem)
+        if K_cols is None:
+            return self._infeasible(problem, rows)
         working = set()
         lam_eq = np.zeros(m_eq)
         mu = np.zeros(m)
@@ -170,16 +185,14 @@ class QpSolver:
         while it < self.max_iter:
             it += 1
             idx = sorted(working)
-            A_w = np.vstack([A_eq, G[idx]]) if idx else A_eq
-            grad = H @ w + g
-            p, duals = self._kkt_solve(H, A_w, -grad, np.zeros(A_w.shape[0]))
+            p, duals = self._schur_step(K_cols, G[idx], H @ w + g)
             if p is None:
                 # Dependent working set; drop the most recent inequality row.
                 if idx:
                     working.discard(idx[-1])
                     continue
                 return self._infeasible(problem, rows)
-            if np.linalg.norm(p, ord=np.inf) <= self.tol * max(1.0, np.linalg.norm(w, ord=np.inf)):
+            if np.abs(p).max() <= self.tol * max(1.0, np.abs(w).max()):
                 lam_eq = duals[:m_eq]
                 mu = np.zeros(m)
                 mu_w = duals[m_eq:]
@@ -205,10 +218,47 @@ class QpSolver:
                 and self._bounds[0] is lb and self._bounds[1] is ub:
             return self._bounds[2]
         rows = _inequality_rows(problem)
-        # A read-only array that owns its data cannot change under a view.
-        if bound_only and all(b.flags.owndata and not b.flags.writeable for b in (lb, ub)):
+        if bound_only and _frozen(lb, ub):
             self._bounds = (lb, ub, rows)
         return rows
+
+    def _kkt_columns(self, problem):
+        """The first n columns of K0^-1, where K0 = [H A_eq^T; A_eq 0], or
+        None when K0 is singular; cached for read-only H and A_eq."""
+        H, A_eq = problem.H, problem.A_eq
+        if self._kkt is not None and self._kkt[0] is H and self._kkt[1] is A_eq:
+            return self._kkt[2]
+        try:
+            K_inv = np.linalg.inv(_kkt_matrix(H, A_eq))
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(K_inv).all():
+            return None
+        K_cols = np.ascontiguousarray(K_inv[:, :problem.n])
+        if _frozen(H, A_eq):
+            self._kkt = (H, A_eq, K_cols)
+        return K_cols
+
+    @staticmethod
+    def _schur_step(K_cols, G_w, grad):
+        """(p, duals) with H p + A_eq^T y + G_w^T mu = -grad, A_eq p = 0 and
+        G_w p = 0, duals = [y, mu]; (None, None) when the working rows are
+        dependent. Block elimination on K0 (see `_kkt_columns`):
+        z0 = K0^-1 [-grad; 0], V = K0^-1 [G_w^T; 0], and the |W| x |W| Schur
+        complement S = G_w V[:n] gives mu = S^-1 G_w z0[:n], z = z0 - V mu."""
+        n = grad.shape[0]
+        z = K_cols @ -grad
+        if not G_w.shape[0]:
+            return z[:n], z[n:]
+        V = K_cols @ G_w.T
+        try:
+            mu = np.linalg.solve(G_w @ V[:n], G_w @ z[:n])
+        except np.linalg.LinAlgError:
+            return None, None
+        z -= V @ mu
+        if not (np.isfinite(mu).all() and np.isfinite(z).all()):
+            return None, None
+        return z[:n], np.concatenate([z[n:], mu])
 
     @staticmethod
     def _solution(problem, rows, w, status, iterations, lam_eq, mu, working):
@@ -228,14 +278,8 @@ class QpSolver:
         """(x, y) with H x + A^T y = top and A x = bottom, or (None, None)
         when the system is singular."""
         n = H.shape[0]
-        mw = A.shape[0]
-        K = np.zeros((n + mw, n + mw))
-        K[:n, :n] = H
-        K[:n, n:] = A.T
-        K[n:, :n] = A
-        rhs = np.concatenate([top, bottom])
         try:
-            sol = np.linalg.solve(K, rhs)
+            sol = np.linalg.solve(_kkt_matrix(H, A), np.concatenate([top, bottom]))
         except np.linalg.LinAlgError:
             return None, None
         if not np.isfinite(sol).all():
@@ -276,6 +320,22 @@ class QpSolver:
                              0, np.zeros(problem.A_eq.shape[0]), np.zeros(h.shape[0]), ())
         sol.infeasibility = float(np.max(-h)) if h.shape[0] else None   # G w - h at w = 0
         return sol
+
+
+def _frozen(*arrays):
+    """True when every array is read-only and owns its data, so that no view
+    can change it: the solver's caches key such arrays by identity."""
+    return all(a.flags.owndata and not a.flags.writeable for a in arrays)
+
+
+def _kkt_matrix(H, A):
+    """The KKT matrix [H A^T; A 0]."""
+    n, m = H.shape[0], A.shape[0]
+    K = np.zeros((n + m, n + m))
+    K[:n, :n] = H
+    K[:n, n:] = A.T
+    K[n:, :n] = A
+    return K
 
 
 def _inequality_rows(problem):

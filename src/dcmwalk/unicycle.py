@@ -210,23 +210,30 @@ class SwingTrajectory:
     apex: float
     ground_height: float = 0.0
 
+    def __post_init__(self):
+        # Each cubic once, as float tuples: pose runs every cycle of a swing.
+        half = 0.5 * (self.t_end - self.t_start)
+        top = self.ground_height + self.apex
+        cubics = (self.coeffs_xy[0], self.coeffs_xy[1], self.coeffs_yaw,
+                  _hermite_coeffs(self.ground_height, 0.0, top, 0.0, half),
+                  _hermite_coeffs(top, 0.0, self.ground_height, 0.0, half))
+        object.__setattr__(self, "_half", half)
+        object.__setattr__(self, "_cubics", tuple(
+            tuple(np.asarray(c, dtype=float).tolist()) for c in cubics))
+
     def pose(self, t):
         """(position 3-vector, yaw, linear velocity 3-vector, yaw rate) at t."""
-        t = np.clip(t, self.t_start, self.t_end)
-        tau = t - self.t_start
-        x, vx = _hermite_eval(self.coeffs_xy[0], tau)
-        y, vy = _hermite_eval(self.coeffs_xy[1], tau)
-        yaw, yaw_rate = _hermite_eval(self.coeffs_yaw, tau)
-        z, vz = self._vertical(tau)
+        tau = min(max(t, self.t_start), self.t_end) - self.t_start
+        cx, cy, cyaw, lift, lower = self._cubics
+        x, vx = _hermite_eval(cx, tau)
+        y, vy = _hermite_eval(cy, tau)
+        yaw, yaw_rate = _hermite_eval(cyaw, tau)
+        # The lift reaches the apex at mid-swing; the descent starts there.
+        if tau <= self._half:
+            z, vz = _hermite_eval(lift, tau)
+        else:
+            z, vz = _hermite_eval(lower, tau - self._half)
         return np.array([x, y, z]), yaw, np.array([vx, vy, vz]), yaw_rate
-
-    def _vertical(self, tau):
-        half = 0.5 * (self.t_end - self.t_start)
-        if tau <= half:
-            c = _hermite_coeffs(self.ground_height, 0.0, self.ground_height + self.apex, 0.0, half)
-            return _hermite_eval(c, tau)
-        c = _hermite_coeffs(self.ground_height + self.apex, 0.0, self.ground_height, 0.0, half)
-        return _hermite_eval(c, tau - half)
 
 
 def swing_trajectory(start, target, phase, apex=0.03):

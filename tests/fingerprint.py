@@ -6,14 +6,18 @@ length, its error string ("" when it ends without one) and every 10th row of
 each trace column except the wall-clock `cycle_time`.
 
 `test_fingerprint.py` compares the program against the checked-in fixture.
-A change that moves behaviour on purpose rewrites the fixture with
+Run as a script,
 
-    PYTHONPATH=src python tests/fingerprint.py
+    PYTHONPATH=src python tests/fingerprint.py [--write]
 
-which prints, per run, the largest deviation from the old fixture before it
-writes the new one.
+it prints each run's largest deviation from the fixture and exits 1 when
+any run deviates by more than ATOL (or differs in length, error or fields).
+Only with `--write`, which a change that moves behaviour on purpose uses,
+does it write the new fixture.
 """
 
+import argparse
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +28,7 @@ from dcmwalk.harness import ARCHITECTURES, NoiseModel, Scenario, run_scenario
 FIXTURE = Path(__file__).resolve().parent / "data" / "fingerprint.npz"
 STRIDE = 10
 SEED = 0
+ATOL = 1e-9
 TIMING_KEYS = ("cycle_time",)
 
 BASE = Scenario(forward_velocity=0.37, duration=6.0)
@@ -67,20 +72,30 @@ def deviation(new, old):
     return worst
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true",
+                        help="write the new fingerprint to the fixture")
+    args = parser.parse_args(argv)
     old = load_fixture() if FIXTURE.exists() else {}
     new = {}
+    worst = 0.0
     for name in RUNS:
         run = fingerprint(name)
         prior = {k: v for k, v in old.items() if k.startswith(f"{name}/")}
-        shown = f"{deviation(run, prior):.3g}" if prior else "new"
+        dev = deviation(run, prior) if prior else np.inf
+        worst = max(worst, dev)
+        shown = f"{dev:.3g}" if prior else "new"
         print(f"{name:16s} length {int(run[f'{name}/length']):4d}  "
               f"max deviation {shown}")
         new.update(run)
-    FIXTURE.parent.mkdir(exist_ok=True)
-    np.savez_compressed(FIXTURE, **new)
-    print(f"wrote {FIXTURE}")
+    if args.write:
+        FIXTURE.parent.mkdir(exist_ok=True)
+        np.savez_compressed(FIXTURE, **new)
+        print(f"wrote {FIXTURE}")
+        return 0
+    return 0 if worst <= ATOL else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

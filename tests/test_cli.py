@@ -3,6 +3,7 @@
 import json
 from types import SimpleNamespace
 
+import pytest
 import yaml
 
 from dcmwalk import cli
@@ -93,6 +94,19 @@ class TestRun:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["category"] == "config"
         assert "push time and impulse must be finite" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("time", [-5.0, 30.0])
+    def test_push_outside_run_exit_code(self, tmp_path, capsys, monkeypatch, time):
+        def ran(*args, **kwargs):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(cli, "run_scenario", ran)
+        cfg = write_config(tmp_path, {"duration": 10.0, "pushes": [[time, [0.1, 0.0]]]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["category"] == "config"
+        assert "outside [0, duration]" in err["message"]
         assert not out.exists()
 
     def test_missing_config_exit_code(self, tmp_path, capsys):

@@ -9,9 +9,7 @@ rewrites the fixture with `tests/fingerprint.py` and says so.
 import numpy as np
 import pytest
 
-from fingerprint import RUNS, fingerprint, load_fixture
-
-ATOL = 1e-9
+from fingerprint import ATOL, RUNS, fingerprint, load_fixture
 
 
 @pytest.fixture(scope="module")

@@ -229,6 +229,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="push"):
             scenario_from_dict({"pushes": [[time, impulse]]})
 
+    @pytest.mark.parametrize("time", [-5.0, -1e-9, 10.0 + 1e-9, 30.0])
+    def test_push_outside_run_rejected(self, time):
+        # A push at t = -5 used to act at t = 0, and one at t = 30 in a 10 s
+        # run was dropped without a word.
+        with pytest.raises(ValueError, match=r"push time .* is outside \[0, duration\]"):
+            Scenario(duration=10.0, pushes=(Push(time=time, impulse=[0.1, 0.0]),))
+        with pytest.raises(ValueError, match="outside"):
+            scenario_from_dict({"duration": 10.0, "pushes": [[time, [0.1, 0.0]]]})
+
+    @pytest.mark.parametrize("time", [0.0, 10.0])
+    def test_push_at_run_endpoints_accepted(self, time):
+        push = Push(time=time, impulse=[0.1, 0.0])
+        assert Scenario(duration=10.0, pushes=(push,)).pushes == (push,)
+        assert scenario_from_dict(
+            {"duration": 10.0, "pushes": [[time, [0.1, 0.0]]]}).pushes == (push,)
+
     def test_scenario_from_dict_unknown_key(self):
         with pytest.raises(ValueError, match="unknown scenario keys"):
             scenario_from_dict({"walk_speed": 0.2})
@@ -440,7 +456,9 @@ SCENARIO_DOCS = st.fixed_dictionaries({}, optional={
     "duration": floats(0.5, 20.0), "dcm_kp": floats(1.1, 5.0),
     "mpc_horizon": st.integers(1, 30), "fall_margin": floats(0.0, 1.0),
     "noise": NOISE_DOCS, "pushes": PUSH_DOCS, "unicycle": UNICYCLE_DOCS,
-    "task_gains": TASK_GAIN_DOCS})
+    "task_gains": TASK_GAIN_DOCS}).filter(   # a valid push lies in [0, duration]
+        lambda doc: all(p[0] <= doc.get("duration", Scenario.duration)
+                        for p in doc.get("pushes", ())))
 
 
 class TestScenarioFromDict:

@@ -5,6 +5,7 @@ import pytest
 
 from dcmwalk import qp as qp_module
 from dcmwalk import wholebody
+from dcmwalk.control import MpcConfig, PredictiveDcmController, SupportPolygon
 from dcmwalk.harness import NoiseModel, Scenario, run_scenario
 from dcmwalk.kinematics import sample_biped
 from dcmwalk.qp import (QpProblem, QpSolver, QpStatus, _inequality_rows, _ratio_test,
@@ -516,3 +517,222 @@ def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
     assert set(iterations) == {1}
     work = {tuple(sorted(counts.items())) for counts in per_cycle}
     assert work == {(("KinematicsCache", 1), ("matrix_rank", 0), ("solve", 1), ("svd", 1))}
+
+
+def test_finite_entries_whose_squares_overflow_accepted():
+    # The fast finiteness test overflows on these; the entrywise scan that
+    # follows accepts them.
+    big = 1e308
+    QpProblem(H=np.full((2, 2), big), g=np.full(2, -big), A_eq=np.full((1, 2), big),
+              b_eq=np.full(1, big), A_in=np.full((3, 2), -big), b_in=np.full(3, big),
+              lb=np.full(2, -big), ub=np.full(2, big))
+
+
+@pytest.mark.parametrize("name", ["H", "g", "A_eq", "b_eq", "A_in", "b_in", "lb", "ub"])
+def test_non_finite_entry_named_anywhere(name):
+    # Beside overflowing finite entries, at every position of every field.
+    full = dict(H=np.eye(2), g=np.zeros(2), A_eq=np.ones((1, 2)), b_eq=np.ones(1),
+                A_in=np.ones((2, 2)), b_in=np.ones(2), lb=np.full(2, -np.inf),
+                ub=np.full(2, np.inf))
+    for value in (np.nan, np.inf, -np.inf):
+        for i in range(full[name].size):
+            spec = dict(full, **{name: np.full_like(full[name], -1e308 if name == "lb"
+                                                   else 1e308)})
+            spec[name].flat[i] = value
+            if name in ("lb", "ub") and not np.isnan(value):
+                QpProblem(**spec)
+                continue
+            with pytest.raises(ValueError, match=name):
+                QpProblem(**spec)
+
+
+def _working_sets(rng, prob, G, count):
+    """Random working sets of rows of G whose KKT matrix has a condition
+    number below 1e4, so that the dense reference solve is accurate to
+    about 1e-12."""
+    n = prob.n
+    for _ in range(count):
+        k = int(rng.integers(0, min(G.shape[0], n - prob.A_eq.shape[0]) + 1))
+        idx = sorted(rng.choice(G.shape[0], size=k, replace=False).tolist())
+        A_w = np.vstack([prob.A_eq, G[idx]])
+        if np.linalg.cond(qp_module._kkt_matrix(prob.H, A_w)) < 1e4:
+            yield idx
+
+
+def _assert_step_matches_dense(prob, K_cols, G_w, rng):
+    grad = rng.normal(size=prob.n)
+    p, duals = QpSolver._schur_step(K_cols, G_w, grad)
+    A_w = np.vstack([prob.A_eq, G_w])
+    p_ref, duals_ref = QpSolver._kkt_solve(prob.H, A_w, -grad, np.zeros(A_w.shape[0]))
+    want = np.concatenate([p_ref, duals_ref])
+    np.testing.assert_allclose(np.concatenate([p, duals]), want, rtol=1e-10,
+                               atol=1e-10 * max(1.0, np.abs(want).max()))
+
+
+def test_schur_step_matches_dense_kkt_solve():
+    rng = np.random.default_rng(60)
+    steps = 0
+    for _ in range(100):
+        prob = QpProblem(**random_qp(rng)[0])
+        G = _inequality_rows(prob)[0]
+        K_cols = QpSolver()._kkt_columns(prob)
+        for idx in _working_sets(rng, prob, G, 5):
+            _assert_step_matches_dense(prob, K_cols, G[idx], rng)
+            steps += 1
+    assert steps > 300
+
+
+def test_schur_step_matches_dense_kkt_solve_on_mpc_problems():
+    # The MPC's QP, with working sets of at most two polygon rows per ZMP
+    # sample (a third row on one 2-D sample, or two parallel ones, are dependent).
+    rng = np.random.default_rng(61)
+    for omega, N in ((4.79, 20), (3.0, 5), (5.5, 12)):
+        ctrl = PredictiveDcmController(MpcConfig(horizon=N, Q=10.0 * np.eye(2),
+                                                 R=0.05 * np.eye(2),
+                                                 Q_terminal=10.0 * np.eye(2)), omega)
+        for _ in range(4):
+            polys = [SupportPolygon.from_rectangle(rng.uniform(-0.5, 0.5, 2),
+                                                   rng.uniform(-np.pi, np.pi),
+                                                   *rng.uniform(0.05, 0.3, 2))
+                     for _ in range(N)]
+            prob = ctrl.assemble(rng.uniform(-0.5, 0.5, 2), rng.uniform(-0.5, 0.5, 2),
+                                 rng.uniform(-0.5, 0.5, (N + 1, 2)), polys)
+            K_cols = QpSolver()._kkt_columns(prob)
+            for _ in range(5):
+                # One edge of a sample's rectangle, or two adjacent ones.
+                idx = sorted(4 * j + (int(r) + e) % 4
+                             for j, r in zip(rng.choice(N, size=rng.integers(1, N + 1),
+                                                        replace=False), rng.integers(4, size=N))
+                             for e in range(rng.integers(1, 3)))
+                _assert_step_matches_dense(prob, K_cols, prob.A_in[idx], rng)
+
+
+def test_schur_step_reports_dependent_rows():
+    # +e_0 and -e_0 together make the Schur complement singular.
+    prob = QpProblem(H=np.eye(2), g=np.zeros(2), lb=np.full(2, -1.0), ub=np.ones(2))
+    G = _inequality_rows(prob)[0]
+    K_cols = QpSolver()._kkt_columns(prob)
+    assert QpSolver._schur_step(K_cols, G[[0, 2]], np.ones(2)) == (None, None)
+
+
+def test_singular_equality_block_infeasible():
+    # Dependent equality rows make K0 singular: the loop reports INFEASIBLE.
+    A_eq = np.array([[1.0, 1.0], [2.0, 2.0]])
+    prob = QpProblem(H=np.eye(2), g=np.zeros(2), A_eq=A_eq, b_eq=np.array([1.0, 2.0]),
+                     ub=np.full(2, 0.4))
+    assert QpSolver().solve(prob, start=np.array([0.5, 0.5])).status is QpStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("with_eq", [False, True])
+def test_started_solves_match_oracle(with_eq):
+    # A feasible start always enters the working-set loop.
+    rng = np.random.default_rng(62 + with_eq)
+    for _ in range(60):
+        spec, w0 = random_qp(rng, n_max=4, m_max=4, with_eq=with_eq)
+        sol = solve(QpProblem(**spec), start=w0)
+        assert sol.status is QpStatus.OPTIMAL
+        assert np.linalg.norm(sol.w - brute_force_qp(**spec), np.inf) < 1e-7
+        assert max(sol.residuals.values()) <= 1e-8
+
+
+def _counting_inverses(monkeypatch):
+    inverted = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        inverted.append(a.shape)
+        return inv(a)
+    monkeypatch.setattr(qp_module.np.linalg, "inv", counted)
+    return inverted
+
+
+def _loop_problem(H, A_eq, g):
+    """A problem with a binding bound, solved from a feasible start so that
+    the working-set loop runs."""
+    return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=np.zeros(A_eq.shape[0]),
+                     lb=np.full(H.shape[0], -1.0), ub=np.full(H.shape[0], 1.0))
+
+
+def test_kkt_inverse_cached_for_read_only_matrices(monkeypatch):
+    inverted = _counting_inverses(monkeypatch)
+    H, A_eq = np.diag([2.0, 1.0, 4.0]), np.array([[1.0, 1.0, 1.0]])
+    for a in (H, A_eq):
+        a.setflags(write=False)
+    solver = QpSolver()
+    rng = np.random.default_rng(63)
+    for _ in range(4):
+        prob = _loop_problem(H, A_eq, rng.normal(scale=5.0, size=3))
+        sol = solver.solve(prob, start=np.zeros(3))
+        assert sol.status is QpStatus.OPTIMAL
+        assert np.linalg.norm(sol.w - brute_force_qp(prob.H, prob.g, prob.A_eq, prob.b_eq,
+                                                     lb=prob.lb, ub=prob.ub), np.inf) < 1e-9
+    assert inverted == [(4, 4)]
+    # Another read-only pair, or a read-only view of the same data, rebuilds.
+    H2 = np.diag([1.0, 1.0, 1.0])
+    H2.setflags(write=False)
+    view = H.view()
+    view.setflags(write=False)
+    for h, count in ((H2, 2), (H2, 2), (view, 3), (view, 4), (H, 5), (H, 5)):
+        solver.solve(_loop_problem(h, A_eq, np.ones(3)), start=np.zeros(3))
+        assert len(inverted) == count
+
+
+def test_kkt_inverse_rebuilt_for_writeable_matrices(monkeypatch):
+    # A writeable H or A_eq may change in place between solves, so its
+    # inverse is never reused: each solve sees the matrix as it is now.
+    inverted = _counting_inverses(monkeypatch)
+    solver = QpSolver()
+    H, A_eq = np.diag([2.0, 1.0, 4.0]), np.array([[1.0, 1.0, 1.0]])
+    g = np.array([-6.0, 1.0, 3.0])
+    for step in range(4):
+        prob = _loop_problem(H, A_eq, g)
+        sol = solver.solve(prob, start=np.zeros(3))
+        ref = brute_force_qp(H, g, A_eq, prob.b_eq, lb=prob.lb, ub=prob.ub)
+        assert sol.status is QpStatus.OPTIMAL
+        assert np.linalg.norm(sol.w - ref, np.inf) < 1e-9
+        assert len(inverted) == step + 1
+        H[step % 3, step % 3] *= 5.0
+        A_eq[0, (step + 1) % 3] = -1.0 - step
+
+
+def test_steady_predictive_walk_inverts_once(monkeypatch):
+    # One controller inverts its fixed KKT block once; every MPC loop
+    # iteration then solves only its |W| x |W| Schur complement.
+    control = PredictiveDcmController.control
+    step = QpSolver._schur_step
+    inverted, solved, samples = [], [], []
+    running = []   # the |W| of the step in progress, if any
+
+    def in_mpc(self, *args):
+        samples.append(len(inverted))
+        running.append(None)
+        try:
+            return control(self, *args)
+        finally:
+            running.pop()
+
+    def counted_step(K_cols, G_w, grad):
+        running.append(G_w.shape[0])
+        try:
+            return step(K_cols, G_w, grad)
+        finally:
+            running.pop()
+
+    def counting(name, fn, calls):
+        def call(a, *args):
+            if running:
+                calls.append((running[-1], a.shape))
+            return fn(a, *args)
+        return call
+
+    monkeypatch.setattr(PredictiveDcmController, "control", in_mpc)
+    monkeypatch.setattr(QpSolver, "_schur_step", staticmethod(counted_step))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv, inverted))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve, solved))
+    result = run_scenario(Scenario(controller="predictive", mode="position",
+                                   forward_velocity=0.19, duration=3.0, noise=NoiseModel()))
+    monkeypatch.undo()
+    assert result.metrics["completed"]
+    assert len(samples) == 30
+    assert inverted == [(None, (124, 124))]
+    assert solved and all(w == shape[0] == shape[1] for w, shape in solved)

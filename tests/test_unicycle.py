@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcmwalk.unicycle import (Footstep, FootSide, GaitPhase, PhaseKind,
-                              PlanInfeasibleError, UnicycleConfig, parse_plan,
-                              plan_footsteps, serialize_plan, swing_trajectory,
-                              timeline_from_footsteps)
+                              PlanInfeasibleError, UnicycleConfig, _hermite_coeffs,
+                              _hermite_eval, parse_plan, plan_footsteps, serialize_plan,
+                              swing_trajectory, timeline_from_footsteps)
 
 
 def make_feet(spacing=0.14):
@@ -163,6 +165,39 @@ class TestSwingTrajectory:
             p1 = tr.pose(t1)[0]
             # Finite-difference velocity matches the analytic one.
             assert np.linalg.norm((p1 - p0) / (t1 - t0) - v0) < 5e-3
+
+    @staticmethod
+    def reference_pose(tr, t):
+        """`pose` as the cubics were evaluated before they were cached."""
+        t = np.clip(t, tr.t_start, tr.t_end)
+        tau = t - tr.t_start
+        x, vx = _hermite_eval(tr.coeffs_xy[0], tau)
+        y, vy = _hermite_eval(tr.coeffs_xy[1], tau)
+        yaw, yaw_rate = _hermite_eval(tr.coeffs_yaw, tau)
+        half = 0.5 * (tr.t_end - tr.t_start)
+        g, top = tr.ground_height, tr.ground_height + tr.apex
+        if tau <= half:
+            z, vz = _hermite_eval(_hermite_coeffs(g, 0.0, top, 0.0, half), tau)
+        else:
+            z, vz = _hermite_eval(_hermite_coeffs(top, 0.0, g, 0.0, half), tau - half)
+        return np.array([x, y, z]), yaw, np.array([vx, vy, vz]), yaw_rate
+
+    @settings(max_examples=200, deadline=None)
+    @given(xy=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           yaws=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+           t_start=st.floats(0.0, 20.0), duration=st.floats(0.05, 2.0),
+           apex=st.floats(1e-3, 0.1), u=st.floats(-0.5, 1.5))
+    def test_pose_equals_reference_formula(self, xy, yaws, t_start, duration, apex, u):
+        # Bit for bit, before, inside and after the swing and at mid-swing.
+        a = Footstep(FootSide.LEFT, np.array(xy[:2]), yaws[0], 0.0)
+        b = Footstep(FootSide.LEFT, np.array(xy[2:]), yaws[1], 1.0)
+        t_end = t_start + duration
+        tr = swing_trajectory(a, b, (t_start, t_end), apex=apex)
+        for t in (t_start + u * duration, t_start + 0.5 * (t_end - t_start),
+                  t_start - 1.0, t_end + 1.0, t_start, t_end):
+            got, want = tr.pose(t), self.reference_pose(tr, t)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
     def test_degenerate_phase_rejected(self):
         a = Footstep(FootSide.LEFT, np.zeros(2), 0.0, 0.0)
