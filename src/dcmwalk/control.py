@@ -11,6 +11,7 @@ followed by the cascaded ZMP-CoM law
     xdot* = xdot_ref - Kzmp (r_ref - r) + Kcom (x_ref - x).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -171,15 +172,22 @@ class InstantaneousDcmController:
     def control(self, xi_meas, xi_ref, xid_ref, dt):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        e = np.asarray(xi_meas, dtype=float) - np.asarray(xi_ref, dtype=float)
-        prev = e if self._prev_error is None else self._prev_error
-        self.integral = self.integral + 0.5 * dt * (prev + e)
-        norm = np.linalg.norm(self.integral)
+        # On floats, as `zmp_com_control`; the norm stays a BLAS dot, which
+        # a float sum of squares does not always match.
+        (xm, ym), (xr, yr), (dx, dy) = map(_floats, (xi_meas, xi_ref, xid_ref))
+        ex, ey = xm - xr, ym - yr
+        px, py = (ex, ey) if self._prev_error is None else self._prev_error
+        half_dt = 0.5 * dt
+        ix, iy = self.integral.tolist()
+        integral = np.array([ix + half_dt * (px + ex), iy + half_dt * (py + ey)])
+        norm = math.sqrt(integral @ integral)
         if norm > self.gains.anti_windup:
-            self.integral = self.integral * (self.gains.anti_windup / norm)
-        self._prev_error = e
-        return (np.asarray(xi_ref, dtype=float) - np.asarray(xid_ref, dtype=float) / self.omega
-                + np.asarray(self.gains.kp) @ e + np.asarray(self.gains.ki) @ self.integral)
+            integral = integral * (self.gains.anti_windup / norm)
+        self.integral = integral
+        self._prev_error = ex, ey
+        kx, ky = _matvec(self.gains.kp, ex, ey)
+        jx, jy = _matvec(self.gains.ki, *integral.tolist())
+        return np.array([xr - dx / self.omega + kx + jx, yr - dy / self.omega + ky + jy])
 
 
 @dataclass(frozen=True)
@@ -353,15 +361,29 @@ class ZmpComGains:
 
 
 def zmp_com_control(x_meas, x_ref, xd_ref, r_zmp_meas, r_zmp_ref, gains):
-    """Cascaded ZMP-CoM law giving the desired CoM velocity."""
-    x_meas = np.asarray(x_meas, dtype=float).reshape(2)
-    x_ref = np.asarray(x_ref, dtype=float).reshape(2)
-    xd_ref = np.asarray(xd_ref, dtype=float).reshape(2)
-    r_meas = np.asarray(r_zmp_meas, dtype=float).reshape(2)
-    r_ref = np.asarray(r_zmp_ref, dtype=float).reshape(2)
-    return (xd_ref
-            - np.asarray(gains.k_zmp) @ (r_ref - r_meas)
-            + np.asarray(gains.k_com) @ (x_ref - x_meas))
+    """Cascaded ZMP-CoM law giving the desired CoM velocity.
+
+    It runs every cycle on 2-vectors, so it works on Python floats: the
+    same products and sums as the matrix expression, in its order.
+    """
+    (xm, ym), (xr, yr), (vx, vy), (rm, sm), (rr, sr) = map(
+        _floats, (x_meas, x_ref, xd_ref, r_zmp_meas, r_zmp_ref))
+    zx, zy = _matvec(gains.k_zmp, rr - rm, sr - sm)
+    cx, cy = _matvec(gains.k_com, xr - xm, yr - ym)
+    return np.array([vx - zx + cx, vy - zy + cy])
+
+
+def _floats(v):
+    """A vector as a list of floats."""
+    return np.asarray(v, dtype=float).tolist()
+
+
+def _matvec(M, x, y):
+    """M (x, y) for a 2 x 2 M, as two floats. A diagonal M gives the
+    products of `M @ v` exactly; any other M may differ in the last bit,
+    since BLAS may fuse a multiply and an add."""
+    (a, b), (c, d) = np.asarray(M).tolist()
+    return a * x + b * y, c * x + d * y
 
 
 def minimum_jerk(u):

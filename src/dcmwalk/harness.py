@@ -125,11 +125,14 @@ class Scenario:
             raise ValueError("dt must be positive")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
-        # The plant applies a push at the first step at or after its time, so
-        # one before t = 0 acted at t = 0 and one after the run never acted.
+        # The plant applies a push at the first step at or after its time
+        # (with 1e-12 of slack), so one before t = 0 acted at t = 0 and one
+        # after the last step, at (K - 1) dt for K steps, never acted.
+        last_step = (round(self.duration / self.dt) - 1) * self.dt
         for push in self.pushes:
-            if not 0.0 <= push.time <= self.duration:
-                raise ValueError(f"push time {push.time} is outside [0, duration]")
+            if not 0.0 <= push.time <= last_step + 1e-12:
+                raise ValueError(f"push time {push.time} is outside [0, duration] "
+                                 f"or after the last step, at {last_step:g}")
         # The MPC samples every mpc_period / dt cycles and models a period of
         # mpc_period, so the two must agree.
         stride = self.mpc_period / self.dt
@@ -260,17 +263,43 @@ def fall_detector(dcm, support, com_height, z0, margin=0.3, height_fraction=0.5)
     return abs(com_height - z0) > height_fraction * z0
 
 
-def _foot_reference_at(phase, t, side):
-    if (phase.kind is PhaseKind.SINGLE_SUPPORT and phase.swing is not None
-            and phase.stance_side is not side):
-        pos, yaw, vel, yaw_rate = phase.swing.pose(t)
-        return FootReference(position=pos, rotation=rot_z(yaw),
-                             linear_velocity=vel,
-                             angular_velocity=np.array([0.0, 0.0, yaw_rate]))
-    planted = phase.feet[side]
-    return FootReference.stationary(
-        np.array([planted.position[0], planted.position[1], 0.0]),
-        rot_z(planted.yaw))
+class PhaseReferences:
+    """Whole-body references that hold through a gait phase, built once per
+    phase as `PlanPolygons` builds its polygons: the planted feet's
+    `FootReference`s and the torso rotation. `at(phase, t)` adds the swing
+    foot's reference, which moves every cycle.
+    """
+
+    def __init__(self, timeline):
+        self._by_phase = {id(ph): self._fixed(ph) for ph in timeline.phases}
+
+    @staticmethod
+    def _fixed(phase):
+        """(left, right, torso rotation), with None for a swinging foot."""
+        swinging = (phase.stance_side.other if phase.kind is PhaseKind.SINGLE_SUPPORT
+                    and phase.swing is not None else None)
+        feet = []
+        for side in (FootSide.LEFT, FootSide.RIGHT):
+            step = phase.feet[side]
+            feet.append(None if side is swinging else FootReference.stationary(
+                np.array([step.position[0], step.position[1], 0.0]), rot_z(step.yaw)))
+        torso = rot_z(0.5 * (phase.feet[FootSide.LEFT].yaw + phase.feet[FootSide.RIGHT].yaw))
+        return feet[0], feet[1], torso
+
+    def at(self, phase, t):
+        """(left foot, right foot, torso rotation) references at time t."""
+        left, right, torso = self._by_phase[id(phase)]
+        if left is None:
+            left = _swing_reference(phase, t)
+        elif right is None:
+            right = _swing_reference(phase, t)
+        return left, right, torso
+
+
+def _swing_reference(phase, t):
+    pos, yaw, vel, yaw_rate = phase.swing.pose(t)
+    return FootReference(position=pos, rotation=rot_z(yaw), linear_velocity=vel,
+                         angular_velocity=np.array([0.0, 0.0, yaw_rate]))
 
 
 # Trace columns, in the order of the row `run_scenario` records per cycle.
@@ -456,14 +485,11 @@ class _SimplifiedLayer:
         self.x_ref = xi_ref + decay * (self.x_ref - xi_ref)
 
 
-def _wholebody(wb, phase, t, xdot_star, x_ref, posture, robot):
-    """The wholebody stage: foot and torso references from the gait phase,
-    then one QP cycle. Returns the foot reference positions by side and the
-    controller's diagnostics."""
-    lf_ref = _foot_reference_at(phase, t, FootSide.LEFT)
-    rf_ref = _foot_reference_at(phase, t, FootSide.RIGHT)
-    torso_ref = rot_z(0.5 * (phase.feet[FootSide.LEFT].yaw
-                             + phase.feet[FootSide.RIGHT].yaw))
+def _wholebody(wb, references, phase, t, xdot_star, x_ref, posture, robot):
+    """The wholebody stage: foot and torso references from the gait phase
+    (`PhaseReferences`), then one QP cycle. Returns the foot reference
+    positions by side and the controller's diagnostics."""
+    lf_ref, rf_ref, torso_ref = references.at(phase, t)
     refs = WholeBodyReferences(com_velocity_cmd=xdot_star, left_foot=lf_ref,
                                right_foot=rf_ref, torso_rotation=torso_ref,
                                posture=posture, com_position=x_ref)
@@ -495,6 +521,7 @@ def run_scenario(scenario, seed=0, model=None):
     simplified = _SimplifiedLayer(scenario, traj, timeline, xi0)
     wb = WholeBodyController(model, scenario.task_gains, scenario.mode,
                              scenario.dt, z0, robot0)
+    references = PhaseReferences(timeline)
     posture = robot0.joint_positions.copy()
     left, right = FootSide.LEFT, FootSide.RIGHT
 
@@ -512,8 +539,8 @@ def run_scenario(scenario, seed=0, model=None):
             error = f"mpc: {exc}"
             break
         try:
-            ref_feet, diag = _wholebody(wb, phase, t, xdot_star, simplified.x_ref,
-                                        posture, robot)
+            ref_feet, diag = _wholebody(wb, references, phase, t, xdot_star,
+                                        simplified.x_ref, posture, robot)
         except RuntimeError as exc:
             error = f"wholebody: {exc}"
             break

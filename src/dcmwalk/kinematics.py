@@ -129,6 +129,7 @@ class KinematicModel:
             if fd.link not in link_index:
                 raise ValueError(f"frame {name}: unknown link {fd.link!r}")
             self._frame_table[name] = (link_index[fd.link], fd)
+        self._frame_stacks = {}   # frame tuple -> `_frame_stack`
         # Box bounds on nu: free base twist, joint velocity limits.
         lo, hi = self.velocity_limits()
         self.nu_lower = np.concatenate([np.full(6, -np.inf), lo])
@@ -232,6 +233,17 @@ class KinematicModel:
         except KeyError:
             raise UnknownFrameError(name) from None
 
+    def _frame_stack(self, frames):
+        """(link indices, frame offsets as an nf x 3 x 1 array) of a tuple of
+        frames, built on its first use."""
+        stack = self._frame_stacks.get(frames)
+        if stack is None:
+            defs = [self._frame(f) for f in frames]
+            stack = self._frame_stacks[frames] = (
+                np.array([link for link, _ in defs], dtype=int),
+                np.array([fd.xyz for _, fd in defs]).reshape(len(defs), 3, 1))
+        return stack
+
 
 @dataclass
 class RobotState:
@@ -313,12 +325,6 @@ class KinematicsCache:
             self._joint_world = (self._position[parent] + offsets[:, :, 0], offsets[:, :, 1])
         return self._joint_world
 
-    def _angular_rows(self, links, axes, out):
-        """Write the angular-velocity rows of frames on `links` into the
-        zeroed `out` (len(links) x 3 x (6+n))."""
-        out[:, :, 3:6] = _EYE3
-        out[:, :, 6:] = (self.model._angular_mask[links][:, :, None] * axes).transpose(0, 2, 1)
-
     def task_jacobian(self, frames=()):
         """Stacked task Jacobian [J_com; J_frames[0]; J_frames[1]; ...].
 
@@ -328,15 +334,13 @@ class KinematicsCache:
         written component by component into the joint columns.
         """
         model = self.model
-        nf = len(frames)
+        links, offsets = model._frame_stack(tuple(frames))
+        nf = links.size
         nv = model.n_velocities
         origins, axes = self._joint_axes()
-        frame_defs = [model._frame(f) for f in frames]
-        links = [link for link, _ in frame_defs]
         points = np.empty((1 + nf, 3))
         points[0] = self.com()
-        for i, (link, fd) in enumerate(frame_defs):
-            points[1 + i] = self._position[link] + self._rotation[link] @ fd.xyz
+        points[1:] = self._position[links] + (self._rotation[links] @ offsets)[:, :, 0]
         # weights[t, j]: share of task t that joint j moves (CoM: subtree
         # mass share; a frame: 1 on its chain). lever[t, j]: weighted lever
         # arm from joint j's origin.
@@ -369,19 +373,13 @@ class KinematicsCache:
         J[:3] = linear[0]
         blocks = J[3:].reshape(nf, 6, nv)
         blocks[:, :3] = linear[1:]
-        self._angular_rows(links, axes, blocks[:, 3:])
+        blocks[:, 3:, 3:6] = _EYE3
+        blocks[:, 3:, 6:] = (model._angular_mask[links][:, :, None] * axes).transpose(0, 2, 1)
         return J
 
     def frame_jacobian(self, name):
         """6 x (6+n) geometric Jacobian (linear rows then angular rows)."""
         return self.task_jacobian((name,))[3:]
-
-    def angular_jacobian(self, name):
-        """3 x (6+n) angular-velocity rows of a frame."""
-        link = self.model._frame(name)[0]
-        J = np.zeros((1, 3, self.model.n_velocities))
-        self._angular_rows([link], self._joint_axes()[1], J)
-        return J[0]
 
     def com_jacobian(self):
         """3 x (6+n) Jacobian of the whole-body CoM."""

@@ -116,35 +116,46 @@ class _Integrators:
     prev_foot_err: dict = field(default_factory=dict)
 
 
+# The two starred-velocity laws below work on Python floats, entry by
+# entry, with the products and sums of the vector expressions in their
+# order: the same IEEE results without a numpy call per 3-vector.
+
+
 def feet_velocity_star(pose, reference, gains, integral):
-    """Starred 6D foot velocity from the pose error and its integral."""
+    """Starred 6D foot velocity from the pose error and its integral:
+    v_ref - K_p e_p - K_i int(e_p), then w_ref - K_w vee(sk(R R_ref^T))."""
     p, R = pose
-    e_p = p - reference.position
-    linear = (reference.linear_velocity
-              - gains.foot_position_gain * e_p
-              - gains.foot_integral_gain * integral)
-    angular = (reference.angular_velocity
-               - gains.foot_rotation_gain * skew_vee_error(R, reference.rotation))
-    return np.concatenate([linear, angular]), e_p
+    kp, ki, kw = gains.foot_position_gain, gains.foot_integral_gain, gains.foot_rotation_gain
+    (px, py, pz), (rx, ry, rz) = p.tolist(), reference.position.tolist()
+    ex, ey, ez = px - rx, py - ry, pz - rz
+    (vx, vy, vz), (ix, iy, iz) = reference.linear_velocity.tolist(), integral.tolist()
+    (wx, wy, wz), (qx, qy, qz) = (reference.angular_velocity.tolist(),
+                                  skew_vee_error(R, reference.rotation).tolist())
+    return np.array([vx - kp * ex - ki * ix, vy - kp * ey - ki * iy, vz - kp * ez - ki * iz,
+                     wx - kw * qx, wy - kw * qy, wz - kw * qz]), np.array([ex, ey, ez])
 
 
 def com_velocity_star(com, com_ref_planar, com_velocity_cmd, gains, integral, z0):
-    """Starred 3D CoM velocity: planar tracking plus a height hold."""
-    e = com[:2] - np.asarray(com_ref_planar, dtype=float)
-    planar = (np.asarray(com_velocity_cmd, dtype=float)
-              - gains.com_position_gain * e
-              - gains.com_integral_gain * integral)
-    vertical = -gains.com_height_gain * (com[2] - z0)
-    return np.array([planar[0], planar[1], vertical]), e
+    """Starred 3D CoM velocity: planar tracking, v - K_p e - K_i int(e),
+    plus a height hold."""
+    kp, ki = gains.com_position_gain, gains.com_integral_gain
+    x, y, z = com.tolist()
+    rx, ry = np.asarray(com_ref_planar, dtype=float).tolist()
+    vx, vy = np.asarray(com_velocity_cmd, dtype=float).tolist()
+    ix, iy = integral.tolist()
+    ex, ey = x - rx, y - ry
+    return (np.array([vx - kp * ex - ki * ix, vy - kp * ey - ki * iy,
+                      -gains.com_height_gain * (z - z0)]), np.array([ex, ey]))
 
 
 def build_wholebody_qp(model, cache, v_torso_star, v_com_star, v_left_star,
                        v_right_star, sdot_star, gains):
     """Assemble the QP over nu = (base twist, joint velocities)."""
     nv = model.n_velocities
-    J_torso = cache.angular_jacobian(TORSO)
-    # Hard task rows [J_com; J_left_foot; J_right_foot].
-    A_eq = cache.task_jacobian((LEFT_FOOT, RIGHT_FOOT))
+    # Hard task rows [J_com; J_left_foot; J_right_foot], then the torso's
+    # linear and angular rows.
+    J = cache.task_jacobian((LEFT_FOOT, RIGHT_FOOT, TORSO))
+    A_eq, J_torso = J[:15], J[18:]
 
     K_T = gains.torso_weight
     H = J_torso.T @ K_T @ J_torso
@@ -166,10 +177,25 @@ def _check_task_ranks(stacked, blocks):
     The rows are full rank when every singular value is above 1e-10, the
     count `np.linalg.matrix_rank(stacked, tol=1e-10)` makes. More rows than
     columns give fewer singular values than rows, so never full row rank.
+
+    A Cholesky factorization of A A^T - delta I proves full rank first:
+    delta bounds the rounding of the Gram product and of the factorization
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 10.1),
+    so when it completes every singular value is above sqrt(1e-20). Only
+    when it fails does the SVD decide.
     """
-    if (stacked.shape[0] <= stacked.shape[1]
-            and np.linalg.svd(stacked, compute_uv=False).min() > 1e-10):
-        return
+    m, n = stacked.shape
+    if m <= n:
+        gram = stacked @ stacked.T
+        # trace(A A^T) is the sum of squares of A.
+        delta = 1e-20 + 2 * (m + n + 2) * 2.0**-53 * np.vdot(stacked, stacked)
+        gram.flat[::m + 1] -= delta
+        try:
+            np.linalg.cholesky(gram)
+            return
+        except np.linalg.LinAlgError:
+            if np.linalg.svd(stacked, compute_uv=False).min() > 1e-10:
+                return
     # Deficient: walk the blocks to name the first offender.
     rank = 0
     end = 0

@@ -8,12 +8,15 @@ each trace column except the wall-clock `cycle_time`.
 `test_fingerprint.py` compares the program against the checked-in fixture.
 Run as a script,
 
-    PYTHONPATH=src python tests/fingerprint.py [--write]
+    PYTHONPATH=src python tests/fingerprint.py [--write] [--fixture PATH]
 
 it prints each run's largest deviation from the fixture and exits 1 when
 any run deviates by more than ATOL (or differs in length, error or fields).
 Only with `--write`, which a change that moves behaviour on purpose uses,
-does it write the new fixture.
+does it write the new fixture. `--fixture PATH` reads or writes PATH in
+place of the checked-in fixture. To show that a change moves no trace,
+write the fingerprint of a checkout of the parent commit to a spare file,
+then compare the change against it: every deviation should read 0.
 """
 
 import argparse
@@ -49,8 +52,8 @@ def fingerprint(name):
     return out
 
 
-def load_fixture():
-    with np.load(FIXTURE) as data:
+def load_fixture(path=FIXTURE):
+    with np.load(path) as data:
         return {k: data[k] for k in data.files}
 
 
@@ -76,8 +79,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true",
                         help="write the new fingerprint to the fixture")
+    parser.add_argument("--fixture", type=Path, default=FIXTURE,
+                        help="the fixture file to compare with or write "
+                             "(default: the checked-in one)")
     args = parser.parse_args(argv)
-    old = load_fixture() if FIXTURE.exists() else {}
+    old = load_fixture(args.fixture) if args.fixture.exists() else {}
     new = {}
     worst = 0.0
     for name in RUNS:
@@ -90,9 +96,9 @@ def main(argv=None):
               f"max deviation {shown}")
         new.update(run)
     if args.write:
-        FIXTURE.parent.mkdir(exist_ok=True)
-        np.savez_compressed(FIXTURE, **new)
-        print(f"wrote {FIXTURE}")
+        args.fixture.parent.mkdir(parents=True, exist_ok=True)
+        np.savez_compressed(args.fixture, **new)
+        print(f"wrote {args.fixture}")
         return 0
     return 0 if worst <= ATOL else 1
 

@@ -377,3 +377,80 @@ def random_tree_doc(rng, max_joints=6):
     # Listed in any order: the model finds the order to walk the tree in.
     joints = [joints[i] for i in rng.permutation(n)]
     return {"base_link": "l0", "links": links, "joints": joints, "frames": frames}
+
+
+def phase_at_scan(timeline, t):
+    """The gait phase at time t by a scan from the first phase: the first
+    with t_start - 1e-12 <= t < t_end, else the last phase."""
+    for ph in timeline.phases:
+        if ph.t_start - 1e-12 <= t < ph.t_end:
+            return ph
+    return timeline.phases[-1]
+
+
+# The simplified and whole-body feedback laws as matrix and vector
+# expressions; the program evaluates them on Python floats.
+
+def zmp_com_law(x_meas, x_ref, xd_ref, r_meas, r_ref, k_zmp, k_com):
+    """xdot* = xdot_ref - K_zmp (r_ref - r) + K_com (x_ref - x)."""
+    x_meas, x_ref, xd_ref, r_meas, r_ref = (np.asarray(v, dtype=float)
+                                            for v in (x_meas, x_ref, xd_ref, r_meas, r_ref))
+    return xd_ref - np.asarray(k_zmp) @ (r_ref - r_meas) + np.asarray(k_com) @ (x_ref - x_meas)
+
+
+class PiDcmLaw:
+    """r = xi_ref - xid_ref / w + Kp e + Ki int(e), e = xi - xi_ref, the
+    integral by the trapezoid rule and clamped to norm `anti_windup`."""
+
+    def __init__(self, kp, ki, anti_windup, omega):
+        self.kp, self.ki = np.asarray(kp, dtype=float), np.asarray(ki, dtype=float)
+        self.anti_windup, self.omega = anti_windup, omega
+        self.integral = np.zeros(2)
+        self.prev = None
+
+    def control(self, xi_meas, xi_ref, xid_ref, dt):
+        e = np.asarray(xi_meas, dtype=float) - np.asarray(xi_ref, dtype=float)
+        prev = e if self.prev is None else self.prev
+        self.integral = self.integral + 0.5 * dt * (prev + e)
+        norm = np.linalg.norm(self.integral)
+        if norm > self.anti_windup:
+            self.integral = self.integral * (self.anti_windup / norm)
+        self.prev = e
+        return (np.asarray(xi_ref, dtype=float) - np.asarray(xid_ref, dtype=float) / self.omega
+                + self.kp @ e + self.ki @ self.integral)
+
+
+def foot_velocity_law(p, R, reference, gains, integral, skew_vee_error):
+    """[v_ref - K_p e_p - K_i int(e_p); w_ref - K_w vee(sk(R R_ref^T))] and e_p."""
+    e_p = p - reference.position
+    linear = (reference.linear_velocity - gains.foot_position_gain * e_p
+              - gains.foot_integral_gain * integral)
+    angular = (reference.angular_velocity
+               - gains.foot_rotation_gain * skew_vee_error(R, reference.rotation))
+    return np.concatenate([linear, angular]), e_p
+
+
+def com_velocity_law(com, com_ref, com_velocity_cmd, gains, integral, z0):
+    """[v - K_p e - K_i int(e); -K_z (z - z0)] with e the planar CoM error, and e."""
+    e = com[:2] - np.asarray(com_ref, dtype=float)
+    planar = (np.asarray(com_velocity_cmd, dtype=float) - gains.com_position_gain * e
+              - gains.com_integral_gain * integral)
+    return np.array([planar[0], planar[1], -gains.com_height_gain * (com[2] - z0)]), e
+
+
+def foot_reference_at(phase, t, side):
+    """(position, rotation, linear velocity, angular velocity) of a foot's
+    reference at time t, built afresh: the swing trajectory for the foot that
+    is not the stance foot of a single-support phase, else the planted step
+    on the ground."""
+    def yaw_rotation(yaw):
+        c, s = np.cos(yaw), np.sin(yaw)
+        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    if phase.swing is not None and phase.stance_side is not None \
+            and phase.stance_side is not side:
+        pos, yaw, vel, yaw_rate = phase.swing.pose(t)
+        return pos, yaw_rotation(yaw), vel, np.array([0.0, 0.0, yaw_rate])
+    step = phase.feet[side]
+    return (np.array([step.position[0], step.position[1], 0.0]), yaw_rotation(step.yaw),
+            np.zeros(3), np.zeros(3))

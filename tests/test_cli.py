@@ -96,7 +96,7 @@ class TestRun:
         assert "push time and impulse must be finite" in err["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("time", [-5.0, 30.0])
+    @pytest.mark.parametrize("time", [-5.0, 10.0, 30.0])
     def test_push_outside_run_exit_code(self, tmp_path, capsys, monkeypatch, time):
         def ran(*args, **kwargs):
             raise AssertionError("the run started")

@@ -13,7 +13,7 @@ from dcmwalk.control import (InstantaneousDcmController, InstantaneousGains,
                              SupportPolygon, ZmpComGains, gain_schedule,
                              minimum_jerk, zmp_com_control)
 from dcmwalk.lipm import PendulumParams, SimplifiedState, step_exact
-from oracles import brute_force_hull, mpc_kkt_oracle
+from oracles import PiDcmLaw, brute_force_hull, mpc_kkt_oracle, zmp_com_law
 
 
 def square(half=1.0, center=(0.0, 0.0)):
@@ -411,6 +411,65 @@ class TestZmpCom:
         gains[name] = np.nan * np.eye(2)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ZmpComGains(**gains).validate(4.3)
+
+
+def _gain(rng, diagonal, lo, hi):
+    """A 2 x 2 SPD gain with eigenvalues in [lo, hi]."""
+    if diagonal:
+        return np.diag(rng.uniform(lo, hi, 2))
+    Q = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+    M = Q @ np.diag(rng.uniform(lo, hi, 2)) @ Q.T
+    return 0.5 * (M + M.T)
+
+
+def _assert_law_matches(got, want, diagonal, scale):
+    """Bit-equal for diagonal gains, as the program's are. For general
+    gains BLAS may fuse a multiply and an add, so the float evaluation may
+    differ from the matrix one by the rounding of a term of size `scale`."""
+    if diagonal:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15 * scale)
+
+
+class TestFloatLaws:
+    """The PI and ZMP-CoM laws on floats against their matrix form in
+    `oracles`."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), diagonal=st.booleans())
+    def test_zmp_com_law(self, seed, diagonal):
+        rng = np.random.default_rng(seed)
+        k_zmp, k_com = _gain(rng, diagonal, 0.1, 4.0), _gain(rng, diagonal, 4.5, 9.0)
+        gains = ZmpComGains(k_zmp=k_zmp, k_com=k_com)
+        for _ in range(20):
+            args = rng.normal(scale=0.3, size=(5, 2))
+            _assert_law_matches(zmp_com_control(*args, gains),
+                                zmp_com_law(*args, k_zmp, k_com), diagonal,
+                                scale=20.0 * np.abs(args).max())
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), diagonal=st.booleans())
+    def test_pi_law(self, seed, diagonal):
+        # A DCM error biased by 0.3-1 m winds the integral up to the clamp
+        # within 20 cycles, so both branches of the anti-windup run.
+        rng = np.random.default_rng(seed)
+        kp, ki = _gain(rng, diagonal, 1.5, 6.0), _gain(rng, diagonal, 0.0, 2.0)
+        omega = rng.uniform(2.0, 6.0)
+        ctrl = InstantaneousDcmController(InstantaneousGains(kp=kp, ki=ki), omega)
+        oracle = PiDcmLaw(kp, ki, ctrl.gains.anti_windup, omega)
+        bias = rng.uniform(0.3, 1.0, 2) * rng.choice([-1.0, 1.0], 2)
+        clamped = 0
+        for _ in range(60):
+            xi_ref, xid_ref, noise = rng.normal(scale=0.3, size=(3, 2))
+            xi = xi_ref + bias + noise
+            got = ctrl.control(xi, xi_ref, xid_ref, 0.01)
+            want = oracle.control(xi, xi_ref, xid_ref, 0.01)
+            _assert_law_matches(ctrl.integral, oracle.integral, diagonal, scale=0.1)
+            _assert_law_matches(got, want, diagonal,
+                                scale=10.0 * np.abs([xi, xi_ref, xid_ref]).max())
+            clamped += np.linalg.norm(oracle.integral) >= ctrl.gains.anti_windup * (1 - 1e-12)
+        assert clamped
 
 
 class TestGainSchedule:

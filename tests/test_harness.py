@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from dcmwalk import harness, qp
 from dcmwalk.control import SupportPolygon
 from dcmwalk.dcm_planner import DcmTrajectory
-from dcmwalk.harness import (NoiseModel, PlanPolygons, Push, Scenario, build_gait,
-                             compare_architectures, fall_detector, foot_rectangle,
-                             metrics_from_traces, run_scenario, scenario_from_dict,
-                             support_polygon_at)
-from dcmwalk.unicycle import PhaseKind, PlanInfeasibleError, UnicycleConfig
+from dcmwalk.harness import (NoiseModel, PhaseReferences, PlanPolygons, Push, Scenario,
+                             build_gait, compare_architectures, fall_detector,
+                             foot_rectangle, metrics_from_traces, run_scenario,
+                             scenario_from_dict, support_polygon_at)
+from dcmwalk.so3 import rot_z
+from dcmwalk.unicycle import FootSide, PhaseKind, PlanInfeasibleError, UnicycleConfig
 from dcmwalk.wholebody import TaskGains, WholeBodyController
+from oracles import foot_reference_at
 
 
 def quiet(**kw):
@@ -142,6 +144,24 @@ class TestGaitAssembly:
             for name in ("vertices", "A", "b"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (t, name)
 
+    @pytest.mark.parametrize("v", [0.19, 0.49])
+    def test_phase_references_match_fresh_ones(self, v):
+        # Kept per phase, the planted feet and the torso; built per cycle,
+        # the swing foot: at every cycle the same values as built afresh.
+        scenario = Scenario(forward_velocity=v)
+        _, timeline = build_gait(scenario)
+        references = PhaseReferences(timeline)
+        for k in range(round(scenario.duration / scenario.dt)):
+            t = k * scenario.dt
+            phase = timeline.phase_at(t)
+            *feet, torso = references.at(phase, t)
+            for side, ref in zip((FootSide.LEFT, FootSide.RIGHT), feet):
+                got = (ref.position, ref.rotation, ref.linear_velocity, ref.angular_velocity)
+                for a, b in zip(got, foot_reference_at(phase, t, side)):
+                    assert np.array_equal(a, b), (t, side)
+            mean_yaw = 0.5 * (phase.feet[FootSide.LEFT].yaw + phase.feet[FootSide.RIGHT].yaw)
+            assert np.array_equal(torso, rot_z(mean_yaw)), t
+
 
 class TestPredictiveWithoutLp:
     @pytest.mark.parametrize("mode", ["position", "velocity"])
@@ -229,21 +249,36 @@ class TestSerialization:
         with pytest.raises(ValueError, match="push"):
             scenario_from_dict({"pushes": [[time, impulse]]})
 
-    @pytest.mark.parametrize("time", [-5.0, -1e-9, 10.0 + 1e-9, 30.0])
+    @pytest.mark.parametrize("time", [-5.0, -1e-9, 10.0, 10.0 + 1e-9, 30.0])
     def test_push_outside_run_rejected(self, time):
         # A push at t = -5 used to act at t = 0, and one at t = 30 in a 10 s
-        # run was dropped without a word.
+        # run was dropped without a word. The last step of a 10 s run at
+        # dt = 0.01 is at 9.99 s, so a push at 10 s never acts either.
         with pytest.raises(ValueError, match=r"push time .* is outside \[0, duration\]"):
             Scenario(duration=10.0, pushes=(Push(time=time, impulse=[0.1, 0.0]),))
         with pytest.raises(ValueError, match="outside"):
             scenario_from_dict({"duration": 10.0, "pushes": [[time, [0.1, 0.0]]]})
 
-    @pytest.mark.parametrize("time", [0.0, 10.0])
+    @pytest.mark.parametrize("time", [0.0, 999 * 0.01])
     def test_push_at_run_endpoints_accepted(self, time):
+        # The first and the last step of the run.
         push = Push(time=time, impulse=[0.1, 0.0])
         assert Scenario(duration=10.0, pushes=(push,)).pushes == (push,)
         assert scenario_from_dict(
             {"duration": 10.0, "pushes": [[time, [0.1, 0.0]]]}).pushes == (push,)
+
+    def test_push_at_last_step_acts(self):
+        # The run's last step is at (K - 1) dt; the push lands before the
+        # pendulum steps, so the last recorded DCM moves.
+        scenario = Scenario(forward_velocity=0.19, duration=1.0, noise=NoiseModel.none())
+        last = 99 * scenario.dt
+        pushed = run_scenario(dataclasses.replace(
+            scenario, pushes=(Push(time=last, impulse=[0.3, 0.0]),)))
+        plain = run_scenario(scenario)
+        assert len(pushed.traces["t"]) == len(plain.traces["t"]) == 100
+        assert pushed.traces["t"][-1] == last
+        assert np.array_equal(pushed.traces["xi_plant"][:-1], plain.traces["xi_plant"][:-1])
+        assert not np.array_equal(pushed.traces["xi_plant"][-1], plain.traces["xi_plant"][-1])
 
     def test_scenario_from_dict_unknown_key(self):
         with pytest.raises(ValueError, match="unknown scenario keys"):
@@ -456,8 +491,9 @@ SCENARIO_DOCS = st.fixed_dictionaries({}, optional={
     "duration": floats(0.5, 20.0), "dcm_kp": floats(1.1, 5.0),
     "mpc_horizon": st.integers(1, 30), "fall_margin": floats(0.0, 1.0),
     "noise": NOISE_DOCS, "pushes": PUSH_DOCS, "unicycle": UNICYCLE_DOCS,
-    "task_gains": TASK_GAIN_DOCS}).filter(   # a valid push lies in [0, duration]
-        lambda doc: all(p[0] <= doc.get("duration", Scenario.duration)
+    "task_gains": TASK_GAIN_DOCS}).filter(   # a valid push lies in [0, last step]
+        lambda doc: all(p[0] <= (round(doc.get("duration", Scenario.duration) / Scenario.dt)
+                                 - 1) * Scenario.dt + 1e-12
                         for p in doc.get("pushes", ())))
 
 

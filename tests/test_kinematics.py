@@ -148,12 +148,12 @@ class TestJacobians:
         for _ in range(20):
             state = random_state(model, rng, scale=0.8)
             cache = KinematicsCache(model, state)
-            A_eq = cache.task_jacobian(("left_foot", "right_foot"))
+            J = cache.task_jacobian(("left_foot", "right_foot", "torso"))
             ref = np.vstack([com_jacobian_loop(model, state),
                              frame_jacobian_loop(model, state, "left_foot"),
                              frame_jacobian_loop(model, state, "right_foot")])
-            assert np.abs(A_eq - ref).max() < 1e-14
-            assert np.abs(cache.angular_jacobian("torso")
+            assert np.abs(J[:15] - ref).max() < 1e-14
+            assert np.abs(J[18:]
                           - frame_jacobian_loop(model, state, "torso")[3:6]).max() < 1e-14
 
 
@@ -187,11 +187,15 @@ class TestRandomTrees:
         assert J.shape == (3 + 6 * len(frames), model.n_velocities)
         assert np.abs(J - fd_task_jacobian(model, state, frames)).max() < 1e-7
         assert np.array_equal(cache.com_jacobian(), J[:3])
+        # A frame's rows do not depend on where it sits in the stack: the
+        # frame points come from one batched product.
+        J_reversed = cache.task_jacobian(frames[::-1])
         ref = [com_jacobian_loop(model, state)]
         for k, frame in enumerate(frames):
             rows = J[3 + 6 * k:9 + 6 * k]
             assert np.array_equal(cache.frame_jacobian(frame), rows)
-            assert np.array_equal(cache.angular_jacobian(frame), rows[3:])
+            k_rev = len(frames) - 1 - k
+            assert np.array_equal(J_reversed[3 + 6 * k_rev:9 + 6 * k_rev], rows)
             ref.append(frame_jacobian_loop(model, state, frame))
         assert np.abs(J - np.vstack(ref)).max() < 1e-12
 

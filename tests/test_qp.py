@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from dcmwalk import kinematics, wholebody
 from dcmwalk import qp as qp_module
-from dcmwalk import wholebody
 from dcmwalk.control import MpcConfig, PredictiveDcmController, SupportPolygon
 from dcmwalk.harness import NoiseModel, Scenario, run_scenario
 from dcmwalk.kinematics import sample_biped
@@ -481,15 +481,17 @@ def test_random_cold_solves_match_oracle(with_eq):
 @pytest.mark.parametrize("mode", ["position", "velocity"])
 def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
     # Every cycle of a steady walk ends its QP after one iteration, and does
-    # one tree pass, one SVD (the rank test) and one dense solve (the KKT
-    # system): a second factorization per cycle fails here.
+    # one tree pass, one task Jacobian (hard tasks and torso together), one
+    # Cholesky (the rank certificate, with no SVD after it) and one dense
+    # solve (the KKT system): a second factorization per cycle fails here.
     cycle = WholeBodyController.cycle
     iterations = []
     per_cycle = []
     running = []   # the counts of the cycle in progress, if any
+    names = ("KinematicsCache", "task_jacobian", "cholesky", "svd", "solve", "matrix_rank")
 
     def counted(self, refs, measured_state):
-        running.append(dict.fromkeys(("KinematicsCache", "svd", "solve", "matrix_rank"), 0))
+        running.append(dict.fromkeys(names, 0))
         try:
             command, diag = cycle(self, refs, measured_state)
         finally:
@@ -507,7 +509,9 @@ def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
     monkeypatch.setattr(WholeBodyController, "cycle", counted)
     monkeypatch.setattr(wholebody, "KinematicsCache",
                         counting("KinematicsCache", wholebody.KinematicsCache))
-    for name in ("svd", "solve", "matrix_rank"):
+    monkeypatch.setattr(kinematics.KinematicsCache, "task_jacobian", counting(
+        "task_jacobian", kinematics.KinematicsCache.task_jacobian))
+    for name in ("cholesky", "svd", "solve", "matrix_rank"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     result = run_scenario(Scenario(controller="instantaneous", mode=mode,
                                    forward_velocity=0.19, duration=3.0, noise=NoiseModel()))
@@ -516,7 +520,65 @@ def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
     assert len(iterations) == len(result.traces["t"]) == 300
     assert set(iterations) == {1}
     work = {tuple(sorted(counts.items())) for counts in per_cycle}
-    assert work == {(("KinematicsCache", 1), ("matrix_rank", 0), ("solve", 1), ("svd", 1))}
+    assert work == {(("KinematicsCache", 1), ("cholesky", 1), ("matrix_rank", 0),
+                     ("solve", 1), ("svd", 0), ("task_jacobian", 1))}
+
+
+def _frozen_copy(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def test_frozen_asymmetric_H_rejected_on_first_use():
+    H = _frozen_copy([[2.0, 1.0], [0.0, 2.0]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="symmetric"):
+            QpProblem(H=H, g=np.zeros(2))
+
+
+def test_frozen_H_tested_once(monkeypatch):
+    # The MPC builds every sample's problem around one read-only H. Each
+    # finiteness test of H is one `np.vdot(H, H)`, each symmetry test one
+    # `np.count_nonzero(H - H^T)`.
+    H = _frozen_copy(np.eye(3) + 0.5)
+    tests = []
+    vdot, count_nonzero = np.vdot, np.count_nonzero
+    monkeypatch.setattr(np, "vdot", lambda a, b: (
+        tests.append("finite") if a.shape == (3, 3) else None) or vdot(a, b))
+    monkeypatch.setattr(np, "count_nonzero", lambda a: tests.append("symmetric")
+                        or count_nonzero(a))
+    for _ in range(3):
+        QpProblem(H=H, g=np.ones(3))
+    assert tests == ["finite", "symmetric"]
+    # A writeable H, or a different one, is tested on every construction.
+    for _ in range(2):
+        QpProblem(H=np.eye(3), g=np.ones(3))
+    QpProblem(H=_frozen_copy(np.eye(3)), g=np.ones(3))
+    assert tests == ["finite", "symmetric"] * 4
+
+
+def test_writeable_H_made_asymmetric_in_place_rejected():
+    H = np.eye(2)
+    QpProblem(H=H, g=np.zeros(2))
+    H[0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        QpProblem(H=H, g=np.zeros(2))
+    # Nor does a read-only H that passed escape the test once made
+    # writeable and changed, or a read-only view changed through its base.
+    H = _frozen_copy(np.eye(2))
+    QpProblem(H=H, g=np.zeros(2))
+    H.setflags(write=True)
+    H[0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        QpProblem(H=H, g=np.zeros(2))
+    base = np.eye(2)
+    view = base[:]
+    view.setflags(write=False)
+    QpProblem(H=view, g=np.zeros(2))
+    base[0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        QpProblem(H=view, g=np.zeros(2))
 
 
 def test_finite_entries_whose_squares_overflow_accepted():

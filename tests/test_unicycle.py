@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcmwalk.unicycle import (Footstep, FootSide, GaitPhase, PhaseKind,
+from dcmwalk.harness import Scenario, build_gait
+from dcmwalk.unicycle import (Footstep, FootSide, GaitPhase, GaitTimeline, PhaseKind,
                               PlanInfeasibleError, UnicycleConfig, _hermite_coeffs,
                               _hermite_eval, parse_plan, plan_footsteps, serialize_plan,
                               swing_trajectory, timeline_from_footsteps)
+from oracles import phase_at_scan
 
 
 def make_feet(spacing=0.14):
@@ -267,3 +269,41 @@ class TestTimeline:
             mid = 0.5 * (ph.t_start + ph.t_end)
             assert tl.phase_at(mid) is ph
         assert tl.phase_at(tl.horizon + 5.0) is tl.phases[-1]
+
+
+class TestPhaseAt:
+    """`GaitTimeline.phase_at` bisects; the linear scan it replaced is the
+    oracle, with its 1e-12 start slack and its last-phase fallback."""
+
+    @staticmethod
+    def probe_times(tl):
+        times = [-1.0, -1e-9, tl.horizon, tl.horizon + 1e-9, tl.horizon + 1.0]
+        for ph in tl.phases:
+            for edge in (ph.t_start, ph.t_end):
+                times += [edge + d for d in (-2e-12, -1e-12, 0.0, 1e-12, 2e-12)]
+        return times
+
+    @pytest.mark.parametrize("v", [0.19, 0.49])
+    def test_matches_scan_on_walk_timelines(self, v):
+        scenario = Scenario(forward_velocity=v)
+        _, tl = build_gait(scenario)
+        cycles = [k * scenario.dt for k in range(round(scenario.duration / scenario.dt))]
+        for t in cycles + self.probe_times(tl):
+            assert tl.phase_at(t) is phase_at_scan(tl, t), t
+
+    @settings(max_examples=100, deadline=None)
+    @given(durations=st.lists(st.sampled_from([0.0, 1e-12, 0.1, 0.35]), min_size=1,
+                              max_size=8),
+           jitter=st.lists(st.sampled_from([-2e-12, -1e-12, 0.0, 1e-12]), min_size=16,
+                           max_size=16))
+    def test_matches_scan_with_jittered_boundaries(self, durations, jitter):
+        # Boundaries that miss by up to 2e-12 and phases of zero length, so
+        # that the ends need not be sorted; the scan does not care.
+        phases, t = [], 0.0
+        for i, d in enumerate(durations):
+            phases.append(GaitPhase(PhaseKind.DOUBLE_SUPPORT, t + jitter[2 * i],
+                                    t + d + jitter[2 * i + 1], stance_zmp=np.zeros(2)))
+            t += d
+        tl = GaitTimeline(phases=tuple(phases), footsteps=())
+        for t in self.probe_times(tl):
+            assert tl.phase_at(t) is phase_at_scan(tl, t), t

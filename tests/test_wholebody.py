@@ -3,14 +3,19 @@ fails: rank-deficient hard tasks raise an error that names the task."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcmwalk.harness import Scenario, run_scenario
 from dcmwalk.kinematics import (KinematicsCache, RobotState, home_state, load_model,
                                 sample_biped)
-from dcmwalk.so3 import rot_z
+from dcmwalk.lipm import skew_vee_error
+from dcmwalk.so3 import exp_so3, rot_z
 from dcmwalk.wholebody import (ControlMode, FootReference, RankDeficientTasksError,
                                TaskGains, WholeBodyController, WholeBodyReferences,
-                               _check_task_ranks, build_wholebody_qp)
+                               _check_task_ranks, build_wholebody_qp,
+                               com_velocity_star, feet_velocity_star)
+from oracles import com_velocity_law, foot_velocity_law
 
 
 def consistent_refs(model, state, com_velocity=None, posture=None):
@@ -213,6 +218,23 @@ class TestRankThreshold:
             _check_task_ranks(stacked, self.BLOCKS)
         assert info.value.task == block
 
+    @settings(max_examples=300, deadline=None)
+    @given(log_sigma_min=st.floats(-13.0, -1.0), log_scale=st.floats(-2.0, 2.0),
+           block=st.sampled_from(["com", "left_foot", "right_foot"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_raises_iff_smallest_singular_value_at_most_threshold(
+            self, log_sigma_min, log_scale, block, seed):
+        # The Cholesky certificate may only shortcut a stack the SVD would
+        # pass: the verdict is the SVD's at every sigma_min and norm.
+        stacked = 10.0**log_scale * self.stack(10.0**(log_sigma_min - log_scale), block,
+                                               seed=seed)
+        deficient = np.linalg.svd(stacked, compute_uv=False).min() <= 1e-10
+        if deficient:
+            with pytest.raises(RankDeficientTasksError):
+                _check_task_ranks(stacked, self.BLOCKS)
+        else:
+            _check_task_ranks(stacked, self.BLOCKS)
+
     def test_more_rows_than_columns_is_deficient(self):
         # Fifteen rows over 7 velocities: the SVD has only 7 singular values,
         # all large here, and the rows still cannot be independent.
@@ -221,6 +243,33 @@ class TestRankThreshold:
         assert np.linalg.svd(stacked, compute_uv=False).min() > 1e-3
         with pytest.raises(RankDeficientTasksError):
             _check_task_ranks(stacked, self.BLOCKS)
+
+
+class TestStarredVelocities:
+    """The starred foot and CoM velocity laws on floats against their
+    vector form in `oracles`: the same IEEE operations, so bit-equal."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_match_vector_form(self, seed):
+        rng = np.random.default_rng(seed)
+        gains = TaskGains(**{name: float(rng.uniform(0.1, 12.0)) for name in (
+            "foot_position_gain", "foot_integral_gain", "foot_rotation_gain",
+            "com_position_gain", "com_integral_gain", "com_height_gain")})
+        for _ in range(10):
+            p, ref_p, v, w, integral = rng.normal(scale=0.3, size=(5, 3))
+            R, R_ref = exp_so3(rng.normal(size=3)), exp_so3(rng.normal(size=3))
+            ref = FootReference(position=ref_p, rotation=R_ref, linear_velocity=v,
+                                angular_velocity=w)
+            got = feet_velocity_star((p, R), ref, gains, integral)
+            want = foot_velocity_law(p, R, ref, gains, integral, skew_vee_error)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+            com, (ref_xy, cmd, integral_xy) = rng.normal(size=3), rng.normal(size=(3, 2))
+            z0 = float(rng.uniform(0.2, 0.6))
+            got = com_velocity_star(com, ref_xy, cmd, gains, integral_xy, z0)
+            want = com_velocity_law(com, ref_xy, cmd, gains, integral_xy, z0)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestTaskGains:
