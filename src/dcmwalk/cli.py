@@ -20,6 +20,7 @@ import yaml
 
 from .harness import (compare_architectures, dump_comparison, run_scenario,
                       scenario_from_dict)
+from .kinematics import YAML_LOADER
 from .unicycle import PlanInfeasibleError
 
 EXIT_OK = 0
@@ -39,7 +40,7 @@ def _load_scenario(path):
     if path is None:
         return scenario_from_dict({})
     with open(path) as f:
-        return scenario_from_dict(yaml.safe_load(f) or {})
+        return scenario_from_dict(yaml.load(f, Loader=YAML_LOADER) or {})
 
 
 def _cmd_run(args):

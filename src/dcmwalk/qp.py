@@ -65,7 +65,6 @@ class QpProblem:
     b_in: np.ndarray = None
     lb: np.ndarray = None
     ub: np.ndarray = None
-    _passed_H = None   # the last read-only H that passed; not a field
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -89,20 +88,16 @@ class QpProblem:
         # one BLAS call: a finite sum of squares proves every entry finite
         # (NaN and inf propagate). Only a sum that is not, which finite
         # entries give when it overflows, is followed by the entrywise scan.
-        # A read-only H that passed last time is not tested again: the MPC
-        # builds every sample's problem around one.
-        passed = H is QpProblem._passed_H and not H.flags.writeable
+        # Measured alone, the scan by itself read +1.6% steady-pi control_ref.p5.
         for name, a in arrays.items():
-            if a.size and not (passed and a is H) \
-                    and not math.isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
+            if a.size and not math.isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
                 raise ValueError(f"{name} has non-finite entries")
         # Infinity norms (largest absolute row sums) of H - H^T and of H; an
         # exactly symmetric H, as both callers build, needs neither.
-        if not passed:
-            D = H - H.T
-            if np.count_nonzero(D) and (np.abs(D).sum(axis=1).max()
-                                        > 1e-9 * max(1.0, np.abs(H).sum(axis=1).max())):
-                raise ValueError("H must be symmetric")
+        D = H - H.T
+        if np.count_nonzero(D) and (np.abs(D).sum(axis=1).max()
+                                    > 1e-9 * max(1.0, np.abs(H).sum(axis=1).max())):
+            raise ValueError("H must be symmetric")
         for name, fill in (("lb", -np.inf), ("ub", np.inf)):
             value = getattr(self, name)
             bound = np.full(n, fill) if value is None else np.asarray(value, dtype=float)
@@ -112,8 +107,6 @@ class QpProblem:
             arrays[name] = bound
         for name, a in arrays.items():
             object.__setattr__(self, name, a)
-        if _frozen(H):
-            QpProblem._passed_H = H
 
     @property
     def n(self):

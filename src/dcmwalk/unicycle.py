@@ -5,13 +5,10 @@ integrated at a fixed sampling step and candidate impact times are scanned
 greedily, taking the earliest sample that satisfies every step bound.
 """
 
-import bisect
 import io
-import itertools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -293,22 +290,12 @@ class GaitTimeline:
     def horizon(self):
         return self.phases[-1].t_end
 
-    @cached_property
-    def _ends(self):
-        """Running maximum of the phase ends, a sorted list to bisect."""
-        return list(itertools.accumulate((ph.t_end for ph in self.phases), max))
-
     def phase_at(self, t):
-        """The first phase with t_start - 1e-12 <= t < t_end, else the last.
-
-        Every phase before the first running end above t ends at or before
-        t, so the scan may start there.
-        """
-        phases = self.phases
-        for i in range(bisect.bisect_right(self._ends, t), len(phases)):
-            if phases[i].t_start - 1e-12 <= t < phases[i].t_end:
-                return phases[i]
-        return phases[-1]
+        """The first phase with t_start - 1e-12 <= t < t_end, else the last."""
+        for ph in self.phases:
+            if ph.t_start - 1e-12 <= t < ph.t_end:
+                return ph
+        return self.phases[-1]
 
     def step_sequence(self):
         """(zmp_refs, durations) consumed by the DCM planner.

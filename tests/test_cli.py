@@ -115,6 +115,15 @@ class TestRun:
         assert code == EXIT_CONFIG
         capsys.readouterr()
 
+    def test_malformed_yaml_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("a: [1, 2\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["category"] == "config" and err["message"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweep:
     def test_writes_rows(self, tmp_path, capsys):

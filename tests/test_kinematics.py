@@ -1,13 +1,16 @@
 """Floating-base kinematics: FK, Jacobians, CoM, integration, model loading."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcmwalk.kinematics import (KinematicsCache, RobotState, UnknownFrameError,
-                                home_state, integrate_state, load_model,
-                                sample_biped)
+from dcmwalk.kinematics import (YAML_LOADER, KinematicsCache, RobotState,
+                                UnknownFrameError, home_state, integrate_state,
+                                load_model, sample_biped)
 from dcmwalk.so3 import exp_so3, vee
 from oracles import (com_jacobian_loop, com_oracle, fd_task_jacobian, fk_chain_oracle,
                      frame_jacobian_loop, random_tree_doc)
@@ -329,6 +332,40 @@ class TestLoadModel:
         doc["joints"][0]["type"] = "spherical"
         with pytest.raises(ValueError):
             load_model(doc)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("links", "mass", np.nan),
+        ("links", "mass", -0.5),
+        ("links", "com", [0.0, np.nan, 0.0]),
+        ("joints", "velocity_limit", np.nan),
+        ("joints", "velocity_limit", -1.0),
+        ("joints", "limits", [1.0, -1.0]),
+        ("joints", "limits", [np.nan, 1.0]),
+        ("joints", "limits", [-1.0, np.nan]),
+        ("joints", "origin_xyz", [np.nan, 0.0, 0.0]),
+        ("joints", "origin_rpy", [0.0, 0.0, np.inf]),
+        ("joints", "axis", [0.0, 0.0, np.nan]),
+        ("frames", "xyz", [np.nan, 0.0, 0.0]),
+        ("frames", "rpy", [0.0, np.nan, 0.0]),
+    ])
+    def test_bad_number_rejected(self, section, key, value):
+        doc = self.doc()
+        doc["frames"] = {"tip": {"link": "arm"}}
+        owner, entry = {"links": ("link arm", 1), "joints": ("joint j1", 0),
+                        "frames": ("frame on link arm", "tip")}[section]
+        doc[section][entry][key] = value
+        with pytest.raises(ValueError, match=f"{owner}: {key}"):
+            load_model(doc)
+
+    def test_infinite_velocity_limit_is_no_bound(self):
+        doc = self.doc()
+        doc["joints"][0]["velocity_limit"] = np.inf
+        model = load_model(doc)
+        assert model.nu_lower[6] == -np.inf and model.nu_upper[6] == np.inf
+
+    def test_loader_parses_packaged_model_as_pure_python_does(self):
+        text = resources.files("dcmwalk").joinpath("models/sample_biped.yaml").read_text()
+        assert yaml.load(text, Loader=YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
 
     def test_sample_biped_shape(self):
         model = sample_biped()

@@ -272,8 +272,8 @@ class TestTimeline:
 
 
 class TestPhaseAt:
-    """`GaitTimeline.phase_at` bisects; the linear scan it replaced is the
-    oracle, with its 1e-12 start slack and its last-phase fallback."""
+    """`GaitTimeline.phase_at` against an independent scan as the oracle,
+    with its 1e-12 start slack and its last-phase fallback."""
 
     @staticmethod
     def probe_times(tl):
