@@ -11,11 +11,10 @@ from .harness import (NoiseModel, Push, RunResult, Scenario,
 from .kinematics import (KinematicModel, KinematicsCache, RobotState,
                          home_state, integrate_state, load_model, sample_biped)
 from .lipm import PendulumParams, SimplifiedState, dcm_from_com, step_exact
-from .qp import QpProblem, QpSolution, QpSolver, QpStatus, kkt_residuals, solve
+from .qp import QpProblem, QpSolution, QpSolver, QpStatus, kkt_residuals
 from .unicycle import (Footstep, FootSide, GaitTimeline, PlanInfeasibleError,
-                       SwingTrajectory, UnicycleConfig, parse_plan,
-                       plan_footsteps, serialize_plan, swing_trajectory,
-                       timeline_from_footsteps)
+                       SwingTrajectory, UnicycleConfig, plan_footsteps,
+                       swing_trajectory, timeline_from_footsteps)
 from .wholebody import (TaskGains, WholeBodyController, WholeBodyReferences,
                         build_wholebody_qp)
 

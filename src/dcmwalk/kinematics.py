@@ -158,12 +158,17 @@ class KinematicModel:
                 raise ValueError(f"frame {name}: unknown link {fd.link!r}")
             self._frame_table[name] = (link_index[fd.link], fd)
         self._frame_stacks = {}   # frame tuple -> `_frame_stack`
-        # Box bounds on nu: free base twist, joint velocity limits.
+        # Joint-rate limits as read-only rows rate_rows @ nu <= rate_rhs, with
+        # a zero base block: +e_j for each finite upper limit, then -e_j for
+        # each finite lower one. An infinite limit gives no row.
         lo, hi = self.velocity_limits()
-        self.nu_lower = np.concatenate([np.full(6, -np.inf), lo])
-        self.nu_upper = np.concatenate([np.full(6, np.inf), hi])
-        self.nu_lower.setflags(write=False)
-        self.nu_upper.setflags(write=False)
+        upper, lower = np.flatnonzero(np.isfinite(hi)), np.flatnonzero(np.isfinite(lo))
+        self.rate_rows = np.zeros((upper.size + lower.size, 6 + n))
+        self.rate_rows[np.arange(upper.size), 6 + upper] = 1.0
+        self.rate_rows[upper.size + np.arange(lower.size), 6 + lower] = -1.0
+        self.rate_rhs = np.concatenate([hi[upper], -lo[lower]])
+        self.rate_rows.setflags(write=False)
+        self.rate_rhs.setflags(write=False)
 
     def _validate_tree(self):
         """Check the joints form a tree over the links; returns the joints in

@@ -4,20 +4,19 @@ Solves
     min 1/2 w^T H w + g^T w
     s.t. A_eq w == b_eq
          A_in w <= b_in
-         lb <= w <= ub
 
 Problem sizes here are tiny (tens of variables), so everything is dense.
 `QpProblem` checks its fields once and fills in absent ones, so the solver
-sees one form. It stacks every inequality, general rows and finite bounds
-alike, into one row block G w <= h. The caller may pass a feasible start
-point. Without one (or when it is not feasible) the solver first solves one
-KKT system for the minimizer under the equalities alone, the first step of
-an active-set method from an empty working set; when that point breaks no
-inequality it is the optimum and is returned after one iteration. Otherwise
-the loop starts from least squares on the equalities, and from a Phase-1 LP
-only when that point breaks an inequality. The LP is scipy's HiGHS
-`linprog`; `scipy.optimize` is imported on the first Phase-1 solve, so
-importing this module loads no scipy.
+sees one form. Its inequalities are one row block G w <= h, A_in and b_in
+as given; a box bound is a row like any other (+e_j w <= u_j). The caller
+may pass a feasible start point. Without one (or when it is not feasible)
+the solver first solves one KKT system for the minimizer under the
+equalities alone, the first step of an active-set method from an empty
+working set; when that point breaks no inequality it is the optimum and is
+returned after one iteration. Otherwise the loop starts from least squares
+on the equalities, and from a Phase-1 LP only when that point breaks an
+inequality. The LP is scipy's HiGHS `linprog`; `scipy.optimize` is imported
+on the first Phase-1 solve, so importing this module loads no scipy.
 
 The loop takes each step by block elimination (the Schur-complement method,
 Nocedal & Wright, Numerical Optimization, sec. 16.2). The fixed block
@@ -51,10 +50,10 @@ class QpStatus(Enum):
 @dataclass(frozen=True)
 class QpProblem:
     """The problem above. Construction checks every field and stores it as a
-    float array: an absent block becomes (0, n) with a (0,) right-hand side,
-    an absent bound -inf or +inf. A float64 array of the right shape is kept
-    as the same object, since the solver knows read-only bounds by identity.
-    Bounds may be infinite but not NaN; every other entry must be finite.
+    float array: an absent block becomes (0, n) with a (0,) right-hand side.
+    A float64 array of the right shape is kept as the same object, since the
+    solver knows read-only `H` and `A_eq` by identity. Every entry must be
+    finite.
     """
 
     H: np.ndarray
@@ -63,8 +62,6 @@ class QpProblem:
     b_eq: np.ndarray = None
     A_in: np.ndarray = None
     b_in: np.ndarray = None
-    lb: np.ndarray = None
-    ub: np.ndarray = None
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -98,13 +95,6 @@ class QpProblem:
         if np.count_nonzero(D) and (np.abs(D).sum(axis=1).max()
                                     > 1e-9 * max(1.0, np.abs(H).sum(axis=1).max())):
             raise ValueError("H must be symmetric")
-        for name, fill in (("lb", -np.inf), ("ub", np.inf)):
-            value = getattr(self, name)
-            bound = np.full(n, fill) if value is None else np.asarray(value, dtype=float)
-            # A sum of squares is NaN exactly when an entry is: inf^2 is inf.
-            if bound.shape != (n,) or math.isnan(np.vdot(bound, bound)):
-                raise ValueError(f"{name} must have shape ({n},) and no NaN entries")
-            arrays[name] = bound
         for name, a in arrays.items():
             object.__setattr__(self, name, a)
 
@@ -120,8 +110,6 @@ class QpSolution:
     iterations: int
     dual_eq: np.ndarray
     dual_in: np.ndarray
-    dual_lb: np.ndarray
-    dual_ub: np.ndarray
     active_set: tuple = ()
     problem: QpProblem = field(default=None, repr=False, compare=False)
     infeasibility: float = None  # largest row violation at w = 0, when infeasible
@@ -138,47 +126,41 @@ class QpSolution:
 class QpSolver:
     """Primal active-set solver.
 
-    A solver keeps the rows (G, h) of its last bound-only problem (no
-    inequality rows in `A_in`) and reuses them while `lb` and `ub` are the
-    same read-only arrays, as a model's joint-rate bounds are on every
-    whole-body cycle. Likewise it keeps the inverse of K0 = [H A_eq^T; A_eq 0]
-    while `H` and `A_eq` are the same read-only arrays, as an MPC
-    controller's are on every sample.
+    A solver keeps the inverse of K0 = [H A_eq^T; A_eq 0] while `H` and
+    `A_eq` are the same read-only arrays, as an MPC controller's are on
+    every sample.
     """
 
     def __init__(self, tol=DEFAULT_TOL, max_iter=200):
         self.tol = tol
         self.max_iter = max_iter
-        self._bounds = None   # (lb, ub, their _inequality_rows)
-        self._kkt = None      # (H, A_eq, their _kkt_columns)
+        self._kkt = None   # (H, A_eq, their _kkt_columns)
 
     def solve(self, problem, start=None):
         """Solve `problem`; `start` is an optional feasible start point."""
         H, g, A_eq, b_eq = problem.H, problem.g, problem.A_eq, problem.b_eq
-        n, m_eq = problem.n, A_eq.shape[0]
-        rows = self._inequality_rows(problem)
-        G, h = rows[:2]
-        m = h.shape[0]
+        G, h = problem.A_in, problem.b_in
+        n, m_eq, m = problem.n, A_eq.shape[0], h.shape[0]
 
         w = None
         if start is not None:
             w0 = np.asarray(start, dtype=float).reshape(-1)
-            if w0.shape == (n,) and self._feasible(w0, problem, G, h):
+            if w0.shape == (n,) and self._feasible(w0, problem):
                 w = w0
         if w is None:
             # The minimizer under the equalities alone is the first step from
             # an empty working set; if it breaks no row it is the optimum.
             w, lam_eq = self._kkt_solve(H, A_eq, -g, b_eq)
-            if w is not None and self._feasible(w, problem, G, h):
-                return self._solution(problem, rows, w, QpStatus.OPTIMAL, 1,
+            if w is not None and self._feasible(w, problem):
+                return self._solution(problem, w, QpStatus.OPTIMAL, 1,
                                       lam_eq, np.zeros(m), ())
-            w = self._cold_start(problem, G, h)
+            w = self._cold_start(problem)
             if w is None:
-                return self._infeasible(problem, rows)
+                return self._infeasible(problem)
 
         K_cols = self._kkt_columns(problem)
         if K_cols is None:
-            return self._infeasible(problem, rows)
+            return self._infeasible(problem)
         working = set()
         lam_eq = np.zeros(m_eq)
         mu = np.zeros(m)
@@ -192,7 +174,7 @@ class QpSolver:
                 if idx:
                     working.discard(idx[-1])
                     continue
-                return self._infeasible(problem, rows)
+                return self._infeasible(problem)
             if np.abs(p).max() <= self.tol * max(1.0, np.abs(w).max()):
                 lam_eq = duals[:m_eq]
                 mu = np.zeros(m)
@@ -203,25 +185,13 @@ class QpSolver:
                     worst = idx[int(np.argmin(mu_w))]
                     working.discard(worst)
                     continue
-                return self._solution(problem, rows, w, QpStatus.OPTIMAL, it,
+                return self._solution(problem, w, QpStatus.OPTIMAL, it,
                                       lam_eq, mu, working)
             alpha, blocking = _ratio_test(G @ p, h - G @ w, working)
             w = w + alpha * p
             if blocking is not None:
                 working.add(blocking)
-        return self._solution(problem, rows, w, QpStatus.MAX_ITER, it, lam_eq, mu, working)
-
-    def _inequality_rows(self, problem):
-        """`_inequality_rows(problem)`, cached for read-only bounds."""
-        lb, ub = problem.lb, problem.ub
-        bound_only = problem.A_in.shape[0] == 0
-        if bound_only and self._bounds is not None \
-                and self._bounds[0] is lb and self._bounds[1] is ub:
-            return self._bounds[2]
-        rows = _inequality_rows(problem)
-        if bound_only and _frozen(lb, ub):
-            self._bounds = (lb, ub, rows)
-        return rows
+        return self._solution(problem, w, QpStatus.MAX_ITER, it, lam_eq, mu, working)
 
     def _kkt_columns(self, problem):
         """The first n columns of K0^-1, where K0 = [H A_eq^T; A_eq 0], or
@@ -262,16 +232,9 @@ class QpSolver:
         return z[:n], np.concatenate([z[n:], mu])
 
     @staticmethod
-    def _solution(problem, rows, w, status, iterations, lam_eq, mu, working):
-        """The solution with row duals `mu` split by the kind of each row."""
-        _, _, upper, lower = rows
-        m_in = problem.A_in.shape[0]
-        dual_lb, dual_ub = np.zeros(problem.n), np.zeros(problem.n)
-        dual_ub[upper] = mu[m_in:m_in + upper.size]
-        dual_lb[lower] = mu[m_in + upper.size:]
+    def _solution(problem, w, status, iterations, lam_eq, mu, working):
         return QpSolution(w=w.copy(), status=status, iterations=iterations,
-                          dual_eq=lam_eq, dual_in=mu[:m_in].copy(), dual_lb=dual_lb,
-                          dual_ub=dual_ub, active_set=tuple(sorted(working)),
+                          dual_eq=lam_eq, dual_in=mu, active_set=tuple(sorted(working)),
                           problem=problem)
 
     @staticmethod
@@ -287,37 +250,38 @@ class QpSolver:
             return None, None
         return sol[:n], sol[n:]
 
-    def _cold_start(self, problem, G, h):
+    def _cold_start(self, problem):
         """Least squares on the equalities, then Phase-1 if needed; None
         when no feasible point is found."""
         if problem.A_eq.shape[0]:
             w = np.linalg.lstsq(problem.A_eq, problem.b_eq, rcond=None)[0]
         else:
             w = np.zeros(problem.n)
-        if self._feasible(w, problem, G, h):
+        if self._feasible(w, problem):
             return w
         w = self._phase1(problem)
-        if w is None or not self._feasible(w, problem, G, h, slack=100 * self.tol):
+        if w is None or not self._feasible(w, problem, slack=100 * self.tol):
             return None
         return w
 
-    def _feasible(self, w, problem, G, h, slack=None):
+    def _feasible(self, w, problem, slack=None):
         slack = self.tol if slack is None else slack
         if problem.A_eq.shape[0] and np.abs(problem.A_eq @ w - problem.b_eq).max() > slack:
             return False
-        return not (h.shape[0] and (h - G @ w).min() < -slack)
+        return not (problem.b_in.shape[0] and (problem.b_in - problem.A_in @ w).min() < -slack)
 
     def _phase1(self, problem):
+        # Free variables: linprog's default bounds are w >= 0.
         res = linprog(c=np.zeros(problem.n), A_ub=problem.A_in, b_ub=problem.b_in,
-                      A_eq=problem.A_eq, b_eq=problem.b_eq,
-                      bounds=list(zip(problem.lb, problem.ub)), method="highs")
+                      A_eq=problem.A_eq, b_eq=problem.b_eq, bounds=(None, None),
+                      method="highs")
         if not res.success:
             return None
         return np.asarray(res.x, dtype=float)
 
-    def _infeasible(self, problem, rows):
-        h = rows[1]
-        sol = self._solution(problem, rows, np.full(problem.n, np.nan), QpStatus.INFEASIBLE,
+    def _infeasible(self, problem):
+        h = problem.b_in
+        sol = self._solution(problem, np.full(problem.n, np.nan), QpStatus.INFEASIBLE,
                              0, np.zeros(problem.A_eq.shape[0]), np.zeros(h.shape[0]), ())
         sol.infeasibility = float(np.max(-h)) if h.shape[0] else None   # G w - h at w = 0
         return sol
@@ -325,7 +289,7 @@ class QpSolver:
 
 def _frozen(*arrays):
     """True when every array is read-only and owns its data, so that no view
-    can change it: the solver's caches key such arrays by identity."""
+    can change it: the solver's K0^-1 cache keys such arrays by identity."""
     return all(a.flags.owndata and not a.flags.writeable for a in arrays)
 
 
@@ -337,31 +301,6 @@ def _kkt_matrix(H, A):
     K[:n, n:] = A.T
     K[n:, :n] = A
     return K
-
-
-def _inequality_rows(problem):
-    """Every inequality of `problem` as one dense block G w <= h, returned
-    as (G, h, upper, lower): the rows of A_in, then +e_j for each j in
-    `upper` (the columns with a finite upper bound), then -e_j for each j in
-    `lower`. Ties in the ratio test go to the lower index, so this order is
-    part of the solver's behaviour. With no finite bound, G and h are A_in
-    and b_in themselves."""
-    n, A_in, b_in = problem.n, problem.A_in, problem.b_in
-    upper = np.flatnonzero(np.isfinite(problem.ub))
-    lower = np.flatnonzero(np.isfinite(problem.lb))
-    if not upper.size and not lower.size:
-        return A_in, b_in, upper, lower
-    m_in = A_in.shape[0]
-    G = np.zeros((m_in + upper.size + lower.size, n))
-    G[:m_in] = A_in
-    G[m_in + np.arange(upper.size), upper] = 1.0
-    G[m_in + upper.size + np.arange(lower.size), lower] = -1.0
-    h = np.concatenate([b_in, problem.ub[upper], -problem.lb[lower]])
-    return G, h, upper, lower
-
-
-def solve(problem, start=None, tol=DEFAULT_TOL, max_iter=200):
-    return QpSolver(tol=tol, max_iter=max_iter).solve(problem, start)
 
 
 def _ratio_test(Ap, slack, working):
@@ -395,14 +334,9 @@ def kkt_residuals(problem, solution):
         return {"stationarity": np.inf, "eq_violation": np.inf,
                 "in_violation": np.inf, "complementarity": np.inf}
     grad = (problem.H @ w + problem.g + problem.A_eq.T @ solution.dual_eq
-            + problem.A_in.T @ solution.dual_in - solution.dual_lb + solution.dual_ub)
-    # A w - b for each kind of row; an infinite bound is never violated.
-    gaps = (problem.A_in @ w - problem.b_in,
-            np.where(np.isfinite(problem.lb), problem.lb - w, 0.0),
-            np.where(np.isfinite(problem.ub), w - problem.ub, 0.0))
-    duals = (solution.dual_in, solution.dual_lb, solution.dual_ub)
+            + problem.A_in.T @ solution.dual_in)
+    gap = problem.A_in @ w - problem.b_in
     return {"stationarity": float(np.linalg.norm(grad, ord=np.inf)),
             "eq_violation": float(np.max(np.abs(problem.A_eq @ w - problem.b_eq), initial=0.0)),
-            "in_violation": float(max(np.max(gap, initial=0.0) for gap in gaps)),
-            "complementarity": float(max(np.max(np.abs(dual * gap), initial=0.0)
-                                         for dual, gap in zip(duals, gaps)))}
+            "in_violation": float(np.max(gap, initial=0.0)),
+            "complementarity": float(np.max(np.abs(solution.dual_in * gap), initial=0.0))}

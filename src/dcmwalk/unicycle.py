@@ -5,7 +5,6 @@ integrated at a fixed sampling step and candidate impact times are scanned
 greedily, taking the earliest sample that satisfies every step bound.
 """
 
-import io
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -158,24 +157,6 @@ def plan_footsteps(config, initial_feet, horizon):
 
 def _wrap_angle(a):
     return (a + np.pi) % (2.0 * np.pi) - np.pi
-
-
-def serialize_plan(steps):
-    """One step per line: side x y yaw t_imp (fixed column order)."""
-    buf = io.StringIO()
-    for s in steps:
-        buf.write(f"{s.side.value} {s.position[0]:.17g} {s.position[1]:.17g} "
-                  f"{s.yaw:.17g} {s.impact_time:.17g}\n")
-    return buf.getvalue()
-
-
-def parse_plan(text):
-    steps = []
-    for line in text.strip().splitlines():
-        side, x, y, yaw, t = line.split()
-        steps.append(Footstep(side=FootSide(side), position=np.array([float(x), float(y)]),
-                              yaw=float(yaw), impact_time=float(t)))
-    return steps
 
 
 def _hermite_coeffs(p0, v0, p1, v1, T):

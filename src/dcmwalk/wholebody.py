@@ -1,8 +1,9 @@
 """Whole-body differential-IK layer.
 
 Feet poses and the CoM are hard (equality) tasks, torso orientation and a
-postural term are weighted soft tasks, joint velocities are box-bounded; the
-resulting QP over the robot velocity nu is solved every control cycle.
+postural term are weighted soft tasks, and the joint-velocity limits are
+the model's constant inequality rows; the resulting QP over the robot
+velocity nu is solved every control cycle.
 
 In "velocity" mode the starred references are built from the measured state
 and the joint velocities are the command; in "position" mode they are built
@@ -168,7 +169,8 @@ def build_wholebody_qp(model, cache, v_torso_star, v_com_star, v_left_star,
 
     b_eq = np.concatenate([v_com_star, v_left_star, v_right_star])
     _check_task_ranks(A_eq, (("com", 3), ("left_foot", 6), ("right_foot", 6)))
-    return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq, lb=model.nu_lower, ub=model.nu_upper)
+    return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq,
+                     A_in=model.rate_rows, b_in=model.rate_rhs)
 
 
 def _check_task_ranks(stacked, blocks):

@@ -20,13 +20,20 @@ then compare the change against it: every deviation should read 0.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
+# As a script, BLAS runs single-threaded, set before numpy loads: with
+# threaded OpenBLAS the MPC runs drift from a single-threaded fixture by up
+# to about 3e-12, so a trace that did not move would not read 0.
+if __name__ == "__main__":
+    os.environ.update({v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
 
-from dcmwalk.harness import ARCHITECTURES, NoiseModel, Scenario, run_scenario
+import numpy as np  # noqa: E402
+
+from dcmwalk.harness import ARCHITECTURES, NoiseModel, Scenario, run_scenario  # noqa: E402
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "fingerprint.npz"
 STRIDE = 10

@@ -70,6 +70,19 @@ def inequality_rows(n, A_in=None, b_in=None, lb=None, ub=None):
     return A, b, kind
 
 
+def row_form(spec):
+    """The arguments of a `QpProblem` for a problem `spec` with bounds, as
+    `random_qp` makes it: its bounds `lb`/`ub` become rows of A_in/b_in by
+    `inequality_rows`, after the rows already there."""
+    spec = dict(spec)
+    lb, ub = spec.pop("lb", None), spec.pop("ub", None)
+    if lb is not None or ub is not None:
+        n = np.asarray(spec["g"]).shape[0]
+        spec["A_in"], spec["b_in"], _ = inequality_rows(n, spec.get("A_in"), spec.get("b_in"),
+                                                        lb, ub)
+    return spec
+
+
 def ratio_test_rowwise(Ap, slack, working):
     """Active-set line search as a plain scan over every row.
 

@@ -20,7 +20,7 @@ from dcmwalk.kinematics import KinematicsCache, integrate_state, sample_biped
 from dcmwalk.lipm import PendulumParams, SimplifiedState, step_exact
 from dcmwalk.so3 import vee
 from dcmwalk.unicycle import UnicycleConfig, plan_footsteps, timeline_from_footsteps
-from oracles import brute_force_qp, mpc_kkt_oracle, mpc_qp_data_n2, random_qp
+from oracles import brute_force_qp, mpc_kkt_oracle, mpc_qp_data_n2, random_qp, row_form
 from test_harness import quiet
 from test_unicycle import make_feet
 from test_wholebody import consistent_refs, make_controller
@@ -177,7 +177,7 @@ def test_criterion_05_qp_solver():
     worst = 0.0
     for _ in range(1000):
         spec, _ = random_qp(rng, n_max=10, m_max=8)
-        sol = qp.solve(qp.QpProblem(**spec))
+        sol = qp.QpSolver().solve(qp.QpProblem(**row_form(spec)))
         assert sol.status is qp.QpStatus.OPTIMAL
         worst = max(worst, max(sol.residuals.values()))
     worst_bf = 0.0
@@ -187,7 +187,7 @@ def test_criterion_05_qp_solver():
         w = brute_force_qp(**spec)
         if w is None:
             continue
-        sol = qp.solve(qp.QpProblem(**spec))
+        sol = qp.QpSolver().solve(qp.QpProblem(**row_form(spec)))
         worst_bf = max(worst_bf, float(np.linalg.norm(sol.w - w)))
         n_checked += 1
     ok = worst <= 1e-8 and worst_bf < 1e-6

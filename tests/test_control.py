@@ -348,7 +348,7 @@ class TestMpcStartPoint:
                 r0, _ = ctrl.control(xi, r_prev, refs, polys)
             except MpcInfeasibleError:
                 r0 = None
-        cold = qp.solve(problem)
+        cold = qp.QpSolver().solve(problem)
         # The active-set loop cycles on 1-2% of these feasible QPs, from
         # either start (its dependency handler drops the highest working-set
         # index, not the row just added). Such a solve must end in MAX_ITER,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcmwalk.dcm_planner import (backward_recursion, build_trajectory,
+from dcmwalk.dcm_planner import (CubicSegment, backward_recursion, build_trajectory,
                                  ds_segment, ss_segment)
 from dcmwalk.unicycle import (PhaseKind, UnicycleConfig, plan_footsteps,
                               timeline_from_footsteps)
@@ -195,6 +195,24 @@ class TestTrajectoryProperties:
                 continue
             for t in np.linspace(t0, ph.t_end, 7):
                 assert np.linalg.norm(traj.implied_zmp(t) - ph.stance_zmp) < 1e-9
+
+        # `build_trajectory` sizes its blends from its own `ds_ratio`, by the
+        # timeline's rule: each pair of DS phases that meet at an impact is
+        # one cubic's window. The last DS phase, before TERMINAL, has no
+        # partner; its cubic runs as far past the TERMINAL phase's start.
+        ds = [ph for ph in tl.phases if ph.kind is PhaseKind.DOUBLE_SUPPORT]
+        windows = []
+        for before, after in zip(ds[::2], ds[1::2]):
+            assert before.t_end == after.t_start
+            windows.append((before.t_start, after.t_end))
+        if ds:
+            last = ds[-1]
+            assert len(ds) % 2 == 1 and last.t_end == tl.phases[-1].t_start
+            windows.append((last.t_start, last.t_end + last.duration))
+        cubics = [(seg.t_start, seg.t_end) for seg in traj.segments
+                  if isinstance(seg, CubicSegment)]
+        assert len(cubics) == len(windows)
+        assert np.abs(np.subtract(cubics, windows)).max(initial=0.0) <= 1e-12
 
         # The walk ends at rest on the final ZMP.
         zmps, _ = tl.step_sequence()

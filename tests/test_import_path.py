@@ -14,12 +14,13 @@ import sys
 sys.path.insert(0, {str(SRC)!r})
 import numpy as np
 import dcmwalk, dcmwalk.cli
-from dcmwalk.qp import QpProblem, QpStatus, solve
+from dcmwalk.qp import QpProblem, QpSolver, QpStatus
 assert not [m for m in sys.modules if m.startswith("scipy")], "scipy on import"
 # The equality-constrained minimizer and the least-squares start are both
-# (1, 1), which breaks the upper bound on w[0]: only Phase-1 finds a start.
-sol = solve(QpProblem(H=np.eye(2), g=np.zeros(2), A_eq=np.ones((1, 2)),
-                      b_eq=np.array([2.0]), ub=np.array([0.5, np.inf])))
+# (1, 1), which breaks the row w[0] <= 0.5: only Phase-1 finds a start.
+sol = QpSolver().solve(QpProblem(H=np.eye(2), g=np.zeros(2), A_eq=np.ones((1, 2)),
+                                 b_eq=np.array([2.0]), A_in=np.array([[1.0, 0.0]]),
+                                 b_in=np.array([0.5])))
 assert sol.status is QpStatus.OPTIMAL, sol.status
 assert np.allclose(sol.w, [0.5, 1.5]), sol.w
 assert "scipy.optimize" in sys.modules

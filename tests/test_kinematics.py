@@ -13,7 +13,7 @@ from dcmwalk.kinematics import (YAML_LOADER, KinematicsCache, RobotState,
                                 load_model, sample_biped)
 from dcmwalk.so3 import exp_so3, vee
 from oracles import (com_jacobian_loop, com_oracle, fd_task_jacobian, fk_chain_oracle,
-                     frame_jacobian_loop, random_tree_doc)
+                     frame_jacobian_loop, inequality_rows, random_tree_doc)
 
 
 def random_state(model, rng, scale=0.4):
@@ -359,9 +359,21 @@ class TestLoadModel:
 
     def test_infinite_velocity_limit_is_no_bound(self):
         doc = self.doc()
+        assert load_model(doc).rate_rows.shape == (2, 7)
         doc["joints"][0]["velocity_limit"] = np.inf
         model = load_model(doc)
-        assert model.nu_lower[6] == -np.inf and model.nu_upper[6] == np.inf
+        assert model.rate_rows.shape == (0, 7) and model.rate_rhs.shape == (0,)
+
+    def test_sample_biped_rate_rows_match_rowwise_reference(self):
+        model = sample_biped()
+        lo, hi = model.velocity_limits()
+        free = np.full(6, np.inf)
+        A, b, _ = inequality_rows(model.n_velocities, lb=np.concatenate([-free, lo]),
+                                  ub=np.concatenate([free, hi]))
+        assert model.rate_rows.shape == A.shape == (28, 20)
+        assert model.rate_rows.tobytes() == A.tobytes()
+        assert model.rate_rhs.tobytes() == b.tobytes()
+        assert not (model.rate_rows.flags.writeable or model.rate_rhs.flags.writeable)
 
     def test_loader_parses_packaged_model_as_pure_python_does(self):
         text = resources.files("dcmwalk").joinpath("models/sample_biped.yaml").read_text()

@@ -7,32 +7,30 @@ from dcmwalk import kinematics, wholebody
 from dcmwalk import qp as qp_module
 from dcmwalk.control import MpcConfig, PredictiveDcmController, SupportPolygon
 from dcmwalk.harness import NoiseModel, Scenario, run_scenario
-from dcmwalk.kinematics import sample_biped
-from dcmwalk.qp import (QpProblem, QpSolver, QpStatus, _inequality_rows, _ratio_test,
-                        kkt_residuals, solve)
+from dcmwalk.qp import QpProblem, QpSolver, QpStatus, _ratio_test, kkt_residuals
 from dcmwalk.wholebody import WholeBodyController
-from oracles import brute_force_qp, inequality_rows, random_qp, ratio_test_rowwise
+from oracles import brute_force_qp, inequality_rows, random_qp, ratio_test_rowwise, row_form
 
 
 def test_unconstrained_minimum():
-    sol = solve(QpProblem(H=2 * np.eye(2), g=np.array([-2.0, -4.0])))
+    sol = QpSolver().solve(QpProblem(H=2 * np.eye(2), g=np.array([-2.0, -4.0])))
     assert sol.status is QpStatus.OPTIMAL
     assert np.allclose(sol.w, [1.0, 2.0], atol=1e-10)
 
 
 def test_equality_symmetric():
     # min |w|^2 s.t. w1 + w2 = 1.
-    sol = solve(QpProblem(H=2 * np.eye(2), g=np.zeros(2),
-                          A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0])))
+    sol = QpSolver().solve(QpProblem(H=2 * np.eye(2), g=np.zeros(2),
+                                     A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0])))
     assert np.allclose(sol.w, [0.5, 0.5], atol=1e-10)
 
 
 def test_active_bound():
-    # Unconstrained optimum (1, 2), upper bound pins w2 at 1.
-    sol = solve(QpProblem(H=2 * np.eye(2), g=np.array([-2.0, -4.0]),
-                          lb=np.array([-np.inf, -np.inf]), ub=np.array([np.inf, 1.0])))
+    # Unconstrained optimum (1, 2), the row w2 <= 1 pins w2 at 1.
+    sol = QpSolver().solve(QpProblem(H=2 * np.eye(2), g=np.array([-2.0, -4.0]),
+                                     A_in=np.array([[0.0, 1.0]]), b_in=np.array([1.0])))
     assert np.allclose(sol.w, [1.0, 1.0], atol=1e-10)
-    assert sol.dual_ub[1] > 0
+    assert sol.dual_in[0] > 0
 
 
 def test_brute_force_oracle_small():
@@ -40,7 +38,7 @@ def test_brute_force_oracle_small():
     hits = 0
     for _ in range(60):
         spec, _ = random_qp(rng, n_max=2, m_max=3, with_eq=False, with_bounds=False)
-        sol = solve(QpProblem(**spec))
+        sol = QpSolver().solve(QpProblem(**row_form(spec)))
         assert sol.status is QpStatus.OPTIMAL
         ref = brute_force_qp(**spec)
         assert ref is not None
@@ -50,14 +48,14 @@ def test_brute_force_oracle_small():
 
 
 def test_kkt_residuals_at_optimum():
-    sol = solve(QpProblem(H=2 * np.eye(2), g=np.array([-2.0, -4.0])))
+    sol = QpSolver().solve(QpProblem(H=2 * np.eye(2), g=np.array([-2.0, -4.0])))
     res = kkt_residuals(QpProblem(H=2 * np.eye(2), g=np.array([-2.0, -4.0])), sol)
     assert all(v <= 1e-12 for v in res.values())
 
 
 def test_kkt_residuals_detect_perturbation():
     prob = QpProblem(H=2 * np.eye(2), g=np.array([-2.0, -4.0]))
-    sol = solve(prob)
+    sol = QpSolver().solve(prob)
     sol.w = sol.w + np.array([1e-3, 0.0])
     assert kkt_residuals(prob, sol)["stationarity"] > 1e-4
 
@@ -65,7 +63,7 @@ def test_kkt_residuals_detect_perturbation():
 def test_in_violation_definition():
     prob = QpProblem(H=np.eye(2), g=np.zeros(2),
                      A_in=np.array([[1.0, 0.0]]), b_in=np.array([-1.0]))
-    sol = solve(prob)
+    sol = QpSolver().solve(prob)
     sol.w = np.array([0.5, 0.0])  # violates w1 <= -1 by 1.5
     assert abs(kkt_residuals(prob, sol)["in_violation"] - 1.5) < 1e-12
 
@@ -73,8 +71,8 @@ def test_in_violation_definition():
 def test_determinism():
     rng = np.random.default_rng(11)
     spec, _ = random_qp(rng)
-    a = solve(QpProblem(**spec))
-    b = solve(QpProblem(**spec))
+    a = QpSolver().solve(QpProblem(**row_form(spec)))
+    b = QpSolver().solve(QpProblem(**row_form(spec)))
     assert np.array_equal(a.w, b.w)
     assert a.iterations == b.iterations
 
@@ -82,19 +80,18 @@ def test_determinism():
 def test_warm_start_same_optimum():
     rng = np.random.default_rng(12)
     for _ in range(20):
-        spec, _ = random_qp(rng)
-        prob = QpProblem(**spec)
-        cold = solve(prob)
-        warm = solve(prob, start=cold.w)
+        prob = QpProblem(**row_form(random_qp(rng)[0]))
+        cold = QpSolver().solve(prob)
+        warm = QpSolver().solve(prob, start=cold.w)
         assert np.linalg.norm(cold.w - warm.w, np.inf) < 1e-7
 
 
 def test_scale_invariance():
     rng = np.random.default_rng(13)
     spec, _ = random_qp(rng, with_eq=False, with_bounds=False)
-    a = solve(QpProblem(**spec))
+    a = QpSolver().solve(QpProblem(**row_form(spec)))
     spec_scaled = dict(spec, H=7.0 * spec["H"], g=7.0 * spec["g"])
-    b = solve(QpProblem(**spec_scaled))
+    b = QpSolver().solve(QpProblem(**row_form(spec_scaled)))
     assert np.linalg.norm(a.w - b.w, np.inf) < 1e-9
 
 
@@ -104,8 +101,8 @@ def test_duality_gap():
     rng = np.random.default_rng(14)
     for _ in range(30):
         spec, _ = random_qp(rng, with_eq=False, with_bounds=False)
-        prob = QpProblem(**spec)
-        sol = solve(prob)
+        prob = QpProblem(**row_form(spec))
+        sol = QpSolver().solve(prob)
         assert sol.status is QpStatus.OPTIMAL
         gap = 0.0
         if spec["A_in"] is not None:
@@ -119,15 +116,15 @@ def test_duality_gap():
 def test_infeasible_detected():
     prob = QpProblem(H=np.eye(1), g=np.zeros(1),
                      A_in=np.array([[1.0], [-1.0]]), b_in=np.array([-1.0, -1.0]))
-    sol = solve(prob)
+    sol = QpSolver().solve(prob)
     assert sol.status is QpStatus.INFEASIBLE
 
 
 def test_infeasible_bounds_vs_equalities():
-    prob = QpProblem(H=np.eye(2), g=np.zeros(2),
-                     A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([10.0]),
-                     lb=np.array([-1.0, -1.0]), ub=np.array([1.0, 1.0]))
-    sol = solve(prob)
+    A_in, b_in, _ = inequality_rows(2, lb=np.full(2, -1.0), ub=np.ones(2))
+    prob = QpProblem(H=np.eye(2), g=np.zeros(2), A_eq=np.array([[1.0, 1.0]]),
+                     b_eq=np.array([10.0]), A_in=A_in, b_in=b_in)
+    sol = QpSolver().solve(prob)
     assert sol.status is QpStatus.INFEASIBLE
 
 
@@ -140,51 +137,47 @@ def test_dimension_validation():
         asym = np.array([[1.0, 0.5], [0.0, 1.0]])
         QpProblem(H=asym, g=np.zeros(2))
     base = dict(H=np.eye(2), g=np.zeros(2))
-    # Each of these used to be accepted; an ub of length 3 then made `solve`
-    # raise IndexError.
-    for bad in (dict(ub=np.ones(3)), dict(lb=np.zeros((2, 1))), dict(lb=np.zeros(1)),
-                dict(g=np.zeros((2, 1))), dict(A_in=np.ones((1, 3)), b_in=np.ones(1)),
+    # Each of these used to be accepted.
+    for bad in (dict(g=np.zeros((2, 1))), dict(A_in=np.ones((1, 3)), b_in=np.ones(1)),
                 dict(A_in=np.ones((2, 2)), b_in=np.ones(3)),
                 dict(A_eq=np.ones(2), b_eq=np.ones(1)),
                 dict(A_eq=np.ones((1, 2)), b_eq=np.ones((1, 1)))):
         with pytest.raises(ValueError):
             QpProblem(**dict(base, **bad))
-    # A non-finite entry, or a NaN bound, is rejected; a NaN in g used to
-    # come back INFEASIBLE. Infinite bounds are allowed.
+    # A non-finite entry is rejected; a NaN in g used to come back
+    # INFEASIBLE. An infinite b_in is rejected too: a row with no bound is
+    # left out, not given an infinite one.
     full = dict(base, A_eq=np.ones((1, 2)), b_eq=np.ones(1), A_in=np.ones((1, 2)),
-                b_in=np.ones(1), lb=np.full(2, -np.inf), ub=np.full(2, np.inf))
+                b_in=np.ones(1))
     QpProblem(**full)
-    for name in ("H", "g", "A_eq", "b_eq", "A_in", "b_in", "lb", "ub"):
+    for name in ("H", "g", "A_eq", "b_eq", "A_in", "b_in"):
         for value in (np.nan, np.inf, -np.inf):
             spec = dict(full, **{name: full[name].copy()})
             spec[name].flat[-1] = value
-            if name in ("lb", "ub") and not np.isnan(value):
-                QpProblem(**spec)
-                continue
             with pytest.raises(ValueError, match=name):
                 QpProblem(**spec)
 
 
 def test_problem_normalized_once():
-    # Absent blocks become empty blocks and absent bounds infinite; float64
-    # arrays of the right shape are kept as the same objects.
-    H, g, lb = np.eye(3), np.zeros(3), np.full(3, -1.0)
-    lb.setflags(write=False)
-    prob = QpProblem(H=H, g=g, lb=lb)
-    assert prob.H is H and prob.g is g and prob.lb is lb
+    # Absent blocks become empty blocks; float64 arrays of the right shape
+    # are kept as the same objects.
+    H, g, A_in, b_in = np.eye(3), np.zeros(3), -np.eye(3), np.ones(3)
+    prob = QpProblem(H=H, g=g, A_in=A_in, b_in=b_in)
+    assert prob.H is H and prob.g is g and prob.A_in is A_in and prob.b_in is b_in
+    assert prob.A_eq.shape == (0, 3) and prob.b_eq.shape == (0,)
+    prob = QpProblem(H=H, g=g)
     assert prob.A_eq.shape == prob.A_in.shape == (0, 3)
     assert prob.b_eq.shape == prob.b_in.shape == (0,)
-    assert np.array_equal(prob.ub, np.full(3, np.inf))
     listed = QpProblem(H=[[2, 0], [0, 2]], g=[1, 0], A_in=[[1, 1]], b_in=[3])
     for name in ("H", "g", "A_in", "b_in"):
         assert getattr(listed, name).dtype == np.float64
-    assert np.array_equal(listed.lb, [-np.inf, -np.inf])
+    assert listed.A_eq.shape == (0, 2)
 
 
 def test_max_iter_status():
     rng = np.random.default_rng(15)
     spec, _ = random_qp(rng)
-    sol = QpSolver(max_iter=0).solve(QpProblem(**spec))
+    sol = QpSolver(max_iter=0).solve(QpProblem(**row_form(spec)))
     assert sol.status in (QpStatus.MAX_ITER, QpStatus.OPTIMAL, QpStatus.INFEASIBLE)
 
 
@@ -192,87 +185,9 @@ def test_infeasible_start_point_ignored():
     # A start that breaks the equality is rejected; the cold start is used.
     prob = QpProblem(H=2 * np.eye(2), g=np.zeros(2),
                      A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
-    sol = solve(prob, start=np.array([5.0, 5.0]))
+    sol = QpSolver().solve(prob, start=np.array([5.0, 5.0]))
     assert sol.status is QpStatus.OPTIMAL
     assert np.allclose(sol.w, [0.5, 0.5], atol=1e-10)
-
-
-def _rows(prob):
-    """The solver's inequality rows: (G, h, rows)."""
-    rows = _inequality_rows(prob)
-    return rows[0], rows[1], rows
-
-
-def _split(prob, rows, mu):
-    """Row duals `mu` as the solver splits them: (dual_in, dual_lb, dual_ub)."""
-    sol = QpSolver._solution(prob, rows, np.zeros(prob.n), QpStatus.OPTIMAL, 1,
-                             np.zeros(prob.A_eq.shape[0]), mu, ())
-    return sol.dual_in, sol.dual_lb, sol.dual_ub
-
-
-def _split_by_kind(mu, kind, n):
-    """Row duals scattered by the oracle's row labels: (dual_in, dual_lb, dual_ub)."""
-    dual_in = [m for m, (label, _) in zip(mu, kind) if label == "in"]
-    dual = {"lb": np.zeros(n), "ub": np.zeros(n)}
-    for m, (label, j) in zip(mu, kind):
-        if label != "in":
-            dual[label][j] = m
-    return np.array(dual_in, dtype=float), dual["lb"], dual["ub"]
-
-
-def _assert_rows_match(prob, rng):
-    G, h, rows = _rows(prob)
-    A_ref, b_ref, kind_ref = inequality_rows(prob.n, prob.A_in, prob.b_in, prob.lb, prob.ub)
-    assert G.shape == A_ref.shape and h.shape == b_ref.shape
-    assert np.array_equal(G, A_ref)
-    assert np.array_equal(h, b_ref)
-    # Each row's dual goes where the oracle's label says.
-    mu = rng.standard_normal(h.size)
-    for got, want in zip(_split(prob, rows, mu), _split_by_kind(mu, kind_ref, prob.n)):
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-
-
-def test_expanded_inequalities_match_rowwise_reference():
-    rng = np.random.default_rng(16)
-    mu_rng = np.random.default_rng(21)
-    for _ in range(40):
-        spec, _ = random_qp(rng)
-        _assert_rows_match(QpProblem(**spec), mu_rng)
-
-
-def test_expanded_inequalities_infinite_bounds():
-    rng = np.random.default_rng(20)
-    n = 4
-    base = dict(H=np.eye(n), g=np.zeros(n))
-    rows = dict(A_in=np.arange(8.0).reshape(2, 4), b_in=np.array([1.0, -2.0]))
-    mixed_lb = np.array([-1.0, -np.inf, 0.5, -np.inf])
-    mixed_ub = np.array([np.inf, 2.0, np.inf, 3.0])
-    for spec in (dict(lb=mixed_lb, ub=mixed_ub),
-                 dict(rows, lb=mixed_lb, ub=mixed_ub),
-                 dict(rows, lb=np.full(n, -np.inf), ub=np.full(n, np.inf)),
-                 dict(lb=np.full(n, -np.inf), ub=np.full(n, np.inf)),
-                 dict(rows, lb=np.full(n, -np.inf), ub=mixed_ub),
-                 dict(rows, ub=np.full(n, np.inf)),
-                 dict(rows),
-                 dict()):
-        _assert_rows_match(QpProblem(**base, **spec), rng)
-    G, h, _ = _rows(QpProblem(**base, lb=np.full(n, -np.inf), ub=np.full(n, np.inf)))
-    assert G.shape == (0, n) and h.shape == (0,)
-    # With no finite bound the general rows are used as they are, not copied.
-    prob = QpProblem(**base, **rows)
-    G, h, _ = _rows(prob)
-    assert G is prob.A_in and h is prob.b_in
-    prob = QpProblem(**base, lb=mixed_lb, ub=mixed_ub)
-    G, h, rows = _rows(prob)
-    # Rows: +w1 <= 2, +w3 <= 3, -w0 <= 1, -w2 <= -0.5.
-    assert np.array_equal(G[0], [0.0, 1.0, 0.0, 0.0])
-    assert np.array_equal(G[2], [-1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(h, [2.0, 3.0, 1.0, -0.5])
-    dual_in, dual_lb, dual_ub = _split(prob, rows, np.array([1.0, 2.0, 3.0, 4.0]))
-    assert dual_in.shape == (0,)
-    assert np.array_equal(dual_ub, [0.0, 1.0, 0.0, 2.0])
-    assert np.array_equal(dual_lb, [3.0, 0.0, 4.0, 0.0])
 
 
 @pytest.mark.parametrize("rows", [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]])
@@ -282,7 +197,7 @@ def test_ratio_test_tie_picks_lower_index(rows):
     A_in = np.array(rows)
     prob = QpProblem(H=2 * np.eye(2), g=np.array([-4.0, 0.0]),
                      A_in=A_in, b_in=A_in[:, 0].copy())
-    sol = solve(prob)
+    sol = QpSolver().solve(prob)
     assert sol.status is QpStatus.OPTIMAL
     assert np.allclose(sol.w, [1.0, 0.0], atol=1e-12)
     assert sol.active_set == (0,)
@@ -303,108 +218,11 @@ def test_ratio_test_matches_rowwise_reference():
         assert got[0] == want[0]
 
 
-def _bound_problems():
-    """(problem, a point that is feasible when one is known, else 0)."""
-    rng = np.random.default_rng(18)
-    for _ in range(60):
-        spec, w0 = random_qp(rng)
-        yield QpProblem(**spec), w0
-    n = 4
-    base = dict(H=np.eye(n), g=np.zeros(n))
-    rows = dict(A_in=np.arange(8.0).reshape(2, 4), b_in=np.array([1.0, -2.0]))
-    mixed_lb = np.array([-1.0, -np.inf, 0.5, -np.inf])
-    mixed_ub = np.array([np.inf, 2.0, np.inf, 3.0])
-    for spec in (dict(lb=mixed_lb, ub=mixed_ub), dict(rows, lb=mixed_lb, ub=mixed_ub),
-                 dict(lb=np.full(n, -np.inf), ub=np.full(n, np.inf)),
-                 dict(rows, lb=np.full(n, -np.inf)), dict(rows), dict()):
-        yield QpProblem(**base, **spec), np.zeros(n)
-
-
-def test_bound_rows_by_index_match_dense_rows():
-    # A +-e_j bound row times a vector is exactly +-that vector's entry j,
-    # and its slack is exactly the bound's; the feasibility test agrees with
-    # the oracle's rows.
-    rng = np.random.default_rng(19)
-    for prob, w0 in _bound_problems():
-        G, h, (_, _, upper, lower) = _rows(prob)
-        A, b, _ = inequality_rows(prob.n, prob.A_in, prob.b_in, prob.lb, prob.ub)
-        m_in = prob.A_in.shape[0]
-        for _ in range(5):
-            p, w = rng.normal(size=prob.n), rng.normal(size=prob.n)
-            assert np.array_equal((G @ p)[m_in:], np.concatenate([p[upper], -p[lower]]))
-            assert np.array_equal((h - G @ w)[m_in:],
-                                  np.concatenate([prob.ub[upper] - w[upper],
-                                                  w[lower] - prob.lb[lower]]))
-            # Points from w0 toward w cross from feasible to infeasible.
-            solver = QpSolver()
-            eq_free = QpProblem(H=prob.H, g=prob.g)
-            for t in (0.0, 1e-9, 1e-3, 1.0):
-                x = w0 + t * (w - w0)
-                dense = A.shape[0] == 0 or np.max(A @ x - b) <= solver.tol
-                assert solver._feasible(x, eq_free, G, h) == dense
-
-
-def _counting_rows(monkeypatch):
-    built = []
-
-    def counted(problem):
-        built.append(problem)
-        return _inequality_rows(problem)
-    monkeypatch.setattr(qp_module, "_inequality_rows", counted)
-    return built
-
-
-def test_bound_rows_cached_for_read_only_bounds(monkeypatch):
-    # The rows of a model's read-only joint-rate bounds are built once per
-    # solver, however many problems carry them.
-    model = sample_biped()
-    lb, ub = model.nu_lower, model.nu_upper
-    n = lb.shape[0]
-    built = _counting_rows(monkeypatch)
-    solver = QpSolver()
-    rng = np.random.default_rng(22)
-    for _ in range(4):
-        prob = QpProblem(H=np.eye(n), g=rng.normal(scale=20.0, size=n), lb=lb, ub=ub)
-        sol = solver.solve(prob)
-        assert sol.status is QpStatus.OPTIMAL
-        assert np.array_equal(sol.w, np.clip(-prob.g, lb, ub))
-    assert len(built) == 1
-    # Rows with general inequalities are built for each problem.
-    for _ in range(2):
-        solver.solve(QpProblem(H=np.eye(n), g=np.zeros(n), A_in=np.ones((1, n)),
-                               b_in=np.ones(1), lb=lb, ub=ub))
-    assert len(built) == 3
-
-
-def test_bound_rows_rebuilt_for_writeable_or_other_bounds(monkeypatch):
-    # A writeable bound can change between solves, so it never reuses rows.
-    built = _counting_rows(monkeypatch)
-    solver = QpSolver()
-    H, g = np.eye(2), np.array([-2.0, -2.0])
-    ub = np.ones(2)
-    assert np.array_equal(solver.solve(QpProblem(H=H, g=g, ub=ub)).w, [1.0, 1.0])
-    ub[0] = 0.5
-    assert np.array_equal(solver.solve(QpProblem(H=H, g=g, ub=ub)).w, [0.5, 1.0])
-    assert len(built) == 2
-    # Read-only bounds are reused only while both are the same arrays; a
-    # read-only view is rebuilt each time, since its base may still change.
-    lo, frozen, other = np.full(2, -np.inf), np.array([0.25, 1.0]), np.array([1.0, 0.75])
-    for bound in (lo, frozen, other):
-        bound.setflags(write=False)
-    view = ub.view()
-    view.setflags(write=False)
-    for bound, builds in ((frozen, 3), (frozen, 3), (view, 4), (view, 5), (frozen, 5),
-                          (other, 6), (frozen, 7)):
-        sol = solver.solve(QpProblem(H=H, g=g, lb=lo, ub=bound))
-        assert np.array_equal(sol.w, np.minimum(bound, 2.0))
-        assert len(built) == builds
-
-
 def test_lazy_residuals_equal_eager_kkt_residuals():
     rng = np.random.default_rng(20)
     for _ in range(100):
-        prob = QpProblem(**random_qp(rng)[0])
-        sol = solve(prob)
+        prob = QpProblem(**row_form(random_qp(rng)[0]))
+        sol = QpSolver().solve(prob)
         eager = kkt_residuals(prob, sol)
         assert "residuals" not in vars(sol)
         assert sol.residuals == eager
@@ -413,7 +231,8 @@ def test_lazy_residuals_equal_eager_kkt_residuals():
 
 def _interior_problem(rng, n, m_eq, m_in):
     """A QP whose minimizer under the equalities alone lies strictly inside
-    its bounds and inequality rows; returns (spec, that minimizer)."""
+    its bounds and inequality rows; returns (spec, that minimizer). The spec
+    has bounds, so `row_form` turns it into a `QpProblem`'s arguments."""
     M = rng.normal(size=(n, n))
     H = M.T @ M + np.eye(n)
     g = rng.normal(size=n)
@@ -436,7 +255,7 @@ def test_feasible_equality_minimizer_takes_one_solve(monkeypatch, m_eq):
     rng = np.random.default_rng(30 + m_eq)
     for _ in range(20):
         spec, _ = _interior_problem(rng, n=4, m_eq=m_eq, m_in=3)
-        sol = solve(QpProblem(**spec))
+        sol = QpSolver().solve(QpProblem(**row_form(spec)))
         assert sol.status is QpStatus.OPTIMAL
         assert sol.iterations == 1
         assert sol.active_set == ()
@@ -456,7 +275,7 @@ def test_binding_bound_matches_oracle(m_eq):
         ref = brute_force_qp(**spec)
         if ref is None:
             continue
-        sol = solve(QpProblem(**spec))
+        sol = QpSolver().solve(QpProblem(**row_form(spec)))
         assert sol.status is QpStatus.OPTIMAL
         assert sol.iterations > 1
         assert max(sol.residuals.values()) <= 1e-8
@@ -469,7 +288,7 @@ def test_random_cold_solves_match_oracle(with_eq):
     iterations = []
     for _ in range(60):
         spec, _ = random_qp(rng, n_max=3, m_max=4, with_eq=with_eq)
-        sol = solve(QpProblem(**spec))
+        sol = QpSolver().solve(QpProblem(**row_form(spec)))
         assert sol.status is QpStatus.OPTIMAL
         assert np.linalg.norm(sol.w - brute_force_qp(**spec), np.inf) < 1e-7
         assert max(sol.residuals.values()) <= 1e-8
@@ -564,24 +383,18 @@ def test_finite_entries_whose_squares_overflow_accepted():
     # A finiteness test by sum of squares would overflow on these.
     big = 1e308
     QpProblem(H=np.full((2, 2), big), g=np.full(2, -big), A_eq=np.full((1, 2), big),
-              b_eq=np.full(1, big), A_in=np.full((3, 2), -big), b_in=np.full(3, big),
-              lb=np.full(2, -big), ub=np.full(2, big))
+              b_eq=np.full(1, big), A_in=np.full((3, 2), -big), b_in=np.full(3, big))
 
 
-@pytest.mark.parametrize("name", ["H", "g", "A_eq", "b_eq", "A_in", "b_in", "lb", "ub"])
+@pytest.mark.parametrize("name", ["H", "g", "A_eq", "b_eq", "A_in", "b_in"])
 def test_non_finite_entry_named_anywhere(name):
     # Beside overflowing finite entries, at every position of every field.
     full = dict(H=np.eye(2), g=np.zeros(2), A_eq=np.ones((1, 2)), b_eq=np.ones(1),
-                A_in=np.ones((2, 2)), b_in=np.ones(2), lb=np.full(2, -np.inf),
-                ub=np.full(2, np.inf))
+                A_in=np.ones((2, 2)), b_in=np.ones(2))
     for value in (np.nan, np.inf, -np.inf):
         for i in range(full[name].size):
-            spec = dict(full, **{name: np.full_like(full[name], -1e308 if name == "lb"
-                                                   else 1e308)})
+            spec = dict(full, **{name: np.full_like(full[name], 1e308)})
             spec[name].flat[i] = value
-            if name in ("lb", "ub") and not np.isnan(value):
-                QpProblem(**spec)
-                continue
             with pytest.raises(ValueError, match=name):
                 QpProblem(**spec)
 
@@ -613,8 +426,8 @@ def test_schur_step_matches_dense_kkt_solve():
     rng = np.random.default_rng(60)
     steps = 0
     for _ in range(100):
-        prob = QpProblem(**random_qp(rng)[0])
-        G = _inequality_rows(prob)[0]
+        prob = QpProblem(**row_form(random_qp(rng)[0]))
+        G = prob.A_in
         K_cols = QpSolver()._kkt_columns(prob)
         for idx in _working_sets(rng, prob, G, 5):
             _assert_step_matches_dense(prob, K_cols, G[idx], rng)
@@ -649,8 +462,8 @@ def test_schur_step_matches_dense_kkt_solve_on_mpc_problems():
 
 def test_schur_step_reports_dependent_rows():
     # +e_0 and -e_0 together make the Schur complement singular.
-    prob = QpProblem(H=np.eye(2), g=np.zeros(2), lb=np.full(2, -1.0), ub=np.ones(2))
-    G = _inequality_rows(prob)[0]
+    G, h, _ = inequality_rows(2, lb=np.full(2, -1.0), ub=np.ones(2))
+    prob = QpProblem(H=np.eye(2), g=np.zeros(2), A_in=G, b_in=h)
     K_cols = QpSolver()._kkt_columns(prob)
     assert QpSolver._schur_step(K_cols, G[[0, 2]], np.ones(2)) == (None, None)
 
@@ -659,7 +472,7 @@ def test_singular_equality_block_infeasible():
     # Dependent equality rows make K0 singular: the loop reports INFEASIBLE.
     A_eq = np.array([[1.0, 1.0], [2.0, 2.0]])
     prob = QpProblem(H=np.eye(2), g=np.zeros(2), A_eq=A_eq, b_eq=np.array([1.0, 2.0]),
-                     ub=np.full(2, 0.4))
+                     A_in=np.eye(2), b_in=np.full(2, 0.4))
     assert QpSolver().solve(prob, start=np.array([0.5, 0.5])).status is QpStatus.INFEASIBLE
 
 
@@ -669,7 +482,7 @@ def test_started_solves_match_oracle(with_eq):
     rng = np.random.default_rng(62 + with_eq)
     for _ in range(60):
         spec, w0 = random_qp(rng, n_max=4, m_max=4, with_eq=with_eq)
-        sol = solve(QpProblem(**spec), start=w0)
+        sol = QpSolver().solve(QpProblem(**row_form(spec)), start=w0)
         assert sol.status is QpStatus.OPTIMAL
         assert np.linalg.norm(sol.w - brute_force_qp(**spec), np.inf) < 1e-7
         assert max(sol.residuals.values()) <= 1e-8
@@ -687,10 +500,11 @@ def _counting_inverses(monkeypatch):
 
 
 def _loop_problem(H, A_eq, g):
-    """A problem with a binding bound, solved from a feasible start so that
-    the working-set loop runs."""
-    return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=np.zeros(A_eq.shape[0]),
-                     lb=np.full(H.shape[0], -1.0), ub=np.full(H.shape[0], 1.0))
+    """A problem with a binding box row, solved from a feasible start so
+    that the working-set loop runs."""
+    n = H.shape[0]
+    A_in, b_in, _ = inequality_rows(n, lb=np.full(n, -1.0), ub=np.ones(n))
+    return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=np.zeros(A_eq.shape[0]), A_in=A_in, b_in=b_in)
 
 
 def test_kkt_inverse_cached_for_read_only_matrices(monkeypatch):
@@ -705,7 +519,7 @@ def test_kkt_inverse_cached_for_read_only_matrices(monkeypatch):
         sol = solver.solve(prob, start=np.zeros(3))
         assert sol.status is QpStatus.OPTIMAL
         assert np.linalg.norm(sol.w - brute_force_qp(prob.H, prob.g, prob.A_eq, prob.b_eq,
-                                                     lb=prob.lb, ub=prob.ub), np.inf) < 1e-9
+                                                     prob.A_in, prob.b_in), np.inf) < 1e-9
     assert inverted == [(4, 4)]
     # Another read-only pair, or a read-only view of the same data, rebuilds.
     H2 = np.diag([1.0, 1.0, 1.0])
@@ -727,7 +541,7 @@ def test_kkt_inverse_rebuilt_for_writeable_matrices(monkeypatch):
     for step in range(4):
         prob = _loop_problem(H, A_eq, g)
         sol = solver.solve(prob, start=np.zeros(3))
-        ref = brute_force_qp(H, g, A_eq, prob.b_eq, lb=prob.lb, ub=prob.ub)
+        ref = brute_force_qp(H, g, A_eq, prob.b_eq, prob.A_in, prob.b_in)
         assert sol.status is QpStatus.OPTIMAL
         assert np.linalg.norm(sol.w - ref, np.inf) < 1e-9
         assert len(inverted) == step + 1

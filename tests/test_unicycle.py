@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from dcmwalk.harness import Scenario, build_gait
 from dcmwalk.unicycle import (Footstep, FootSide, GaitPhase, GaitTimeline, PhaseKind,
                               PlanInfeasibleError, UnicycleConfig, _hermite_coeffs,
-                              _hermite_eval, parse_plan, plan_footsteps, serialize_plan,
-                              swing_trajectory, timeline_from_footsteps)
+                              _hermite_eval, plan_footsteps, swing_trajectory,
+                              timeline_from_footsteps)
 from oracles import phase_at_scan
 
 
@@ -79,19 +79,13 @@ class TestPlanFootsteps:
 
     def test_determinism_bitwise(self):
         cfg = UnicycleConfig(forward_velocity=0.19, angular_velocity=0.05)
-        a = serialize_plan(plan_footsteps(cfg, make_feet(), 8.0))
-        b = serialize_plan(plan_footsteps(cfg, make_feet(), 8.0))
-        assert a == b
-
-    def test_serialize_roundtrip(self):
-        cfg = UnicycleConfig(forward_velocity=0.19)
-        plan = plan_footsteps(cfg, make_feet(), 6.0)
-        back = parse_plan(serialize_plan(plan))
-        assert len(back) == len(plan)
-        for a, b in zip(plan, back):
-            assert a.side is b.side
-            assert np.array_equal(a.position, b.position)
-            assert a.yaw == b.yaw and a.impact_time == b.impact_time
+        a = plan_footsteps(cfg, make_feet(), 8.0)
+        b = plan_footsteps(cfg, make_feet(), 8.0)
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert x.side is y.side
+            assert np.array_equal(x.position, y.position)
+            assert x.yaw == y.yaw and x.impact_time == y.impact_time
 
     def test_coincident_feet_rejected(self):
         feet = (Footstep(FootSide.LEFT, np.zeros(2), 0.0, 0.0),
