@@ -112,6 +112,7 @@ class SupportPolygon:
     @cached_property
     def centroid(self):
         """Vertex mean, strictly inside the polygon."""
+        # Recomputed per MPC sample instead: steady-mpc period_mean_p5 +2.4%.
         return self.vertices.mean(axis=0)
 
     def contains(self, point, tol=1e-9):
@@ -323,7 +324,8 @@ class PredictiveDcmController:
         r_prev = np.asarray(r_prev, dtype=float).reshape(2)
         r = np.array([r_prev if poly is None else poly.centroid for poly in polygons])
         # The rollout in float arithmetic: the same IEEE products and sums as
-        # f * xi_k + (1 - f) * r_k on 2-vectors, without per-step arrays.
+        # f * xi_k + (1 - f) * r_k on 2-vectors, without per-step arrays. On
+        # numpy 2-vectors instead: steady-mpc control_ref.p5 +0.8%.
         f = float(self._f)
         x, y = np.asarray(xi_meas, dtype=float).reshape(2).tolist()
         xi = [x, y]

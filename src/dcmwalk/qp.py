@@ -161,7 +161,7 @@ class QpSolver:
         K_cols = self._kkt_columns(problem)
         if K_cols is None:
             return self._infeasible(problem)
-        working = set()
+        working = {}   # inequality rows as keys, in the order they were added
         lam_eq = np.zeros(m_eq)
         mu = np.zeros(m)
         it = 0
@@ -170,9 +170,9 @@ class QpSolver:
             idx = sorted(working)
             p, duals = self._schur_step(K_cols, G[idx], H @ w + g)
             if p is None:
-                # Dependent working set; drop the most recent inequality row.
-                if idx:
-                    working.discard(idx[-1])
+                # Dependent working set; drop the inequality row added last.
+                if working:
+                    working.popitem()
                     continue
                 return self._infeasible(problem)
             if np.abs(p).max() <= self.tol * max(1.0, np.abs(w).max()):
@@ -182,15 +182,14 @@ class QpSolver:
                 mu[idx] = mu_w
                 # Inequality duals must be nonnegative at the optimum.
                 if idx and mu_w.size and mu_w.min() < -self.tol:
-                    worst = idx[int(np.argmin(mu_w))]
-                    working.discard(worst)
+                    del working[idx[int(np.argmin(mu_w))]]
                     continue
                 return self._solution(problem, w, QpStatus.OPTIMAL, it,
                                       lam_eq, mu, working)
             alpha, blocking = _ratio_test(G @ p, h - G @ w, working)
             w = w + alpha * p
             if blocking is not None:
-                working.add(blocking)
+                working[blocking] = None
         return self._solution(problem, w, QpStatus.MAX_ITER, it, lam_eq, mu, working)
 
     def _kkt_columns(self, problem):
@@ -311,19 +310,14 @@ def _ratio_test(Ap, slack, working):
     than the current one by more than 1e-15, so of rows that block at the
     same step the lowest index wins. Returns (alpha, blocking row or None).
     """
-    moving = Ap > 1e-14
-    if working:
-        moving[list(working)] = False
-    rows = np.flatnonzero(moving)
-    steps = slack[rows] / Ap[rows]
-    # Only rows with a step below 1 can ever block, since alpha never grows.
-    short = steps < 1.0 - 1e-15
     alpha = 1.0
     blocking = None
-    for i, a_i in zip(rows[short], steps[short]):
-        if a_i < alpha - 1e-15:
-            alpha = max(a_i, 0.0)
-            blocking = int(i)
+    for i in range(Ap.shape[0]):
+        if Ap[i] > 1e-14 and i not in working:
+            a_i = slack[i] / Ap[i]
+            if a_i < alpha - 1e-15:
+                alpha = max(a_i, 0.0)
+                blocking = i
     return alpha, blocking
 
 

@@ -193,6 +193,7 @@ class SwingTrajectory:
 
     def __post_init__(self):
         # Each cubic once, as float tuples: pose runs every cycle of a swing.
+        # On numpy arrays instead: steady-pi control_ref.p5 +2.3%.
         half = 0.5 * (self.t_end - self.t_start)
         top = self.ground_height + self.apex
         cubics = (self.coeffs_xy[0], self.coeffs_xy[1], self.coeffs_yaw,

@@ -392,6 +392,53 @@ def random_tree_doc(rng, max_joints=6):
     return {"base_link": "l0", "links": links, "joints": joints, "frames": frames}
 
 
+def mpc_start_point(f, xi_meas, r_prev, polygons):
+    """The MPC's built start point on numpy 2-vectors: r_j at the vertex
+    mean of polygon j (r_prev for None), xi_0 = xi_meas and
+    xi_{k+1} = f xi_k + (1 - f) r_k."""
+    r = np.array([np.asarray(r_prev, dtype=float) if poly is None
+                  else poly.vertices.mean(axis=0) for poly in polygons])
+    xi = [np.asarray(xi_meas, dtype=float)]
+    for r_k in r:
+        xi.append(f * xi[-1] + (1.0 - f) * r_k)
+    return np.concatenate(xi + [r.ravel()])
+
+
+def segment_at_scan(trajectory, t):
+    """The DCM segment at time t by a scan: the last segment that starts at
+    or before t, else the first."""
+    found = trajectory.segments[0]
+    for seg in trajectory.segments:
+        if seg.t_start <= t:
+            found = seg
+    return found
+
+
+def swing_pose_plain(swing, t):
+    """`SwingTrajectory.pose` with each Hermite cubic evaluated on numpy
+    coefficient arrays, the lift and descent cubics built per call."""
+    from dcmwalk.unicycle import _hermite_coeffs, _hermite_eval
+    tau = np.clip(t, swing.t_start, swing.t_end) - swing.t_start
+    x, vx = _hermite_eval(swing.coeffs_xy[0], tau)
+    y, vy = _hermite_eval(swing.coeffs_xy[1], tau)
+    yaw, yaw_rate = _hermite_eval(swing.coeffs_yaw, tau)
+    half = 0.5 * (swing.t_end - swing.t_start)
+    g, top = swing.ground_height, swing.ground_height + swing.apex
+    if tau <= half:
+        z, vz = _hermite_eval(_hermite_coeffs(g, 0.0, top, 0.0, half), tau)
+    else:
+        z, vz = _hermite_eval(_hermite_coeffs(top, 0.0, g, 0.0, half), tau - half)
+    return np.array([x, y, z]), yaw, np.array([vx, vy, vz]), yaw_rate
+
+
+def frame_stack_plain(model, frames):
+    """(link indices, frame offsets as an nf x 3 x 1 array) of a tuple of
+    frames, built anew on every call."""
+    defs = [model._frame(f) for f in frames]
+    return (np.array([link for link, _ in defs], dtype=int),
+            np.array([fd.xyz for _, fd in defs]).reshape(len(defs), 3, 1))
+
+
 def phase_at_scan(timeline, t):
     """The gait phase at time t by a scan from the first phase: the first
     with t_start - 1e-12 <= t < t_end, else the last phase."""

@@ -13,7 +13,8 @@ from dcmwalk.control import (InstantaneousDcmController, InstantaneousGains,
                              SupportPolygon, ZmpComGains, gain_schedule,
                              minimum_jerk, zmp_com_control)
 from dcmwalk.lipm import PendulumParams, SimplifiedState, step_exact
-from oracles import PiDcmLaw, brute_force_hull, mpc_kkt_oracle, zmp_com_law
+from oracles import (PiDcmLaw, brute_force_hull, mpc_kkt_oracle, mpc_start_point,
+                     zmp_com_law)
 
 
 def square(half=1.0, center=(0.0, 0.0)):
@@ -349,9 +350,8 @@ class TestMpcStartPoint:
             except MpcInfeasibleError:
                 r0 = None
         cold = qp.QpSolver().solve(problem)
-        # The active-set loop cycles on 1-2% of these feasible QPs, from
-        # either start (its dependency handler drops the highest working-set
-        # index, not the row just added). Such a solve must end in MAX_ITER,
+        # The active-set loop cycles on 2-4% of these feasible QPs, from
+        # either start. Such a solve must end in MAX_ITER,
         # never in a wrong optimum. Wherever both converge they agree on the
         # scale of the solver's stopping rule, 1e-8 * max(1, |w|_inf).
         if r0 is None or cold.status is not qp.QpStatus.OPTIMAL:
@@ -360,6 +360,17 @@ class TestMpcStartPoint:
             return
         w_scale = max(1.0, np.abs(cold.w).max())
         assert np.linalg.norm(r0 - cold.w[n_xi:n_xi + 2], np.inf) < 1e-8 * w_scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(N=st.integers(1, 20), omega=st.floats(3.0, 5.5), T=st.floats(0.05, 0.1),
+           n_polys=st.integers(0, 20), data=st.data())
+    def test_equals_numpy_rollout(self, N, omega, T, n_polys, data):
+        # Bit for bit, with fewer polygons than steps as well.
+        polys = [data.draw(plan_polygons()) for _ in range(min(n_polys, N))]
+        xi, r_prev = (np.array([data.draw(coord), data.draw(coord)]) for _ in range(2))
+        ctrl = PredictiveDcmController(MpcConfig(horizon=N, sample_time=T), omega)
+        want = mpc_start_point(ctrl._f, xi, r_prev, polys + [None] * (N - len(polys)))
+        assert np.array_equal(ctrl.start_point(xi, r_prev, polys), want)
 
     def test_unconstrained_steps_use_previous_zmp(self):
         ctrl = PredictiveDcmController(MpcConfig(horizon=3), 4.3)

@@ -9,6 +9,7 @@ from dcmwalk.dcm_planner import (CubicSegment, backward_recursion, build_traject
                                  ds_segment, ss_segment)
 from dcmwalk.unicycle import (PhaseKind, UnicycleConfig, plan_footsteps,
                               timeline_from_footsteps)
+from oracles import segment_at_scan
 from test_unicycle import make_feet
 
 
@@ -154,6 +155,17 @@ class TestBuildTrajectory:
         p = traj.dcm(0.0)
         assert np.allclose(traj.dcm(1.0), p)
         assert np.allclose(traj.dcm_velocity(1.0), 0)
+
+    @pytest.mark.parametrize("ds_ratio", [0.0, 0.2])
+    def test_segment_lookup_matches_scan(self, ds_ratio):
+        # At every segment start, one ulp either side, and outside the plan.
+        traj = build_trajectory(make_timeline(ds_ratio=ds_ratio), 4.3, ds_ratio=ds_ratio)
+        times = [traj.segments[0].t_start - 1.0, traj.segments[-1].t_end + 1.0]
+        for seg in traj.segments:
+            times += [np.nextafter(seg.t_start, -np.inf), seg.t_start,
+                      np.nextafter(seg.t_start, np.inf)]
+        for t in times:
+            assert traj._segment_at(t) is segment_at_scan(traj, t), t
 
     def test_zero_ds_ratio_pure_exponentials(self):
         tl = make_timeline(ds_ratio=0.0)

@@ -13,7 +13,8 @@ from dcmwalk.kinematics import (YAML_LOADER, KinematicsCache, RobotState,
                                 load_model, sample_biped)
 from dcmwalk.so3 import exp_so3, vee
 from oracles import (com_jacobian_loop, com_oracle, fd_task_jacobian, fk_chain_oracle,
-                     frame_jacobian_loop, inequality_rows, random_tree_doc)
+                     frame_jacobian_loop, frame_stack_plain, inequality_rows,
+                     random_tree_doc)
 
 
 def random_state(model, rng, scale=0.4):
@@ -84,6 +85,17 @@ class TestForwardKinematics:
 
 
 class TestJacobians:
+    def test_frame_stack_equals_plain_build(self):
+        # On its first use and from the cache, for every frame tuple used.
+        model = sample_biped()
+        frames = all_frames(model)
+        for tup in [(), ("left_foot", "right_foot", "torso"), tuple(frames),
+                    tuple(reversed(frames))]:
+            for _ in range(2):
+                got, want = model._frame_stack(tup), frame_stack_plain(model, tup)
+                assert all(np.array_equal(g, w) and g.dtype == w.dtype
+                           for g, w in zip(got, want))
+
     def test_fd_slope_first_order(self):
         # Truncation error of the one-sided difference is O(eps): the
         # log-log slope over four decades must sit near 1.

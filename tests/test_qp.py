@@ -468,6 +468,32 @@ def test_schur_step_reports_dependent_rows():
     assert QpSolver._schur_step(K_cols, G[[0, 2]], np.ones(2)) == (None, None)
 
 
+def test_dependent_working_set_drops_row_added_last(monkeypatch):
+    # From w = 0 toward the minimizer (2, 2), row 1 (w0 <= 0.5) blocks
+    # first and row 0 (w1 <= 1) second, so the row added last has the lower
+    # index. The first step with both rows is reported dependent; the next
+    # step must keep row 1 alone.
+    G = np.array([[0.0, 1.0], [1.0, 0.0]])
+    prob = QpProblem(H=np.eye(2), g=np.array([-2.0, -2.0]), A_in=G, b_in=np.array([1.0, 0.5]))
+    schur_step = QpSolver._schur_step
+    calls = []
+
+    def dependent_once(K_cols, G_w, grad):
+        calls.append(G_w.copy())
+        if len(G_w) == 2 and len(calls) == 3:
+            return None, None
+        return schur_step(K_cols, G_w, grad)
+
+    monkeypatch.setattr(QpSolver, "_schur_step", staticmethod(dependent_once))
+    sol = QpSolver().solve(prob, start=np.zeros(2))
+    assert [len(G_w) for G_w in calls[:4]] == [0, 1, 2, 1]
+    np.testing.assert_array_equal(calls[1], G[[1]])
+    np.testing.assert_array_equal(calls[3], G[[1]])
+    assert sol.status is QpStatus.OPTIMAL
+    np.testing.assert_allclose(sol.w, [0.5, 1.0], atol=1e-12)
+    assert sol.active_set == (0, 1)
+
+
 def test_singular_equality_block_infeasible():
     # Dependent equality rows make K0 singular: the loop reports INFEASIBLE.
     A_eq = np.array([[1.0, 1.0], [2.0, 2.0]])

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from dcmwalk.harness import Scenario, build_gait
 from dcmwalk.unicycle import (Footstep, FootSide, GaitPhase, GaitTimeline, PhaseKind,
-                              PlanInfeasibleError, UnicycleConfig, _hermite_coeffs,
-                              _hermite_eval, plan_footsteps, swing_trajectory,
-                              timeline_from_footsteps)
-from oracles import phase_at_scan
+                              PlanInfeasibleError, UnicycleConfig, plan_footsteps,
+                              swing_trajectory, timeline_from_footsteps)
+from oracles import phase_at_scan, swing_pose_plain
 
 
 def make_feet(spacing=0.14):
@@ -162,21 +161,14 @@ class TestSwingTrajectory:
             # Finite-difference velocity matches the analytic one.
             assert np.linalg.norm((p1 - p0) / (t1 - t0) - v0) < 5e-3
 
-    @staticmethod
-    def reference_pose(tr, t):
-        """`pose` as the cubics were evaluated before they were cached."""
-        t = np.clip(t, tr.t_start, tr.t_end)
-        tau = t - tr.t_start
-        x, vx = _hermite_eval(tr.coeffs_xy[0], tau)
-        y, vy = _hermite_eval(tr.coeffs_xy[1], tau)
-        yaw, yaw_rate = _hermite_eval(tr.coeffs_yaw, tau)
-        half = 0.5 * (tr.t_end - tr.t_start)
-        g, top = tr.ground_height, tr.ground_height + tr.apex
-        if tau <= half:
-            z, vz = _hermite_eval(_hermite_coeffs(g, 0.0, top, 0.0, half), tau)
-        else:
-            z, vz = _hermite_eval(_hermite_coeffs(top, 0.0, g, 0.0, half), tau - half)
-        return np.array([x, y, z]), yaw, np.array([vx, vy, vz]), yaw_rate
+    def test_pose_equals_plain_cubics_across_swing(self):
+        # Bit for bit on a grid across the lift and the descent.
+        a = Footstep(FootSide.LEFT, np.array([0.1, -0.05]), 0.2, 0.0)
+        b = Footstep(FootSide.LEFT, np.array([0.35, 0.02]), -0.4, 1.0)
+        tr = swing_trajectory(a, b, (1.3, 1.75), apex=0.04)
+        for t in np.linspace(1.2, 1.85, 131):
+            for g, w in zip(tr.pose(t), swing_pose_plain(tr, t)):
+                assert np.array_equal(g, w), t
 
     @settings(max_examples=200, deadline=None)
     @given(xy=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
@@ -191,7 +183,7 @@ class TestSwingTrajectory:
         tr = swing_trajectory(a, b, (t_start, t_end), apex=apex)
         for t in (t_start + u * duration, t_start + 0.5 * (t_end - t_start),
                   t_start - 1.0, t_end + 1.0, t_start, t_end):
-            got, want = tr.pose(t), self.reference_pose(tr, t)
+            got, want = tr.pose(t), swing_pose_plain(tr, t)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
 
