@@ -1,19 +1,19 @@
 """A/B timing of two checkouts with perfbench, in alternating pairs.
 
-    python tests/ab_pairs.py PARENT CHANGE --workload steady-pi \
-        [--workload steady-mpc ...] [--pairs 10] [--seconds 20] [--seed 0] \
-        [--run-path DIR] [--log FILE]
+    python tests/ab_pairs.py PARENT CHANGE --workload steady-pi [--workload steady-mpc ...]
     python tests/ab_pairs.py --summarize FILE
 
-Each pair runs `perfbench/run.py --trace 0` once on each side, per workload;
-even pairs run the parent first and odd pairs the change. Before each run the
-side is copied to one fixed path (`--run-path`), so that both sides run from
-the same directory: perfbench timings move with the checkout's path. Every
-run's outcome is appended to the log as one JSON line, and `--summarize`
-prints the table again from a log.
+Each of 10 pairs runs `perfbench/run.py --seed 0 --seconds 20 --trace 0` once
+on each side, per workload; even pairs run the parent first and odd pairs the
+change. Before each run the side is copied to one fixed path inside a
+temporary directory that the script makes and removes, so that both sides run
+from the same directory: perfbench timings move with the checkout's path.
+Every run's outcome is written to `ab_pairs.jsonl` in the current directory
+(replacing an earlier log) as one JSON line, and `--summarize` prints the
+table again from a log.
 
 Per workload and end-to-end metric the table gives each side's median and
-quartiles, the change's wins (pairs where it is better; ties count for
+quartiles, the change's wins (pairs where it is lower; ties count for
 neither), whether the gap between the medians exceeds the parent's quartile
 spread, and per side the count of runs that read `correct: false`.
 Stdlib only.
@@ -25,12 +25,16 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
+SECONDS = 20
+SEED = 0
+LOG = Path("ab_pairs.jsonl")
 IGNORE = shutil.ignore_patterns(".git", ".perfbench_out", "__pycache__",
                                 ".pytest_cache", ".hypothesis")
-DEFAULT_BETTER = "lower"
 
 
 def quartiles(values):
@@ -41,37 +45,27 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(parent, change, better=DEFAULT_BETTER):
-    """Summary of one metric over paired runs: `parent[i]` and `change[i]`
-    are the values of pair i (None where a run gave none)."""
+def summarize(parent, change):
+    """Summary of one metric over paired runs, lower is better:
+    `parent[i]` and `change[i]` are the values of pair i (None where a run
+    gave none). Each side needs at least one value."""
     pairs = [(a, b) for a, b in zip(parent, change) if a is not None and b is not None]
-    sign = 1.0 if better == "lower" else -1.0
     pq = quartiles([a for a in parent if a is not None])
     cq = quartiles([b for b in change if b is not None])
     spread = pq[2] - pq[0]
     return {
         "parent": pq, "change": cq,
-        "wins": sum(sign * (b - a) < 0 for a, b in pairs),
-        "losses": sum(sign * (b - a) > 0 for a, b in pairs),
+        "wins": sum(b < a for a, b in pairs),
+        "losses": sum(b > a for a, b in pairs),
         "pairs": len(pairs),
         "spread": spread,
         "outside": abs(cq[1] - pq[1]) > spread,
     }
 
 
-def metric_directions(root):
-    """{metric: "lower" | "higher"} from the checkout's BENCHMARK.json."""
-    try:
-        spec = json.loads((Path(root) / "BENCHMARK.json").read_text())
-    except (OSError, ValueError):
-        return {}
-    return {m["name"]: m.get("better", DEFAULT_BETTER) for m in spec.get("end_to_end", ())}
-
-
-def table(records, directions=None):
+def table(records):
     """Text table of the log `records` (dicts with pair, side, workload,
     correct and metrics)."""
-    directions = directions or {}
     lines = []
     for workload in sorted({r["workload"] for r in records}):
         runs = [r for r in records if r["workload"] == workload]
@@ -84,10 +78,11 @@ def table(records, directions=None):
         names = sorted({m for r in runs for m in r["metrics"]})
         for name in names:
             vals = {s: [by[i, s]["metrics"].get(name) for i in complete] for s in SIDES}
-            if not any(v is not None for v in vals["parent"]):
+            empty = [s for s in SIDES if all(v is None for v in vals[s])]
+            if empty:
+                lines.append(f"  {name:28s} n/a: no value from the {' or '.join(empty)} runs")
                 continue
-            s = summarize(vals["parent"], vals["change"],
-                          directions.get(name, DEFAULT_BETTER))
+            s = summarize(vals["parent"], vals["change"])
             (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
             rel = (cm - pm) / pm * 100.0 if pm else float("nan")
             lines.append(
@@ -98,16 +93,16 @@ def table(records, directions=None):
     return "\n".join(lines)
 
 
-def run_once(side_dir, run_path, workload, seed, seconds):
+def run_once(side_dir, run_path, workload):
     """Copy `side_dir` to `run_path` and run perfbench there; the result
     record (correct, metrics) or a failed one."""
-    run_path = Path(run_path)
-    if run_path.exists():
-        shutil.rmtree(run_path)
     shutil.copytree(side_dir, run_path, ignore=IGNORE)
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=run_path, capture_output=True, text=True)
+    try:
+        cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
+        proc = subprocess.run(cmd, cwd=run_path, capture_output=True, text=True)
+    finally:
+        shutil.rmtree(run_path)
     try:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         metrics = {k: v["value"] for k, v in result["metrics"].items()}
@@ -121,37 +116,31 @@ def main(argv=None):
     parser.add_argument("parent", nargs="?")
     parser.add_argument("change", nargs="?")
     parser.add_argument("--workload", action="append", default=[])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--run-path", type=Path, default=Path("/tmp/dcmwalk-ab"))
-    parser.add_argument("--log", type=Path, default=Path("ab_pairs.jsonl"))
     parser.add_argument("--summarize", type=Path, metavar="FILE")
     args = parser.parse_args(argv)
 
     if args.summarize:
         records = [json.loads(l) for l in args.summarize.read_text().splitlines() if l]
-        print(table(records, metric_directions(Path(__file__).resolve().parent.parent)))
+        print(table(records))
         return 0
     if not (args.parent and args.change and args.workload):
         parser.error("give PARENT, CHANGE and at least one --workload")
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     records = []
-    with open(args.log, "a") as log:
-        for pair in range(args.pairs):
+    with tempfile.TemporaryDirectory(prefix="dcmwalk-ab-") as tmp, open(LOG, "w") as log:
+        run_path = Path(tmp) / "dcmwalk"
+        for pair in range(PAIRS):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for workload in args.workload:
                 for side in order:
-                    record = run_once(sides[side], args.run_path, workload,
-                                      args.seed, args.seconds)
+                    record = run_once(sides[side], run_path, workload)
                     record.update(pair=pair, side=side, workload=workload)
                     records.append(record)
                     log.write(json.dumps(record) + "\n")
                     log.flush()
                     print(f"pair {pair} {workload} {side}: correct "
                           f"{record['correct']} {record['metrics']}", flush=True)
-    shutil.rmtree(args.run_path, ignore_errors=True)
-    print(table(records, metric_directions(sides["parent"])))
+    print(table(records))
     return 0
 
 

@@ -29,11 +29,6 @@ def test_summary_gap_outside_spread():
     assert s["spread"] == pytest.approx(0.15)
 
 
-def test_summary_higher_is_better():
-    s = summarize([1.0, 1.0, 1.0], [2.0, 0.5, 1.0], better="higher")
-    assert (s["wins"], s["losses"]) == (1, 1)
-
-
 def test_summary_skips_missing_values():
     s = summarize([1.0, None, 3.0], [0.5, 2.0, None])
     assert s["pairs"] == 1 and s["wins"] == 1
@@ -53,3 +48,18 @@ def test_table_reports_pairs_and_incorrect_runs():
     assert "w: 2 pairs; correct: false in 0 parent and 1 change runs" in text
     assert "wins 2/2" in text
     assert "parent 1.1000 [1.0500, 1.1500]" in text
+
+
+def test_table_marks_metric_a_side_never_gave():
+    # Every change run failed: its metrics are empty, so the metric has no
+    # figures, but the failed runs are still counted.
+    records = []
+    for pair in range(3):
+        records.append({"pair": pair, "side": "parent", "workload": "w", "correct": True,
+                        "metrics": {"m": 1.0 + pair}})
+        records.append({"pair": pair, "side": "change", "workload": "w", "correct": False,
+                        "metrics": {}})
+    text = table(records)
+    assert "w: 3 pairs; correct: false in 0 parent and 3 change runs" in text
+    assert "n/a: no value from the change runs" in text
+    assert "wins" not in text
