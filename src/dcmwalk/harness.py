@@ -142,6 +142,14 @@ class Scenario:
         for name in ("fall_margin", "fall_height_fraction", "gain_blend_time"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
+        # The stabilizers' gains and weights, checked here by their own
+        # types; the ZMP-CoM gains need omega, so they are checked at run start.
+        object.__setattr__(self, "_dcm_gains", InstantaneousGains(
+            kp=self.dcm_kp * np.eye(2), ki=self.dcm_ki * np.eye(2)))
+        object.__setattr__(self, "_mpc_config", MpcConfig(
+            horizon=self.mpc_horizon, sample_time=self.mpc_period,
+            Q=self.mpc_q * np.eye(2), R=self.mpc_r * np.eye(2),
+            Q_terminal=self.mpc_qn * np.eye(2)))
         # The planner's velocities are always the scenario's own, so a
         # `unicycle` block only sets the step bounds, and
         # `replace(scenario, forward_velocity=v)` plans at v.
@@ -442,12 +450,8 @@ class _SimplifiedLayer:
         omega = traj.omega
         self._scenario = sc
         self._traj = traj
-        self._inst = InstantaneousDcmController(
-            InstantaneousGains(kp=sc.dcm_kp * np.eye(2), ki=sc.dcm_ki * np.eye(2)), omega)
-        self._mpc = PredictiveDcmController(
-            MpcConfig(horizon=sc.mpc_horizon, sample_time=sc.mpc_period,
-                      Q=sc.mpc_q * np.eye(2), R=sc.mpc_r * np.eye(2),
-                      Q_terminal=sc.mpc_qn * np.eye(2)), omega)
+        self._inst = InstantaneousDcmController(sc._dcm_gains, omega)
+        self._mpc = PredictiveDcmController(sc._mpc_config, omega)
         self._polygons = PlanPolygons(timeline) if sc.controller == "predictive" else None
         self._mpc_stride = round(sc.mpc_period / sc.dt)
         self._standing = ZmpComGains(k_zmp=sc.k_zmp_standing * np.eye(2),

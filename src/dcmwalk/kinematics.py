@@ -7,6 +7,7 @@ Jacobian maps nu to the stacked linear/angular frame velocity.
 
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -119,35 +120,41 @@ class KinematicModel:
         n = len(self.joints)
         joints = self.joints
 
-        # Per-joint arrays, built once; a KinematicsCache only indexes them.
-        self._parent_link = np.array([link_index[j.parent] for j in joints], dtype=int)
         # Measured alone, one 4x4 product per joint read +1.8% steady-pi control_ref.p5.
         self._fk_joints, self._fk_levels, self._fk_rows = self._tree_levels(order)
-        self._revolute = np.array([j.kind == "revolute" for j in joints], dtype=bool)
-        self._prismatic = np.flatnonzero(~self._revolute)
-        axes = np.array([j.axis for j in joints]).reshape(n, 3)
+        # Per-joint arrays, built once in the tree pass's order, so that a
+        # KinematicsCache gathers only the joint positions. Against a gather
+        # of the 4x4 joint stack per state: steady-pi control_ref.p5 -4.2%, 10/10 pairs.
+        tree = [joints[i] for i in self._fk_joints]
+        self._parent_link = np.array([link_index[j.parent] for j in tree], dtype=int)
+        self._revolute = np.array([j.kind == "revolute" for j in tree], dtype=bool)
+        self._all_revolute = bool(self._revolute.all())
+        axes = np.array([j.axis for j in tree]).reshape(n, 3)
         self._axis_skew = np.array([skew(a) for a in axes]).reshape(n, 3, 3)
         self._axis_skew2 = self._axis_skew @ self._axis_skew
-        self._origin_rotation = np.array([j.origin_rotation for j in joints]).reshape(n, 3, 3)
+        self._origin_rotation = np.array([j.origin_rotation for j in tree]).reshape(n, 3, 3)
         # Joint origin offset and joint axis, both in the parent link frame.
         self._joint_offsets = np.stack(
-            [np.array([j.origin_xyz for j in joints]).reshape(n, 3),
+            [np.array([j.origin_xyz for j in tree]).reshape(n, 3),
              (self._origin_rotation @ axes[:, :, None])[:, :, 0]], axis=2)
 
-        # chain[l, j] = 1 when joint j moves link l.
+        # chain[l, j] = 1 when joint j moves link l; `_chains[l]` lists those
+        # joints by their place in the tree order.
         chain = np.zeros((len(self._link_order), n))
         for name, l in link_index.items():
             while name != self.base_link:
                 joint = self._parent_joint[name]
                 chain[l, self._joint_index[joint.name]] = 1.0
                 name = joint.parent
-        self._chain_mask = chain
-        self._angular_mask = chain * self._revolute
+        tree_place = np.empty(n, dtype=int)
+        tree_place[self._fk_joints] = np.arange(n)
+        self._chains = [np.sort(tree_place[np.flatnonzero(row)]) for row in chain]
         self._mass_vector = np.array([self.links[name].mass for name in self._link_order])
         self._link_com = np.array([self.links[name].com for name in self._link_order])
-        # Mass share of every link in each joint's subtree: joints x links.
+        # Mass share of every link in each joint's subtree: joints, in the
+        # model's order, x links. The row sums are stored in the tree order.
         self._subtree_weight = chain.T * (self._mass_vector / self._total_mass)
-        self._subtree_share = self._subtree_weight.sum(axis=1)
+        self._subtree_share = self._subtree_weight.sum(axis=1)[self._fk_joints]
         # Every link is a frame at its origin; named frames may shadow links.
         self._frame_table = {}
         for name in self.links:
@@ -157,9 +164,9 @@ class KinematicModel:
             if fd.link not in link_index:
                 raise ValueError(f"frame {name}: unknown link {fd.link!r}")
             self._frame_table[name] = (link_index[fd.link], fd)
-        # frame tuple -> `_frame_stack`. Rebuilt per call instead: steady-pi
-        # control_ref.p5 +2.0%, 2/10 pairs, outside the parent's spread.
-        self._frame_stacks = {}
+        # frame tuple -> `_TaskPlan`, built on first use. Against 0/1 chain
+        # masks over every joint: steady-pi control_ref.p5 -8.4%, 10/10 pairs.
+        self._task_plans = {}
         # Joint-rate limits as read-only rows rate_rows @ nu <= rate_rhs, with
         # a zero base block: +e_j for each finite upper limit, then -e_j for
         # each finite lower one. An infinite limit gives no row.
@@ -268,16 +275,78 @@ class KinematicModel:
         except KeyError:
             raise UnknownFrameError(name) from None
 
-    def _frame_stack(self, frames):
-        """(link indices, frame offsets as an nf x 3 x 1 array) of a tuple of
-        frames, built on its first use."""
-        stack = self._frame_stacks.get(frames)
-        if stack is None:
-            defs = [self._frame(f) for f in frames]
-            stack = self._frame_stacks[frames] = (
-                np.array([link for link, _ in defs], dtype=int),
-                np.array([fd.xyz for _, fd in defs]).reshape(len(defs), 3, 1))
-        return stack
+    def _task_plan(self, frames):
+        """The `_TaskPlan` of a tuple of frames, built on its first use."""
+        plan = self._task_plans.get(frames)
+        if plan is None:
+            plan = self._task_plans[frames] = self._build_task_plan(frames)
+        return plan
+
+    def _build_task_plan(self, frames):
+        n, nv = self.n_joints, self.n_velocities
+        defs = [self._frame(f) for f in frames]
+        nf = len(defs)
+        links = np.array([link for link, _ in defs], dtype=int)
+        # First row of each task's linear block: the CoM, then the frames.
+        top = np.concatenate([[0], 3 + 6 * np.arange(nf)])
+        template = np.zeros((3 + 6 * nf, nv))
+        for t, row in enumerate(top):
+            template[row:row + 3, 0:3] = _EYE3
+            if t:
+                template[row + 3:row + 6, 3:6] = _EYE3
+        template.setflags(write=False)
+        # The (task, joint) pairs on each frame's chain; task 0 is the CoM.
+        chains = [self._chains[link] for link in links]
+        pair_tasks = np.repeat(1 + np.arange(nf), [c.size for c in chains])
+        pair_joints = np.concatenate([np.zeros(0, dtype=int)] + chains)
+        lever_tasks = np.concatenate([np.zeros(n, dtype=int), pair_tasks])
+        lever_joints = np.concatenate([np.arange(n), pair_joints])
+        xyz = np.arange(3)[:, None]
+        column = 6 + self._fk_joints
+
+        def index(tasks, joints, rows=0):
+            return (top[tasks] + rows + xyz) * nv + column[joints]
+
+        revolute = self._revolute[pair_joints]
+        prismatic = np.flatnonzero(~self._revolute)
+        prismatic_tasks = np.concatenate([np.zeros(prismatic.size, dtype=int),
+                                          pair_tasks[~revolute]])
+        prismatic_joints = np.concatenate([prismatic, pair_joints[~revolute]])
+        return _TaskPlan(
+            template=template, links=links,
+            offsets=np.array([fd.xyz for _, fd in defs]).reshape(nf, 3, 1),
+            pair_tasks=pair_tasks, pair_joints=pair_joints, lever_joints=lever_joints,
+            lever_index=index(lever_tasks, lever_joints),
+            base_index=np.array([(top[:, None] + rows) * nv + cols
+                                 for rows, cols in ((_MINUS_D_ROWS, _MINUS_D_COLS),
+                                                    (_PLUS_D_ROWS, _PLUS_D_COLS))]),
+            angular_joints=pair_joints[revolute],
+            angular_index=index(pair_tasks[revolute], pair_joints[revolute], 3),
+            prismatic_joints=prismatic_joints,
+            prismatic_weight=np.concatenate([self._subtree_share[prismatic],
+                                             np.ones(prismatic_joints.size - prismatic.size)]),
+            prismatic_index=index(prismatic_tasks, prismatic_joints))
+
+
+class _TaskPlan(NamedTuple):
+    """What `KinematicsCache.task_jacobian` needs of a frame tuple that only
+    the model decides. Joints are numbered in the tree order; task 0 is the
+    CoM and task 1 + f is frame f. An index is into the flattened Jacobian,
+    with one row per x, y, z component."""
+
+    template: np.ndarray          # the Jacobian's constant identity blocks
+    links: np.ndarray             # each frame's link
+    offsets: np.ndarray           # each frame's offset in its link, nf x 3 x 1
+    pair_tasks: np.ndarray        # the (task, joint) pairs on the frames' chains
+    pair_joints: np.ndarray
+    lever_joints: np.ndarray      # the CoM's joints (all), then the pairs' joints
+    lever_index: np.ndarray       # where axis x lever goes, per lever
+    base_index: np.ndarray        # where -d and +d of -skew(d) go, per task
+    angular_joints: np.ndarray    # the revolute pairs' joints
+    angular_index: np.ndarray     # where their axes go
+    prismatic_joints: np.ndarray  # the CoM's prismatic joints, then the pairs'
+    prismatic_weight: np.ndarray  # subtree mass share for the CoM, 1 for a frame
+    prismatic_index: np.ndarray
 
 
 @dataclass
@@ -311,19 +380,23 @@ class KinematicsCache:
     def __init__(self, model, state):
         self.model = model
         self.state = state
-        s = state.joint_positions
-        revolute = model._revolute
-        angle = np.where(revolute, s, 0.0)[:, None, None]
+        # The model's joint arrays are in the tree pass's order
+        # (`KinematicModel._tree_levels`), so only the positions are gathered.
+        s = state.joint_positions[model._fk_joints]
+        offsets = model._joint_offsets[:, :, 0]
+        if model._all_revolute:
+            angle = s[:, None, None]
+        else:
+            revolute = model._revolute
+            angle = np.where(revolute, s, 0.0)[:, None, None]
+            offsets = offsets + np.where(revolute, 0.0, s)[:, None] * model._joint_offsets[:, :, 1]
         joint_rotation = (_EYE3 + np.sin(angle) * model._axis_skew
                           + (1.0 - np.cos(angle)) * model._axis_skew2)
         # Parent link frame -> child link frame, per joint.
         local = np.zeros((model.n_joints, 4, 4))
         local[:, :3, :3] = model._origin_rotation @ joint_rotation
-        local[:, :3, 3] = (model._joint_offsets[:, :, 0]
-                           + np.where(revolute, 0.0, s)[:, None] * model._joint_offsets[:, :, 1])
+        local[:, :3, 3] = offsets
         local[:, 3, 3] = 1.0
-        # The tree pass, in its own row order (`KinematicModel._tree_levels`).
-        local = local[model._fk_joints]
         pose = np.empty((len(model._link_order), 4, 4))
         pose[0, :3, :3] = state.base_rotation
         pose[0, :3, 3] = state.base_position
@@ -354,55 +427,47 @@ class KinematicsCache:
         """Stacked task Jacobian [J_com; J_frames[0]; J_frames[1]; ...].
 
         Three linear-velocity rows for the CoM, then six rows per frame
-        (linear, then angular). The linear columns of every task come from
-        one batched cross product of the joint axes with the lever arms,
-        written component by component into the joint columns.
+        (linear, then angular). The frame tuple's `_TaskPlan` places every
+        entry: the linear joint columns of every task come from one batched
+        cross product of the joint axes with the lever arms.
         """
         model = self.model
-        links, offsets = model._frame_stack(tuple(frames))
-        nf = links.size
-        nv = model.n_velocities
+        plan = model._task_plan(tuple(frames))
+        n = model.n_joints
         # World joint origins and unit axes, one row per joint.
         parent = model._parent_link
         joints = self._rotation[parent] @ model._joint_offsets
         origins, axes = self._position[parent] + joints[:, :, 0], joints[:, :, 1]
-        points = np.empty((1 + nf, 3))
+        links = plan.links
+        points = np.empty((1 + links.size, 3))
         points[0] = self.com()
-        points[1:] = self._position[links] + (self._rotation[links] @ offsets)[:, :, 0]
-        # weights[t, j]: share of task t that joint j moves (CoM: subtree
-        # mass share; a frame: 1 on its chain). lever[t, j]: weighted lever
-        # arm from joint j's origin.
-        weights = np.empty((1 + nf, model.n_joints))
-        weights[0] = model._subtree_share
-        weights[1:] = model._chain_mask[links]
-        lever = np.empty((1 + nf, model.n_joints, 3))
-        lever[0] = model._subtree_weight @ self._link_coms() - weights[0][:, None] * origins
-        lever[1:] = weights[1:, :, None] * (points[1:, None, :] - origins)
+        points[1:] = self._position[links] + (self._rotation[links] @ plan.offsets)[:, :, 0]
+        # Lever arms: the CoM's from each joint's origin, weighted by the
+        # joint's subtree mass share; a frame's from each joint on its chain.
+        lever = np.empty((plan.lever_joints.size, 3))
+        lever[:n] = ((model._subtree_weight @ self._link_coms())[model._fk_joints]
+                     - model._subtree_share[:, None] * origins)
+        np.subtract(points[plan.pair_tasks], origins[plan.pair_joints], out=lever[n:])
 
-        # linear[t]: the linear-velocity rows of task t.
-        linear = np.zeros((1 + nf, 3, nv))
-        linear[:, :, 0:3] = _EYE3
+        J = plan.template.copy()
+        flat = J.reshape(-1)
+        # Joint columns, linear rows: axis x lever for a revolute joint,
+        # weighted axis for a prismatic one.
+        (ax, ay, az), (lx, ly, lz) = axes[plan.lever_joints].T, lever.T
+        cross = np.empty((3, lever.shape[0]))
+        np.subtract(ay * lz, az * ly, out=cross[0])
+        np.subtract(az * lx, ax * lz, out=cross[1])
+        np.subtract(ax * ly, ay * lx, out=cross[2])
+        flat[plan.lever_index] = cross
+        if plan.prismatic_joints.size:
+            flat[plan.prismatic_index] = (plan.prismatic_weight[:, None]
+                                          * axes[plan.prismatic_joints]).T
         # Base angular columns: -skew(point - base position).
         d = points - self.state.base_position
-        linear[:, _MINUS_D_ROWS, _MINUS_D_COLS] = -d
-        linear[:, _PLUS_D_ROWS, _PLUS_D_COLS] = d
-        # Joint columns: axis x lever for a revolute joint, weighted axis
-        # for a prismatic one.
-        (ax, ay, az), (lx, ly, lz) = axes.T, lever.transpose(2, 0, 1)
-        columns = linear[:, :, 6:]
-        np.subtract(ay * lz, az * ly, out=columns[:, 0])
-        np.subtract(az * lx, ax * lz, out=columns[:, 1])
-        np.subtract(ax * ly, ay * lx, out=columns[:, 2])
-        prismatic = model._prismatic
-        if prismatic.size:
-            columns[:, :, prismatic] = weights[:, None, prismatic] * axes.T[:, prismatic]
-
-        J = np.zeros((3 + 6 * nf, nv))
-        J[:3] = linear[0]
-        blocks = J[3:].reshape(nf, 6, nv)
-        blocks[:, :3] = linear[1:]
-        blocks[:, 3:, 3:6] = _EYE3
-        blocks[:, 3:, 6:] = (model._angular_mask[links][:, :, None] * axes).transpose(0, 2, 1)
+        flat[plan.base_index[0]] = -d
+        flat[plan.base_index[1]] = d
+        # Joint columns, angular rows: a revolute joint's axis.
+        flat[plan.angular_index] = axes[plan.angular_joints].T
         return J
 
     def frame_jacobian(self, name):

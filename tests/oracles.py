@@ -431,12 +431,102 @@ def swing_pose_plain(swing, t):
     return np.array([x, y, z]), yaw, np.array([vx, vy, vz]), yaw_rate
 
 
-def frame_stack_plain(model, frames):
-    """(link indices, frame offsets as an nf x 3 x 1 array) of a tuple of
-    frames, built anew on every call."""
+def _joint_arrays(model):
+    """Per-joint arrays in the model's joint order: revolute flags, axis
+    skews and their squares, origin rotations, and the joint origin offsets
+    and axes in the parent link frame (n x 3 x 2)."""
+    from dcmwalk.so3 import skew
+    joints = model.joints
+    n = len(joints)
+    axes = np.array([j.axis for j in joints]).reshape(n, 3)
+    axis_skew = np.array([skew(a) for a in axes]).reshape(n, 3, 3)
+    origin_rotation = np.array([j.origin_rotation for j in joints]).reshape(n, 3, 3)
+    offsets = np.stack([np.array([j.origin_xyz for j in joints]).reshape(n, 3),
+                        (origin_rotation @ axes[:, :, None])[:, :, 0]], axis=2)
+    revolute = np.array([j.kind == "revolute" for j in joints], dtype=bool)
+    return revolute, axis_skew, axis_skew @ axis_skew, origin_rotation, offsets
+
+
+def tree_pass_plain(model, state):
+    """(link rotations, link positions) in link order by the batched tree
+    pass on joint-order arrays: the 4x4 joint transforms are built in the
+    model's joint order and permuted to the tree order on every call."""
+    revolute, axis_skew, axis_skew2, origin_rotation, offsets = _joint_arrays(model)
+    s = state.joint_positions
+    angle = np.where(revolute, s, 0.0)[:, None, None]
+    joint_rotation = (np.eye(3) + np.sin(angle) * axis_skew
+                      + (1.0 - np.cos(angle)) * axis_skew2)
+    local = np.zeros((model.n_joints, 4, 4))
+    local[:, :3, :3] = origin_rotation @ joint_rotation
+    local[:, :3, 3] = offsets[:, :, 0] + np.where(revolute, 0.0, s)[:, None] * offsets[:, :, 1]
+    local[:, 3, 3] = 1.0
+    local = local[model._fk_joints]
+    pose = np.empty((len(model.links), 4, 4))
+    pose[0, :3, :3] = state.base_rotation
+    pose[0, :3, 3] = state.base_position
+    pose[0, 3] = (0.0, 0.0, 0.0, 1.0)
+    for joints, parents, children in model._fk_levels:
+        np.matmul(pose[parents], local[joints], out=pose[children])
+    pose = pose[model._fk_rows]
+    return pose[:, :3, :3], pose[:, :3, 3]
+
+
+def task_jacobian_masked(model, state, frames):
+    """`KinematicsCache.task_jacobian` by 0/1 chain masks over every joint,
+    in the model's joint order: each task's lever arm from every joint is
+    weighted by the share of the task that the joint moves (CoM: subtree
+    mass share; a frame: 1 on its chain, else 0)."""
+    rotation, position = tree_pass_plain(model, state)
+    revolute, _, _, _, joint_offsets = _joint_arrays(model)
+    link_names = list(model.links)
+    link_index = {name: i for i, name in enumerate(link_names)}
+    n, nv = model.n_joints, model.n_velocities
+    chain = np.zeros((len(link_names), n))
+    for l, name in enumerate(link_names):
+        chain[l, sorted(_chain(model, name))] = 1.0
+    mass = np.array([model.links[name].mass for name in link_names])
+    total = model.total_mass
+    subtree_weight = chain.T * (mass / total)
+    coms = position + (rotation @ np.array([model.links[name].com
+                                            for name in link_names])[:, :, None])[:, :, 0]
     defs = [model._frame(f) for f in frames]
-    return (np.array([link for link, _ in defs], dtype=int),
-            np.array([fd.xyz for _, fd in defs]).reshape(len(defs), 3, 1))
+    links = np.array([link for link, _ in defs], dtype=int)
+    offsets = np.array([fd.xyz for _, fd in defs]).reshape(len(defs), 3, 1)
+    nf = links.size
+    parent = np.array([link_index[j.parent] for j in model.joints], dtype=int)
+    joints = rotation[parent] @ joint_offsets
+    origins, axes = position[parent] + joints[:, :, 0], joints[:, :, 1]
+    points = np.empty((1 + nf, 3))
+    points[0] = mass @ coms / total
+    points[1:] = position[links] + (rotation[links] @ offsets)[:, :, 0]
+    weights = np.empty((1 + nf, n))
+    weights[0] = subtree_weight.sum(axis=1)
+    weights[1:] = chain[links]
+    lever = np.empty((1 + nf, n, 3))
+    lever[0] = subtree_weight @ coms - weights[0][:, None] * origins
+    lever[1:] = weights[1:, :, None] * (points[1:, None, :] - origins)
+
+    linear = np.zeros((1 + nf, 3, nv))
+    linear[:, :, 0:3] = np.eye(3)
+    d = points - state.base_position
+    linear[:, [2, 0, 1], [4, 5, 3]] = -d
+    linear[:, [1, 2, 0], [5, 3, 4]] = d
+    (ax, ay, az), (lx, ly, lz) = axes.T, lever.transpose(2, 0, 1)
+    columns = linear[:, :, 6:]
+    np.subtract(ay * lz, az * ly, out=columns[:, 0])
+    np.subtract(az * lx, ax * lz, out=columns[:, 1])
+    np.subtract(ax * ly, ay * lx, out=columns[:, 2])
+    prismatic = np.flatnonzero(~revolute)
+    if prismatic.size:
+        columns[:, :, prismatic] = weights[:, None, prismatic] * axes.T[:, prismatic]
+
+    J = np.zeros((3 + 6 * nf, nv))
+    J[:3] = linear[0]
+    blocks = J[3:].reshape(nf, 6, nv)
+    blocks[:, :3] = linear[1:]
+    blocks[:, 3:, 3:6] = np.eye(3)
+    blocks[:, 3:, 6:] = ((chain * revolute)[links][:, :, None] * axes).transpose(0, 2, 1)
+    return J
 
 
 def phase_at_scan(timeline, t):

@@ -82,6 +82,19 @@ class TestRun:
         assert err["category"] == "config"
         assert "dcm_kp must be finite" in err["message"]
 
+    @pytest.mark.parametrize("key, value", [("dcm_kp", 0.5), ("dcm_ki", -1.0),
+                                            ("mpc_q", 0.0), ("mpc_r", -0.1)])
+    def test_bad_stabilizer_gain_exit_code(self, tmp_path, capsys, key, value):
+        # Checked when the config is parsed: before, the output directory
+        # was made and the run failed at its start.
+        cfg = write_config(tmp_path, {key: value})
+        out = tmp_path / "out"
+        code = main(["run", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["category"] == "config"
+        assert not out.exists()
+
     def test_nan_push_exit_code(self, tmp_path, capsys, monkeypatch):
         # A NaN impulse used to run to the push at t = 1 s and fail there.
         def ran(*args, **kwargs):

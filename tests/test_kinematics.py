@@ -13,8 +13,8 @@ from dcmwalk.kinematics import (YAML_LOADER, KinematicsCache, RobotState,
                                 load_model, sample_biped)
 from dcmwalk.so3 import exp_so3, vee
 from oracles import (com_jacobian_loop, com_oracle, fd_task_jacobian, fk_chain_oracle,
-                     frame_jacobian_loop, frame_stack_plain, inequality_rows,
-                     random_tree_doc)
+                     frame_jacobian_loop, inequality_rows, random_tree_doc,
+                     task_jacobian_masked, tree_pass_plain)
 
 
 def random_state(model, rng, scale=0.4):
@@ -85,16 +85,38 @@ class TestForwardKinematics:
 
 
 class TestJacobians:
-    def test_frame_stack_equals_plain_build(self):
-        # On its first use and from the cache, for every frame tuple used.
+    def test_tree_pass_equals_plain_form(self):
+        # On the model's tree-order arrays, against the joint-order stack
+        # permuted on every call.
+        model = sample_biped()
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            state = random_state(model, rng, scale=1.0)
+            cache = KinematicsCache(model, state)
+            rotation, position = tree_pass_plain(model, state)
+            assert np.array_equal(cache._rotation, rotation)
+            assert np.array_equal(cache._position, position)
+
+    def test_planned_jacobian_equals_masked_form(self):
+        # On a plan's first use and from the plan, for the CoM alone, the
+        # whole-body QP's tuple, every frame alone and reversed tuples.
         model = sample_biped()
         frames = all_frames(model)
-        for tup in [(), ("left_foot", "right_foot", "torso"), tuple(frames),
-                    tuple(reversed(frames))]:
-            for _ in range(2):
-                got, want = model._frame_stack(tup), frame_stack_plain(model, tup)
-                assert all(np.array_equal(g, w) and g.dtype == w.dtype
-                           for g, w in zip(got, want))
+        qp_frames = ("left_foot", "right_foot", "torso")
+        tuples = ([(), qp_frames, qp_frames[::-1], tuple(frames), tuple(reversed(frames))]
+                  + [(f,) for f in frames])
+        rng = np.random.default_rng(8)
+        for k in range(4):
+            state = random_state(model, rng, scale=1.0)
+            cache = KinematicsCache(model, state)
+            for tup in tuples:
+                assert (tup in model._task_plans) == (k > 0)
+                want = task_jacobian_masked(model, state, tup)
+                assert np.array_equal(cache.task_jacobian(tup), want), tup
+                assert np.array_equal(cache.task_jacobian(tup), want), tup
+        assert np.array_equal(cache.com_jacobian(), task_jacobian_masked(model, state, ()))
+        assert np.array_equal(cache.frame_jacobian("torso"),
+                              task_jacobian_masked(model, state, ("torso",))[3:])
 
     def test_fd_slope_first_order(self):
         # Truncation error of the one-sided difference is O(eps): the
@@ -189,6 +211,24 @@ class TestRandomTrees:
             assert np.abs(p - p_o).max() < 1e-12
             assert np.abs(R - R_o).max() < 1e-12
         assert np.abs(cache.com() - com_oracle(model, state)).max() < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_planned_forms_equal_plain_forms(self, seed):
+        # The tree pass and the planned Jacobian, prismatic joints included,
+        # against the joint-order tree pass and the masked Jacobian.
+        rng = np.random.default_rng(seed)
+        model = load_model(random_tree_doc(rng))
+        state = random_state(model, rng, scale=1.0)
+        cache = KinematicsCache(model, state)
+        rotation, position = tree_pass_plain(model, state)
+        assert np.array_equal(cache._rotation, rotation)
+        assert np.array_equal(cache._position, position)
+        frames = all_frames(model)
+        for tup in [(), tuple(frames), tuple(reversed(frames))] + [(f,) for f in frames]:
+            want = task_jacobian_masked(model, state, tup)
+            for _ in range(2):
+                assert np.array_equal(cache.task_jacobian(tup), want), tup
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dcmwalk import kinematics, wholebody
+from dcmwalk import kinematics, so3, wholebody
 from dcmwalk import qp as qp_module
 from dcmwalk.control import MpcConfig, PredictiveDcmController, SupportPolygon
 from dcmwalk.harness import NoiseModel, Scenario, run_scenario
@@ -303,11 +303,16 @@ def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
     # one tree pass, one task Jacobian (hard tasks and torso together), one
     # Cholesky (the rank certificate, with no SVD after it) and one dense
     # solve (the KKT system): a second factorization per cycle fails here.
+    # Its three rotation errors (torso and both feet) check both of their
+    # rotations, the measured one and the reference, and no rotation is
+    # checked between cycles.
     cycle = WholeBodyController.cycle
     iterations = []
     per_cycle = []
     running = []   # the counts of the cycle in progress, if any
-    names = ("KinematicsCache", "task_jacobian", "cholesky", "svd", "solve", "matrix_rank")
+    between = []   # rotation checks outside the cycles
+    names = ("KinematicsCache", "task_jacobian", "cholesky", "svd", "solve", "matrix_rank",
+             "is_rotation")
 
     def counted(self, refs, measured_state):
         running.append(dict.fromkeys(names, 0))
@@ -322,6 +327,8 @@ def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
         def call(*args, **kwargs):
             if running:
                 running[-1][name] += 1
+            elif name == "is_rotation":
+                between.append(args)
             return fn(*args, **kwargs)
         return call
 
@@ -330,6 +337,7 @@ def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
                         counting("KinematicsCache", wholebody.KinematicsCache))
     monkeypatch.setattr(kinematics.KinematicsCache, "task_jacobian", counting(
         "task_jacobian", kinematics.KinematicsCache.task_jacobian))
+    monkeypatch.setattr(so3, "is_rotation", counting("is_rotation", so3.is_rotation))
     for name in ("cholesky", "svd", "solve", "matrix_rank"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     result = run_scenario(Scenario(controller="instantaneous", mode=mode,
@@ -339,8 +347,9 @@ def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
     assert len(iterations) == len(result.traces["t"]) == 300
     assert set(iterations) == {1}
     work = {tuple(sorted(counts.items())) for counts in per_cycle}
-    assert work == {(("KinematicsCache", 1), ("cholesky", 1), ("matrix_rank", 0),
-                     ("solve", 1), ("svd", 0), ("task_jacobian", 1))}
+    assert work == {(("KinematicsCache", 1), ("cholesky", 1), ("is_rotation", 6),
+                     ("matrix_rank", 0), ("solve", 1), ("svd", 0), ("task_jacobian", 1))}
+    assert between == []
 
 
 def _frozen_copy(a):
