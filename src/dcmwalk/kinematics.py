@@ -120,41 +120,36 @@ class KinematicModel:
         n = len(self.joints)
         joints = self.joints
 
+        # Per-joint arrays, built once; a KinematicsCache only indexes them.
+        self._parent_link = np.array([link_index[j.parent] for j in joints], dtype=int)
         # Measured alone, one 4x4 product per joint read +1.8% steady-pi control_ref.p5.
         self._fk_joints, self._fk_levels, self._fk_rows = self._tree_levels(order)
-        # Per-joint arrays, built once in the tree pass's order, so that a
-        # KinematicsCache gathers only the joint positions. Against a gather
-        # of the 4x4 joint stack per state: steady-pi control_ref.p5 -4.2%, 10/10 pairs.
-        tree = [joints[i] for i in self._fk_joints]
-        self._parent_link = np.array([link_index[j.parent] for j in tree], dtype=int)
-        self._revolute = np.array([j.kind == "revolute" for j in tree], dtype=bool)
+        self._revolute = np.array([j.kind == "revolute" for j in joints], dtype=bool)
+        # With no prismatic joint a KinematicsCache skips the prismatic terms;
+        # computing them anyway read steady-pi control_ref.p5 +3.3%, 1/10 pairs.
         self._all_revolute = bool(self._revolute.all())
-        axes = np.array([j.axis for j in tree]).reshape(n, 3)
+        axes = np.array([j.axis for j in joints]).reshape(n, 3)
         self._axis_skew = np.array([skew(a) for a in axes]).reshape(n, 3, 3)
         self._axis_skew2 = self._axis_skew @ self._axis_skew
-        self._origin_rotation = np.array([j.origin_rotation for j in tree]).reshape(n, 3, 3)
+        self._origin_rotation = np.array([j.origin_rotation for j in joints]).reshape(n, 3, 3)
         # Joint origin offset and joint axis, both in the parent link frame.
         self._joint_offsets = np.stack(
-            [np.array([j.origin_xyz for j in tree]).reshape(n, 3),
+            [np.array([j.origin_xyz for j in joints]).reshape(n, 3),
              (self._origin_rotation @ axes[:, :, None])[:, :, 0]], axis=2)
 
-        # chain[l, j] = 1 when joint j moves link l; `_chains[l]` lists those
-        # joints by their place in the tree order.
+        # chain[l, j] = 1 when joint j moves link l; `_chains[l]` lists those joints.
         chain = np.zeros((len(self._link_order), n))
         for name, l in link_index.items():
             while name != self.base_link:
                 joint = self._parent_joint[name]
                 chain[l, self._joint_index[joint.name]] = 1.0
                 name = joint.parent
-        tree_place = np.empty(n, dtype=int)
-        tree_place[self._fk_joints] = np.arange(n)
-        self._chains = [np.sort(tree_place[np.flatnonzero(row)]) for row in chain]
+        self._chains = [np.flatnonzero(row) for row in chain]
         self._mass_vector = np.array([self.links[name].mass for name in self._link_order])
         self._link_com = np.array([self.links[name].com for name in self._link_order])
-        # Mass share of every link in each joint's subtree: joints, in the
-        # model's order, x links. The row sums are stored in the tree order.
+        # Mass share of every link in each joint's subtree: joints x links.
         self._subtree_weight = chain.T * (self._mass_vector / self._total_mass)
-        self._subtree_share = self._subtree_weight.sum(axis=1)[self._fk_joints]
+        self._subtree_share = self._subtree_weight.sum(axis=1)
         # Every link is a frame at its origin; named frames may shadow links.
         self._frame_table = {}
         for name in self.links:
@@ -302,10 +297,9 @@ class KinematicModel:
         lever_tasks = np.concatenate([np.zeros(n, dtype=int), pair_tasks])
         lever_joints = np.concatenate([np.arange(n), pair_joints])
         xyz = np.arange(3)[:, None]
-        column = 6 + self._fk_joints
 
         def index(tasks, joints, rows=0):
-            return (top[tasks] + rows + xyz) * nv + column[joints]
+            return (top[tasks] + rows + xyz) * nv + 6 + joints
 
         revolute = self._revolute[pair_joints]
         prismatic = np.flatnonzero(~self._revolute)
@@ -330,7 +324,7 @@ class KinematicModel:
 
 class _TaskPlan(NamedTuple):
     """What `KinematicsCache.task_jacobian` needs of a frame tuple that only
-    the model decides. Joints are numbered in the tree order; task 0 is the
+    the model decides. Joints are numbered in the model's order; task 0 is the
     CoM and task 1 + f is frame f. An index is into the flattened Jacobian,
     with one row per x, y, z component."""
 
@@ -380,9 +374,7 @@ class KinematicsCache:
     def __init__(self, model, state):
         self.model = model
         self.state = state
-        # The model's joint arrays are in the tree pass's order
-        # (`KinematicModel._tree_levels`), so only the positions are gathered.
-        s = state.joint_positions[model._fk_joints]
+        s = state.joint_positions
         offsets = model._joint_offsets[:, :, 0]
         if model._all_revolute:
             angle = s[:, None, None]
@@ -397,6 +389,8 @@ class KinematicsCache:
         local[:, :3, :3] = model._origin_rotation @ joint_rotation
         local[:, :3, 3] = offsets
         local[:, 3, 3] = 1.0
+        # The tree pass, in its own row order (`KinematicModel._tree_levels`).
+        local = local[model._fk_joints]
         pose = np.empty((len(model._link_order), 4, 4))
         pose[0, :3, :3] = state.base_rotation
         pose[0, :3, 3] = state.base_position
@@ -445,7 +439,7 @@ class KinematicsCache:
         # Lever arms: the CoM's from each joint's origin, weighted by the
         # joint's subtree mass share; a frame's from each joint on its chain.
         lever = np.empty((plan.lever_joints.size, 3))
-        lever[:n] = ((model._subtree_weight @ self._link_coms())[model._fk_joints]
+        lever[:n] = (model._subtree_weight @ self._link_coms()
                      - model._subtree_share[:, None] * origins)
         np.subtract(points[plan.pair_tasks], origins[plan.pair_joints], out=lever[n:])
 

@@ -449,8 +449,9 @@ def _joint_arrays(model):
 
 def tree_pass_plain(model, state):
     """(link rotations, link positions) in link order by the batched tree
-    pass on joint-order arrays: the 4x4 joint transforms are built in the
-    model's joint order and permuted to the tree order on every call."""
+    pass, with the joint arrays built per call and the prismatic terms (the
+    angle and offset masks) computed on every model, prismatic joints or
+    not."""
     revolute, axis_skew, axis_skew2, origin_rotation, offsets = _joint_arrays(model)
     s = state.joint_positions
     angle = np.where(revolute, s, 0.0)[:, None, None]

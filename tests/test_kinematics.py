@@ -86,8 +86,8 @@ class TestForwardKinematics:
 
 class TestJacobians:
     def test_tree_pass_equals_plain_form(self):
-        # On the model's tree-order arrays, against the joint-order stack
-        # permuted on every call.
+        # The packaged biped has no prismatic joint, so the tree pass skips
+        # the prismatic terms; the plain form computes them on every model.
         model = sample_biped()
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -216,7 +216,7 @@ class TestRandomTrees:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_planned_forms_equal_plain_forms(self, seed):
         # The tree pass and the planned Jacobian, prismatic joints included,
-        # against the joint-order tree pass and the masked Jacobian.
+        # against the plain tree pass and the masked Jacobian.
         rng = np.random.default_rng(seed)
         model = load_model(random_tree_doc(rng))
         state = random_state(model, rng, scale=1.0)
