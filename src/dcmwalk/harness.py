@@ -263,7 +263,7 @@ def realized_support_polygon(phase, foot_positions):
     return _support_region(phase, foot_positions)
 
 
-def fall_detector(dcm, support, com_height, z0, margin=0.3, height_fraction=0.5):
+def fall_detector(dcm, support, com_height, z0, *, margin, height_fraction):
     """Fallen when the DCM leaves the support region by more than `margin`
     or the CoM height drops/rises by more than the configured fraction."""
     if support.violation(dcm) > margin:

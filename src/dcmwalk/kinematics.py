@@ -29,8 +29,9 @@ def _finite_vector(owner, name, value):
 
 @dataclass(frozen=True)
 class Joint:
+    """A revolute joint: it turns its child link about `axis`."""
+
     name: str
-    kind: str                 # "revolute" | "prismatic"
     parent: str
     child: str
     axis: np.ndarray
@@ -41,8 +42,6 @@ class Joint:
 
     def __post_init__(self):
         owner = f"joint {self.name}"
-        if self.kind not in ("revolute", "prismatic"):
-            raise ValueError(f"unknown joint type {self.kind!r}")
         axis = _finite_vector(owner, "axis", self.axis)
         if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
             raise ValueError(f"{owner}: axis must be a unit vector")
@@ -109,25 +108,18 @@ class KinematicModel:
     frames: dict = field(default_factory=dict)  # name -> FrameDef
 
     def __post_init__(self):
-        order = self._validate_tree()
+        self._link_order = list(self.links)
+        link_index = {name: i for i, name in enumerate(self._link_order)}
+        # Measured alone, one 4x4 product per joint read +1.8% steady-pi control_ref.p5.
+        self._fk_joints, self._fk_levels, self._fk_rows, chain = self._walk_tree(link_index)
         self._total_mass = sum(l.mass for l in self.links.values())
         if not self._total_mass > 0.0:
             raise ValueError("total mass must be positive")
-        self._joint_index = {j.name: i for i, j in enumerate(self.joints)}
-        self._parent_joint = {j.child: j for j in self.joints}
-        self._link_order = list(self.links)
-        link_index = {name: i for i, name in enumerate(self._link_order)}
         n = len(self.joints)
         joints = self.joints
 
         # Per-joint arrays, built once; a KinematicsCache only indexes them.
         self._parent_link = np.array([link_index[j.parent] for j in joints], dtype=int)
-        # Measured alone, one 4x4 product per joint read +1.8% steady-pi control_ref.p5.
-        self._fk_joints, self._fk_levels, self._fk_rows = self._tree_levels(order)
-        self._revolute = np.array([j.kind == "revolute" for j in joints], dtype=bool)
-        # With no prismatic joint a KinematicsCache skips the prismatic terms;
-        # computing them anyway read steady-pi control_ref.p5 +3.3%, 1/10 pairs.
-        self._all_revolute = bool(self._revolute.all())
         axes = np.array([j.axis for j in joints]).reshape(n, 3)
         self._axis_skew = np.array([skew(a) for a in axes]).reshape(n, 3, 3)
         self._axis_skew2 = self._axis_skew @ self._axis_skew
@@ -137,13 +129,7 @@ class KinematicModel:
             [np.array([j.origin_xyz for j in joints]).reshape(n, 3),
              (self._origin_rotation @ axes[:, :, None])[:, :, 0]], axis=2)
 
-        # chain[l, j] = 1 when joint j moves link l; `_chains[l]` lists those joints.
-        chain = np.zeros((len(self._link_order), n))
-        for name, l in link_index.items():
-            while name != self.base_link:
-                joint = self._parent_joint[name]
-                chain[l, self._joint_index[joint.name]] = 1.0
-                name = joint.parent
+        # `_chains[l]` lists the joints that move link l.
         self._chains = [np.flatnonzero(row) for row in chain]
         self._mass_vector = np.array([self.links[name].mass for name in self._link_order])
         self._link_com = np.array([self.links[name].com for name in self._link_order])
@@ -174,70 +160,59 @@ class KinematicModel:
         self.rate_rows.setflags(write=False)
         self.rate_rhs.setflags(write=False)
 
-    def _validate_tree(self):
-        """Check the joints form a tree over the links; returns the joints in
-        an order where every parent link is placed before its children."""
-        if self.base_link not in self.links:
-            raise ValueError(f"base link {self.base_link!r} is not a link")
-        for j in self.joints:
-            if j.parent not in self.links or j.child not in self.links:
-                raise ValueError(f"joint {j.name}: unknown link")
-        seen = {self.base_link}
-        order = []
-        remaining = list(self.joints)
-        progressed = True
-        while remaining and progressed:
-            progressed = False
-            for j in list(remaining):
-                if j.parent in seen:
-                    if j.child in seen:
-                        raise ValueError(f"kinematic loop at link {j.child}")
-                    seen.add(j.child)
-                    order.append(j)
-                    remaining.remove(j)
-                    progressed = True
-        if remaining:
-            raise ValueError("kinematic tree is disconnected or cyclic")
-        missing = set(self.links) - seen
-        if missing:
-            raise ValueError(f"links not reachable from base: {sorted(missing)}")
-        return order
+    def _walk_tree(self, link_index):
+        """Check that the joints form a tree over the links, walking it level
+        by level from the base, and lay out the tree pass.
 
-    def _tree_levels(self, order):
-        """The tree pass, grouped by depth: level d holds the joints whose
-        child link is d joints below the base.
-
+        Level d holds the joints whose child link is d joints below the base.
         The pass keeps its poses in its own row order: row 0 is the base and
         row i + 1 the child link of joint `joints[i]`, the joints taken level
         by level, each level sorted by parent row. A level is then one
         batched product of its parent rows with a slice of joints, into a
         slice of child rows. Its parent rows are a slice when they are one
         row (broadcast) or consecutive, else an index array. Returns
-        (joints, levels, the row of each link in link order).
+        (joints, levels, the row of each link in link order, the links x
+        joints chain matrix: 1 where the joint moves the link).
         """
-        depth = {self.base_link: 0}
-        by_depth = []
-        for j in order:
-            d = depth[j.child] = depth[j.parent] + 1
-            if d > len(by_depth):
-                by_depth.append([])
-            by_depth[d - 1].append(j)
+        if self.base_link not in self.links:
+            raise ValueError(f"base link {self.base_link!r} is not a link")
+        children = {}
+        for i, j in enumerate(self.joints):
+            if j.parent not in self.links or j.child not in self.links:
+                raise ValueError(f"joint {j.name}: unknown link")
+            children.setdefault(j.parent, []).append(i)
+        chain = np.zeros((len(link_index), len(self.joints)))
         row = {self.base_link: 0}
         joints, levels = [], []
-        for level in by_depth:
-            level.sort(key=lambda j: row[j.parent])
-            start = len(joints)
-            for j in level:
-                joints.append(self._joint_index[j.name])
-                row[j.child] = len(joints)
-            parents = np.array([row[j.parent] for j in level])
-            step = set(np.diff(parents).tolist())
-            if step <= {0} or step == {1}:
-                parents = slice(int(parents[0]), int(parents[-1]) + 1)
-            levels.append((slice(start, len(joints)), parents,
-                           slice(start + 1, len(joints) + 1)))
+        level = [self.base_link]
+        while level:
+            start, parents, below = len(joints), [], []
+            for link in level:
+                for i in children.pop(link, ()):
+                    child = self.joints[i].child
+                    if child in row:
+                        raise ValueError(f"kinematic loop at link {child}")
+                    joints.append(i)
+                    row[child] = len(joints)
+                    parents.append(row[link])
+                    below.append(child)
+                    chain[link_index[child]] = chain[link_index[link]]
+                    chain[link_index[child], i] = 1.0
+            if below:
+                parents = np.array(parents)
+                step = set(np.diff(parents).tolist())
+                if step <= {0} or step == {1}:
+                    parents = slice(int(parents[0]), int(parents[-1]) + 1)
+                levels.append((slice(start, len(joints)), parents,
+                               slice(start + 1, len(joints) + 1)))
+            level = below
+        if len(joints) < len(self.joints):
+            raise ValueError("kinematic tree is disconnected or cyclic")
+        missing = set(self.links) - set(row)
+        if missing:
+            raise ValueError(f"links not reachable from base: {sorted(missing)}")
         return (np.array(joints, dtype=int), levels,
-                np.array([row[name] for name in self._link_order], dtype=int))
+                np.array([row[name] for name in self._link_order], dtype=int), chain)
 
     @property
     def n_joints(self):
@@ -301,11 +276,6 @@ class KinematicModel:
         def index(tasks, joints, rows=0):
             return (top[tasks] + rows + xyz) * nv + 6 + joints
 
-        revolute = self._revolute[pair_joints]
-        prismatic = np.flatnonzero(~self._revolute)
-        prismatic_tasks = np.concatenate([np.zeros(prismatic.size, dtype=int),
-                                          pair_tasks[~revolute]])
-        prismatic_joints = np.concatenate([prismatic, pair_joints[~revolute]])
         return _TaskPlan(
             template=template, links=links,
             offsets=np.array([fd.xyz for _, fd in defs]).reshape(nf, 3, 1),
@@ -314,12 +284,7 @@ class KinematicModel:
             base_index=np.array([(top[:, None] + rows) * nv + cols
                                  for rows, cols in ((_MINUS_D_ROWS, _MINUS_D_COLS),
                                                     (_PLUS_D_ROWS, _PLUS_D_COLS))]),
-            angular_joints=pair_joints[revolute],
-            angular_index=index(pair_tasks[revolute], pair_joints[revolute], 3),
-            prismatic_joints=prismatic_joints,
-            prismatic_weight=np.concatenate([self._subtree_share[prismatic],
-                                             np.ones(prismatic_joints.size - prismatic.size)]),
-            prismatic_index=index(prismatic_tasks, prismatic_joints))
+            angular_index=index(pair_tasks, pair_joints, 3))
 
 
 class _TaskPlan(NamedTuple):
@@ -336,11 +301,7 @@ class _TaskPlan(NamedTuple):
     lever_joints: np.ndarray      # the CoM's joints (all), then the pairs' joints
     lever_index: np.ndarray       # where axis x lever goes, per lever
     base_index: np.ndarray        # where -d and +d of -skew(d) go, per task
-    angular_joints: np.ndarray    # the revolute pairs' joints
-    angular_index: np.ndarray     # where their axes go
-    prismatic_joints: np.ndarray  # the CoM's prismatic joints, then the pairs'
-    prismatic_weight: np.ndarray  # subtree mass share for the CoM, 1 for a frame
-    prismatic_index: np.ndarray
+    angular_index: np.ndarray     # where the pairs' joint axes go
 
 
 @dataclass
@@ -374,22 +335,15 @@ class KinematicsCache:
     def __init__(self, model, state):
         self.model = model
         self.state = state
-        s = state.joint_positions
-        offsets = model._joint_offsets[:, :, 0]
-        if model._all_revolute:
-            angle = s[:, None, None]
-        else:
-            revolute = model._revolute
-            angle = np.where(revolute, s, 0.0)[:, None, None]
-            offsets = offsets + np.where(revolute, 0.0, s)[:, None] * model._joint_offsets[:, :, 1]
+        angle = state.joint_positions[:, None, None]
         joint_rotation = (_EYE3 + np.sin(angle) * model._axis_skew
                           + (1.0 - np.cos(angle)) * model._axis_skew2)
         # Parent link frame -> child link frame, per joint.
         local = np.zeros((model.n_joints, 4, 4))
         local[:, :3, :3] = model._origin_rotation @ joint_rotation
-        local[:, :3, 3] = offsets
+        local[:, :3, 3] = model._joint_offsets[:, :, 0]
         local[:, 3, 3] = 1.0
-        # The tree pass, in its own row order (`KinematicModel._tree_levels`).
+        # The tree pass, in its own row order (`KinematicModel._walk_tree`).
         local = local[model._fk_joints]
         pose = np.empty((len(model._link_order), 4, 4))
         pose[0, :3, :3] = state.base_rotation
@@ -445,23 +399,19 @@ class KinematicsCache:
 
         J = plan.template.copy()
         flat = J.reshape(-1)
-        # Joint columns, linear rows: axis x lever for a revolute joint,
-        # weighted axis for a prismatic one.
+        # Joint columns, linear rows: axis x lever.
         (ax, ay, az), (lx, ly, lz) = axes[plan.lever_joints].T, lever.T
         cross = np.empty((3, lever.shape[0]))
         np.subtract(ay * lz, az * ly, out=cross[0])
         np.subtract(az * lx, ax * lz, out=cross[1])
         np.subtract(ax * ly, ay * lx, out=cross[2])
         flat[plan.lever_index] = cross
-        if plan.prismatic_joints.size:
-            flat[plan.prismatic_index] = (plan.prismatic_weight[:, None]
-                                          * axes[plan.prismatic_joints]).T
         # Base angular columns: -skew(point - base position).
         d = points - self.state.base_position
         flat[plan.base_index[0]] = -d
         flat[plan.base_index[1]] = d
-        # Joint columns, angular rows: a revolute joint's axis.
-        flat[plan.angular_index] = axes[plan.angular_joints].T
+        # Joint columns, angular rows: the joint's axis.
+        flat[plan.angular_index] = axes[plan.pair_joints].T
         return J
 
     def frame_jacobian(self, name):
@@ -496,7 +446,10 @@ def load_model(source):
     links = {l["name"]: Link(name=l["name"], mass=float(l["mass"]),
                              com=l.get("com", [0.0, 0.0, 0.0]))
              for l in doc["links"]}
-    joints = [Joint(name=j["name"], kind=j["type"], parent=j["parent"], child=j["child"],
+    for j in doc["joints"]:
+        if j["type"] != "revolute":
+            raise ValueError(f"joint {j['name']}: type must be revolute, not {j['type']!r}")
+    joints = [Joint(name=j["name"], parent=j["parent"], child=j["child"],
                     axis=j["axis"], origin_xyz=j.get("origin_xyz", [0.0, 0.0, 0.0]),
                     origin_rpy=j.get("origin_rpy", [0.0, 0.0, 0.0]),
                     limits=tuple(j.get("limits", (-2.5, 2.5))),

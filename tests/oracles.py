@@ -221,6 +221,17 @@ def mpc_kkt_oracle(omega, T, Q, R, QN, xi_meas, r_prev, refs):
     return sol[6:8]
 
 
+def _chain_up(model, link):
+    """Indices of the joints from `link` up to the base, nearest first,
+    found by scanning `model.joints` for each link's parent joint."""
+    chain = []
+    while link != model.base_link:
+        idx = next(i for i, j in enumerate(model.joints) if j.child == link)
+        chain.append(idx)
+        link = model.joints[idx].parent
+    return chain
+
+
 def fk_chain_oracle(model, state, frame):
     """Frame pose by explicit 4x4 homogeneous matrix chaining."""
     from dcmwalk.so3 import exp_so3, rpy_to_rotation
@@ -232,20 +243,11 @@ def fk_chain_oracle(model, state, frame):
         return T
 
     fd = model.frame_def(frame)
-    chain = []
-    link = fd.link
-    while link != model.base_link:
-        joint = model._parent_joint[link]
-        chain.append(joint)
-        link = joint.parent
     T = hom(state.base_rotation, state.base_position)
-    for joint in reversed(chain):
-        idx = model._joint_index[joint.name]
+    for idx in reversed(_chain_up(model, fd.link)):
+        joint = model.joints[idx]
         T = T @ hom(rpy_to_rotation(*joint.origin_rpy), joint.origin_xyz)
-        if joint.kind == "revolute":
-            T = T @ hom(exp_so3(joint.axis * state.joint_positions[idx]), np.zeros(3))
-        else:
-            T = T @ hom(np.eye(3), joint.axis * state.joint_positions[idx])
+        T = T @ hom(exp_so3(joint.axis * state.joint_positions[idx]), np.zeros(3))
     T = T @ hom(rpy_to_rotation(*fd.rpy), fd.xyz)
     return T[:3, 3], T[:3, :3]
 
@@ -302,15 +304,6 @@ def _joint_frames_oracle(model, state):
     return np.array(origins), np.array(axes)
 
 
-def _chain(model, link):
-    joints = set()
-    while link != model.base_link:
-        joint = model._parent_joint[link]
-        joints.add(model._joint_index[joint.name])
-        link = joint.parent
-    return joints
-
-
 def _lever_skew(d):
     return np.array([[0.0, d[2], -d[1]], [-d[2], 0.0, d[0]], [d[1], -d[0], 0.0]])
 
@@ -319,23 +312,17 @@ def frame_jacobian_loop(model, state, frame):
     """6 x (6+n) frame Jacobian, one joint column at a time."""
     origins, axes = _joint_frames_oracle(model, state)
     p, _ = fk_chain_oracle(model, state, frame)
-    chain = _chain(model, model.frame_def(frame).link)
+    chain = _chain_up(model, model.frame_def(frame).link)
     J = np.zeros((6, 6 + model.n_joints))
     J[0:3, 0:3] = np.eye(3)
     J[0:3, 3:6] = _lever_skew(p - state.base_position)
     J[3:6, 3:6] = np.eye(3)
-    for idx, joint in enumerate(model.joints):
-        if idx not in chain:
-            continue
-        a = axes[idx]
-        if joint.kind == "revolute":
-            r = p - origins[idx]
-            J[0:3, 6 + idx] = (a[1] * r[2] - a[2] * r[1],
-                               a[2] * r[0] - a[0] * r[2],
-                               a[0] * r[1] - a[1] * r[0])
-            J[3:6, 6 + idx] = a
-        else:
-            J[0:3, 6 + idx] = a
+    for idx in chain:
+        a, r = axes[idx], p - origins[idx]
+        J[0:3, 6 + idx] = (a[1] * r[2] - a[2] * r[1],
+                           a[2] * r[0] - a[0] * r[2],
+                           a[0] * r[1] - a[1] * r[0])
+        J[3:6, 6 + idx] = a
     return J
 
 
@@ -351,32 +338,28 @@ def com_jacobian_loop(model, state):
     J = np.zeros((3, 6 + model.n_joints))
     J[:, 0:3] = np.eye(3)
     J[:, 3:6] = _lever_skew(com - state.base_position)
-    for idx, joint in enumerate(model.joints):
-        sub = [n for n in model.links if idx in _chain(model, n)]
+    for idx in range(model.n_joints):
+        sub = [n for n in model.links if idx in _chain_up(model, n)]
         m_sub = sum(model.links[n].mass for n in sub)
-        a = axes[idx]
-        if joint.kind == "revolute":
-            c_sub = sum(model.links[n].mass * points[n] for n in sub) / m_sub
-            r = c_sub - origins[idx]
-            J[:, 6 + idx] = (m_sub / total) * np.array(
-                (a[1] * r[2] - a[2] * r[1],
-                 a[2] * r[0] - a[0] * r[2],
-                 a[0] * r[1] - a[1] * r[0]))
-        else:
-            J[:, 6 + idx] = (m_sub / total) * a
+        c_sub = sum(model.links[n].mass * points[n] for n in sub) / m_sub
+        a, r = axes[idx], c_sub - origins[idx]
+        J[:, 6 + idx] = (m_sub / total) * np.array(
+            (a[1] * r[2] - a[2] * r[1],
+             a[2] * r[0] - a[0] * r[2],
+             a[0] * r[1] - a[1] * r[0]))
     return J
 
 
 def random_tree_doc(rng, max_joints=6):
-    """Model document of a random tree: revolute and prismatic joints, random
-    axes, joint origins, link masses and CoMs, and frames at random offsets."""
+    """Model document of a random tree of revolute joints: random axes,
+    joint origins, link masses and CoMs, and frames at random offsets."""
     n = int(rng.integers(1, max_joints + 1))
     links = [{"name": "l0", "mass": float(rng.uniform(0.2, 3.0)),
               "com": rng.normal(scale=0.1, size=3).tolist()}]
     joints = []
     for j in range(n):
         axis = rng.normal(size=3)
-        joints.append({"name": f"j{j}", "type": str(rng.choice(["revolute", "prismatic"])),
+        joints.append({"name": f"j{j}", "type": "revolute",
                        "parent": f"l{int(rng.integers(0, j + 1))}", "child": f"l{j + 1}",
                        "axis": (axis / np.linalg.norm(axis)).tolist(),
                        "origin_xyz": rng.normal(scale=0.2, size=3).tolist(),
@@ -432,9 +415,9 @@ def swing_pose_plain(swing, t):
 
 
 def _joint_arrays(model):
-    """Per-joint arrays in the model's joint order: revolute flags, axis
-    skews and their squares, origin rotations, and the joint origin offsets
-    and axes in the parent link frame (n x 3 x 2)."""
+    """Per-joint arrays in the model's joint order: axis skews and their
+    squares, origin rotations, and the joint origin offsets and axes in the
+    parent link frame (n x 3 x 2)."""
     from dcmwalk.so3 import skew
     joints = model.joints
     n = len(joints)
@@ -443,23 +426,19 @@ def _joint_arrays(model):
     origin_rotation = np.array([j.origin_rotation for j in joints]).reshape(n, 3, 3)
     offsets = np.stack([np.array([j.origin_xyz for j in joints]).reshape(n, 3),
                         (origin_rotation @ axes[:, :, None])[:, :, 0]], axis=2)
-    revolute = np.array([j.kind == "revolute" for j in joints], dtype=bool)
-    return revolute, axis_skew, axis_skew @ axis_skew, origin_rotation, offsets
+    return axis_skew, axis_skew @ axis_skew, origin_rotation, offsets
 
 
 def tree_pass_plain(model, state):
     """(link rotations, link positions) in link order by the batched tree
-    pass, with the joint arrays built per call and the prismatic terms (the
-    angle and offset masks) computed on every model, prismatic joints or
-    not."""
-    revolute, axis_skew, axis_skew2, origin_rotation, offsets = _joint_arrays(model)
-    s = state.joint_positions
-    angle = np.where(revolute, s, 0.0)[:, None, None]
+    pass, with the joint arrays built per call."""
+    axis_skew, axis_skew2, origin_rotation, offsets = _joint_arrays(model)
+    angle = state.joint_positions[:, None, None]
     joint_rotation = (np.eye(3) + np.sin(angle) * axis_skew
                       + (1.0 - np.cos(angle)) * axis_skew2)
     local = np.zeros((model.n_joints, 4, 4))
     local[:, :3, :3] = origin_rotation @ joint_rotation
-    local[:, :3, 3] = offsets[:, :, 0] + np.where(revolute, 0.0, s)[:, None] * offsets[:, :, 1]
+    local[:, :3, 3] = offsets[:, :, 0]
     local[:, 3, 3] = 1.0
     local = local[model._fk_joints]
     pose = np.empty((len(model.links), 4, 4))
@@ -478,13 +457,13 @@ def task_jacobian_masked(model, state, frames):
     weighted by the share of the task that the joint moves (CoM: subtree
     mass share; a frame: 1 on its chain, else 0)."""
     rotation, position = tree_pass_plain(model, state)
-    revolute, _, _, _, joint_offsets = _joint_arrays(model)
+    joint_offsets = _joint_arrays(model)[3]
     link_names = list(model.links)
     link_index = {name: i for i, name in enumerate(link_names)}
     n, nv = model.n_joints, model.n_velocities
     chain = np.zeros((len(link_names), n))
     for l, name in enumerate(link_names):
-        chain[l, sorted(_chain(model, name))] = 1.0
+        chain[l, _chain_up(model, name)] = 1.0
     mass = np.array([model.links[name].mass for name in link_names])
     total = model.total_mass
     subtree_weight = chain.T * (mass / total)
@@ -517,16 +496,13 @@ def task_jacobian_masked(model, state, frames):
     np.subtract(ay * lz, az * ly, out=columns[:, 0])
     np.subtract(az * lx, ax * lz, out=columns[:, 1])
     np.subtract(ax * ly, ay * lx, out=columns[:, 2])
-    prismatic = np.flatnonzero(~revolute)
-    if prismatic.size:
-        columns[:, :, prismatic] = weights[:, None, prismatic] * axes.T[:, prismatic]
 
     J = np.zeros((3 + 6 * nf, nv))
     J[:3] = linear[0]
     blocks = J[3:].reshape(nf, 6, nv)
     blocks[:, :3] = linear[1:]
     blocks[:, 3:, 3:6] = np.eye(3)
-    blocks[:, 3:, 6:] = ((chain * revolute)[links][:, :, None] * axes).transpose(0, 2, 1)
+    blocks[:, 3:, 6:] = (chain[links][:, :, None] * axes).transpose(0, 2, 1)
     return J
 
 

@@ -1,9 +1,12 @@
-"""Every name the benchmark in `perfbench/` hooks must exist in the program.
+"""What the benchmark in `perfbench/` calls of the program must exist.
 
 A hook whose target is gone makes a traced benchmark run warn and drop that
-layer's metrics, so a rename or deletion fails here instead.
+layer's metrics, and a set-up probe that cannot run fails the whole
+benchmark run, so a rename, deletion or signature change fails here instead.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import dcmwalk
@@ -24,3 +27,10 @@ def test_every_hook_target_resolves_to_a_callable(monkeypatch, capsys):
     for target in targets:
         owner, name = tracing.resolve(target)
         assert callable(getattr(owner, name)), target
+
+
+def test_setup_probe_runs_against_the_checkout():
+    # `run.measure_setup` runs the probe with check=True.
+    probe = subprocess.run([sys.executable, str(PERFBENCH / "setup_probe.py")],
+                           capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr

@@ -91,20 +91,20 @@ class TestFallDetector:
 
     def test_nominal_not_fallen(self):
         assert not fall_detector(np.array([0.02, 0.0]), self.support(),
-                                 com_height=0.43, z0=0.43)
+                                 com_height=0.43, z0=0.43, margin=0.3, height_fraction=0.5)
 
     def test_dcm_escape(self):
         assert fall_detector(np.array([0.5, 0.0]), self.support(),
-                             com_height=0.43, z0=0.43, margin=0.3)
+                             com_height=0.43, z0=0.43, margin=0.3, height_fraction=0.5)
         # Same DCM tolerated with a larger margin: monotone in margin.
         assert not fall_detector(np.array([0.5, 0.0]), self.support(),
-                                 com_height=0.43, z0=0.43, margin=0.5)
+                                 com_height=0.43, z0=0.43, margin=0.5, height_fraction=0.5)
 
     def test_height_collapse(self):
         assert fall_detector(np.zeros(2), self.support(),
-                             com_height=0.2, z0=0.43, height_fraction=0.5)
+                             com_height=0.2, z0=0.43, margin=0.3, height_fraction=0.5)
         assert not fall_detector(np.zeros(2), self.support(),
-                                 com_height=0.3, z0=0.43, height_fraction=0.5)
+                                 com_height=0.3, z0=0.43, margin=0.3, height_fraction=0.5)
 
 
 class TestGaitAssembly:

@@ -86,8 +86,8 @@ class TestForwardKinematics:
 
 class TestJacobians:
     def test_tree_pass_equals_plain_form(self):
-        # The packaged biped has no prismatic joint, so the tree pass skips
-        # the prismatic terms; the plain form computes them on every model.
+        # The tree pass against the same pass with its joint arrays built
+        # per call, in the model's joint order.
         model = sample_biped()
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -195,8 +195,8 @@ class TestJacobians:
 
 
 class TestRandomTrees:
-    """Random trees mixing revolute and prismatic joints, with frames at
-    random offsets, against the homogeneous chain oracle."""
+    """Random trees of revolute joints, with frames at random offsets,
+    against the homogeneous chain oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -215,8 +215,8 @@ class TestRandomTrees:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_planned_forms_equal_plain_forms(self, seed):
-        # The tree pass and the planned Jacobian, prismatic joints included,
-        # against the plain tree pass and the masked Jacobian.
+        # The tree pass and the planned Jacobian against the plain tree pass
+        # and the masked Jacobian.
         rng = np.random.default_rng(seed)
         model = load_model(random_tree_doc(rng))
         state = random_state(model, rng, scale=1.0)
@@ -339,17 +339,35 @@ class TestLoadModel:
         assert model.n_joints == 1 and model.n_velocities == 7
         assert abs(model.total_mass - 1.5) < 1e-15
 
+    def joint(self, name, parent, child):
+        return {"name": name, "type": "revolute", "parent": parent, "child": child,
+                "axis": [0, 0, 1]}
+
     def test_unreachable_link_rejected(self):
         doc = self.doc()
         doc["links"].append({"name": "orphan", "mass": 0.1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"links not reachable from base: \['orphan'\]"):
+            load_model(doc)
+
+    def test_base_not_a_link_rejected(self):
+        doc = self.doc()
+        doc["base_link"] = "pelvis"
+        with pytest.raises(ValueError, match="base link 'pelvis' is not a link"):
             load_model(doc)
 
     def test_loop_rejected(self):
+        # A joint onto the base, or a second joint onto the same child.
+        for parent, child in (("arm", "base"), ("base", "arm")):
+            doc = self.doc()
+            doc["joints"].append(self.joint("j2", parent, child))
+            with pytest.raises(ValueError, match=f"kinematic loop at link {child}"):
+                load_model(doc)
+
+    def test_cycle_cut_off_from_base_rejected(self):
         doc = self.doc()
-        doc["joints"].append({"name": "j2", "type": "revolute", "parent": "arm",
-                              "child": "base", "axis": [0, 0, 1]})
-        with pytest.raises(ValueError):
+        doc["links"] += [{"name": "a", "mass": 0.1}, {"name": "b", "mass": 0.1}]
+        doc["joints"] += [self.joint("j2", "a", "b"), self.joint("j3", "b", "a")]
+        with pytest.raises(ValueError, match="kinematic tree is disconnected or cyclic"):
             load_model(doc)
 
     def test_unknown_link_rejected(self):
@@ -365,8 +383,9 @@ class TestLoadModel:
     def test_joints_in_any_order(self):
         doc = self.doc()
         doc["links"].append({"name": "hand", "mass": 0.2})
-        doc["joints"].insert(0, {"name": "j2", "type": "prismatic", "parent": "arm",
-                                 "child": "hand", "axis": [1, 0, 0]})
+        doc["joints"].insert(0, {"name": "j2", "type": "revolute", "parent": "arm",
+                                 "child": "hand", "axis": [1, 0, 0],
+                                 "origin_xyz": [0.0, 0.1, 0.0]})
         model = load_model(doc)
         state = RobotState(base_position=np.zeros(3), base_rotation=np.eye(3),
                            joint_positions=[0.3, 0.5])
@@ -380,10 +399,11 @@ class TestLoadModel:
             load_model(doc)
 
     def test_bad_joint_type_rejected(self):
-        doc = self.doc()
-        doc["joints"][0]["type"] = "spherical"
-        with pytest.raises(ValueError):
-            load_model(doc)
+        for kind in ("spherical", "prismatic"):
+            doc = self.doc()
+            doc["joints"][0]["type"] = kind
+            with pytest.raises(ValueError, match=f"joint j1: .*{kind!r}"):
+                load_model(doc)
 
     @pytest.mark.parametrize("section, key, value", [
         ("links", "mass", np.nan),
