@@ -124,7 +124,7 @@ class DcmTrajectory:
     omega: float
 
     def __post_init__(self):
-        # A scan in place of bisect_right: steady-mpc period_mean_p5 +1.6%.
+        # The segment starts, searched by `eval` and `eval_many`.
         object.__setattr__(self, "_starts", [s.t_start for s in self.segments])
 
     def _segment_at(self, t):
@@ -134,6 +134,20 @@ class DcmTrajectory:
 
     def eval(self, t):
         return self._segment_at(t).eval_with(t, self.omega)
+
+    def eval_many(self, times):
+        """`eval` at every time of the array `times`, gathered: the DCM and
+        its rate, each of shape `times.shape + (2,)`, bit for bit what
+        `eval` returns. `eval_with` runs once per segment on a column of its
+        times, with the same operations in the same order."""
+        times = np.asarray(times, dtype=float)
+        index = np.clip(np.searchsorted(self._starts, times, side="right") - 1,
+                        0, len(self.segments) - 1)
+        xi, xid = np.empty(times.shape + (2,)), np.empty(times.shape + (2,))
+        for i in set(index.ravel().tolist()):
+            at = index == i
+            xi[at], xid[at] = self.segments[i].eval_with(times[at][:, None], self.omega)
+        return xi, xid
 
     def dcm(self, t):
         return self.eval(t)[0]

@@ -239,21 +239,6 @@ def support_polygon_at(timeline, t):
     return plan_support_polygon(timeline.phase_at(t))
 
 
-class PlanPolygons:
-    """Plan-level support polygons, built once per gait phase.
-
-    `at(t)` returns the polygon `support_polygon_at(timeline, t)` would
-    build, without building it again.
-    """
-
-    def __init__(self, timeline):
-        self._timeline = timeline
-        self._by_phase = {id(ph): plan_support_polygon(ph) for ph in timeline.phases}
-
-    def at(self, t):
-        return self._by_phase[id(self._timeline.phase_at(t))]
-
-
 def realized_support_polygon(phase, foot_positions):
     """Support polygon from the realized planar foot positions (plan yaws).
 
@@ -271,43 +256,55 @@ def fall_detector(dcm, support, com_height, z0, *, margin, height_fraction):
     return abs(com_height - z0) > height_fraction * z0
 
 
-class PhaseReferences:
-    """Whole-body references that hold through a gait phase, built once per
-    phase as `PlanPolygons` builds its polygons: the planted feet's
-    `FootReference`s and the torso rotation. `at(phase, t)` adds the swing
-    foot's reference, which moves every cycle.
+def _held_references(phase):
+    """The whole-body references that hold through a gait phase: (left
+    foot, right foot, torso rotation), with None for a swinging foot."""
+    swinging = (phase.stance_side.other if phase.kind is PhaseKind.SINGLE_SUPPORT
+                and phase.swing is not None else None)
+    feet = []
+    for side in (FootSide.LEFT, FootSide.RIGHT):
+        step = phase.feet[side]
+        feet.append(None if side is swinging else FootReference.stationary(
+            np.array([step.position[0], step.position[1], 0.0]), rot_z(step.yaw)))
+    torso = rot_z(0.5 * (phase.feet[FootSide.LEFT].yaw + phase.feet[FootSide.RIGHT].yaw))
+    return feet[0], feet[1], torso
+
+
+class PlanTable:
+    """The plan of one run sampled before its first cycle, so that the
+    control stages only index rows. Per cycle k, at t = k dt: `phases[k]`
+    (`timeline.phase_at(t)`), the DCM reference `dcm[k]` and its rate
+    `dcm_rate[k]` (`traj.eval(t)`), and `feet[k]`, the (left foot, right
+    foot, torso rotation) references. Per MPC sample m of a predictive run,
+    at cycle m * stride: `windows[m]`, the DCM at t + j mpc_period for
+    j = 0..N, and `polygons[m]`, the plan support polygons at the first N of
+    those times. Planted feet, torso and polygons are built once per phase.
     """
 
-    def __init__(self, timeline):
-        self._by_phase = {id(ph): self._fixed(ph) for ph in timeline.phases}
-
-    @staticmethod
-    def _fixed(phase):
-        """(left, right, torso rotation), with None for a swinging foot."""
-        swinging = (phase.stance_side.other if phase.kind is PhaseKind.SINGLE_SUPPORT
-                    and phase.swing is not None else None)
-        feet = []
-        for side in (FootSide.LEFT, FootSide.RIGHT):
-            step = phase.feet[side]
-            feet.append(None if side is swinging else FootReference.stationary(
-                np.array([step.position[0], step.position[1], 0.0]), rot_z(step.yaw)))
-        torso = rot_z(0.5 * (phase.feet[FootSide.LEFT].yaw + phase.feet[FootSide.RIGHT].yaw))
-        return feet[0], feet[1], torso
-
-    def at(self, phase, t):
-        """(left foot, right foot, torso rotation) references at time t."""
-        left, right, torso = self._by_phase[id(phase)]
-        if left is None:
-            left = _swing_reference(phase, t)
-        elif right is None:
-            right = _swing_reference(phase, t)
-        return left, right, torso
-
-
-def _swing_reference(phase, t):
-    pos, yaw, vel, yaw_rate = phase.swing.pose(t)
-    return FootReference(position=pos, rotation=rot_z(yaw), linear_velocity=vel,
-                         angular_velocity=np.array([0.0, 0.0, yaw_rate]))
+    def __init__(self, scenario, timeline, traj):
+        sc = scenario
+        t = np.arange(round(sc.duration / sc.dt)) * sc.dt
+        index = timeline.phase_indices(t).tolist()
+        self.phases = [timeline.phases[i] for i in index]
+        self.dcm, self.dcm_rate = traj.eval_many(t)
+        held = [_held_references(ph) for ph in timeline.phases]
+        self.feet = []
+        for i, phase, tk in zip(index, self.phases, t.tolist()):
+            left, right, torso = held[i]
+            if left is None or right is None:
+                pos, yaw, vel, yaw_rate = phase.swing.pose(tk)
+                swing = FootReference(position=pos, rotation=rot_z(yaw), linear_velocity=vel,
+                                      angular_velocity=np.array([0.0, 0.0, yaw_rate]))
+                left, right = (swing, right) if left is None else (left, swing)
+            self.feet.append((left, right, torso))
+        self.windows = self.polygons = None
+        if sc.controller == "predictive":
+            times = t[::round(sc.mpc_period / sc.dt), None] \
+                + np.arange(sc.mpc_horizon + 1) * sc.mpc_period
+            self.windows = traj.eval_many(times)[0]
+            plan = [plan_support_polygon(ph) for ph in timeline.phases]
+            self.polygons = [[plan[i] for i in row]
+                             for row in timeline.phase_indices(times[:, :-1]).tolist()]
 
 
 # Trace columns, in the order of the row `run_scenario` records per cycle.
@@ -445,38 +442,34 @@ class _SimplifiedLayer:
     MPC holds between its samples.
     """
 
-    def __init__(self, scenario, traj, timeline, xi0):
+    def __init__(self, scenario, plan, omega):
         sc = scenario
-        omega = traj.omega
         self._scenario = sc
-        self._traj = traj
+        self._plan = plan
+        self._omega = omega
         self._inst = InstantaneousDcmController(sc._dcm_gains, omega)
         self._mpc = PredictiveDcmController(sc._mpc_config, omega)
-        self._polygons = PlanPolygons(timeline) if sc.controller == "predictive" else None
         self._mpc_stride = round(sc.mpc_period / sc.dt)
         self._standing = ZmpComGains(k_zmp=sc.k_zmp_standing * np.eye(2),
                                      k_com=sc.k_com_standing * np.eye(2)).validate(omega)
         self._walking = ZmpComGains(k_zmp=sc.k_zmp_walking * np.eye(2),
                                     k_com=sc.k_com_walking * np.eye(2)).validate(omega)
-        self.x_ref = xi0.copy()
-        self.r_ref = xi0.copy()
+        self.x_ref = plan.dcm[0].copy()
+        self.r_ref = plan.dcm[0].copy()
 
     def control(self, k, t, x_meas, xi_meas, r_meas):
         """The simplified stage of cycle k at time t: sets `r_ref` and
         returns the DCM reference and the commanded CoM velocity."""
         sc = self._scenario
-        traj = self._traj
-        omega = traj.omega
-        xi_ref, xid_ref = traj.eval(t)
-        xd_ref = omega * (xi_ref - self.x_ref)
+        plan = self._plan
+        xi_ref, xid_ref = plan.dcm[k], plan.dcm_rate[k]
+        xd_ref = self._omega * (xi_ref - self.x_ref)
         if sc.controller == "instantaneous":
             self.r_ref = self._inst.control(xi_meas, xi_ref, xid_ref, sc.dt)
         elif k % self._mpc_stride == 0:
-            window = np.array([traj.dcm(t + j * sc.mpc_period)
-                               for j in range(sc.mpc_horizon + 1)])
-            polys = [self._polygons.at(t + j * sc.mpc_period)
-                     for j in range(sc.mpc_horizon)]
-            self.r_ref, _ = self._mpc.control(xi_meas, self.r_ref, window, polys)
+            m = k // self._mpc_stride
+            self.r_ref, _ = self._mpc.control(xi_meas, self.r_ref, plan.windows[m],
+                                              plan.polygons[m])
         blend = min(max(t / sc.gain_blend_time, 0.0), 1.0) \
             if sc.gain_blend_time > 0.0 else 1.0
         gains = self._walking if blend >= 1.0 else gain_schedule(
@@ -485,15 +478,15 @@ class _SimplifiedLayer:
 
     def advance(self, xi_ref):
         """Exact one-step propagation of the CoM reference toward the DCM ref."""
-        decay = np.exp(-self._traj.omega * self._scenario.dt)
+        decay = np.exp(-self._omega * self._scenario.dt)
         self.x_ref = xi_ref + decay * (self.x_ref - xi_ref)
 
 
-def _wholebody(wb, references, phase, t, xdot_star, x_ref, posture, robot):
-    """The wholebody stage: foot and torso references from the gait phase
-    (`PhaseReferences`), then one QP cycle. Returns the foot reference
+def _wholebody(wb, feet, xdot_star, x_ref, posture, robot):
+    """The wholebody stage: one QP cycle toward the cycle's foot and torso
+    references `feet` (a `PlanTable.feet` row). Returns the foot reference
     positions by side and the controller's diagnostics."""
-    lf_ref, rf_ref, torso_ref = references.at(phase, t)
+    lf_ref, rf_ref, torso_ref = feet
     refs = WholeBodyReferences(com_velocity_cmd=xdot_star, left_foot=lf_ref,
                                right_foot=rf_ref, torso_rotation=torso_ref,
                                posture=posture, com_position=x_ref)
@@ -506,9 +499,10 @@ def run_scenario(scenario, seed=0, model=None):
 
     Each cycle runs five stages: sense (`Plant.sense`), simplified
     (`_SimplifiedLayer.control`), wholebody (`_wholebody`), plant
-    (`Plant.advance`) and record (one trace row). `cycle_time` times the
-    two control stages only, from the DCM reference lookup through the
-    whole-body QP.
+    (`Plant.advance`) and record (one trace row). The plan's references
+    are sampled into a `PlanTable` before the first cycle, so the stages
+    only read its rows. `cycle_time` times the two control stages only,
+    from the simplified stabilizer through the whole-body QP.
     """
     rng = np.random.default_rng(seed)
     model = model if model is not None else sample_biped()
@@ -518,22 +512,20 @@ def run_scenario(scenario, seed=0, model=None):
     params = PendulumParams.from_height(z0)
     steps, timeline = build_gait(scenario)
     traj = dcm_planner.build_trajectory(timeline, params.omega, ds_ratio=scenario.ds_ratio)
-    xi0 = traj.dcm(0.0)
+    plan = PlanTable(scenario, timeline, traj)
     plant = Plant(scenario, params,
-                  SimplifiedState.from_com(xi0.copy(), np.zeros(2), params.omega),
+                  SimplifiedState.from_com(plan.dcm[0].copy(), np.zeros(2), params.omega),
                   cache0, timeline)
-    simplified = _SimplifiedLayer(scenario, traj, timeline, xi0)
+    simplified = _SimplifiedLayer(scenario, plan, params.omega)
     wb = WholeBodyController(model, scenario.task_gains, scenario.mode,
                              scenario.dt, z0, robot0)
-    references = PhaseReferences(timeline)
     posture = robot0.joint_positions.copy()
     left, right = FootSide.LEFT, FootSide.RIGHT
 
     rows = []
     error = None
-    for k in range(int(round(scenario.duration / scenario.dt))):
+    for k, phase in enumerate(plan.phases):
         t = k * scenario.dt
-        phase = timeline.phase_at(t)
         robot, x_meas, xi_meas, r_meas = plant.sense(phase, rng)
         # The control stages, timed: this is the per-cycle compute budget.
         t_clock = time.perf_counter()
@@ -543,8 +535,8 @@ def run_scenario(scenario, seed=0, model=None):
             error = f"mpc: {exc}"
             break
         try:
-            ref_feet, diag = _wholebody(wb, references, phase, t, xdot_star,
-                                        simplified.x_ref, posture, robot)
+            ref_feet, diag = _wholebody(wb, plan.feet[k], xdot_star, simplified.x_ref,
+                                        posture, robot)
         except RuntimeError as exc:
             error = f"wholebody: {exc}"
             break

@@ -279,6 +279,19 @@ class GaitTimeline:
                 return ph
         return self.phases[-1]
 
+    def phase_indices(self, times):
+        """Index into `phases` of `phase_at(t)` for every t of the array
+        `times`, tolerance included. The phases start and end in order, so
+        the first phase that ends after t is the only one that can hold it."""
+        starts = np.array([ph.t_start - 1e-12 for ph in self.phases])
+        ends = np.array([ph.t_end for ph in self.phases])
+        if (np.diff(starts) < 0.0).any() or (np.diff(ends) < 0.0).any():
+            raise ValueError("phases must start and end in time order")
+        times = np.asarray(times, dtype=float)
+        last = len(self.phases) - 1
+        i = np.minimum(np.searchsorted(ends, times, side="right"), last)
+        return np.where(starts[i] <= times, i, last)
+
     def step_sequence(self):
         """(zmp_refs, durations) consumed by the DCM planner.
 

@@ -1,13 +1,16 @@
 """A/B timing of two checkouts with perfbench, in alternating pairs.
 
     python tests/ab_pairs.py PARENT CHANGE --workload steady-pi [--workload steady-mpc ...]
+                             [--seed SEED]
     python tests/ab_pairs.py --summarize FILE
 
-Each of 10 pairs runs `perfbench/run.py --seed 0 --seconds 20 --trace 0` once
-on each side, per workload; even pairs run the parent first and odd pairs the
-change. Before each run the side is copied to one fixed path inside a
-temporary directory that the script makes and removes, so that both sides run
-from the same directory: perfbench timings move with the checkout's path.
+Each of 10 pairs runs `perfbench/run.py --seed SEED --seconds 20 --trace 0`
+once on each side, per workload; SEED is 0 unless `--seed` gives another, such
+as a seed held out while the change was written. Even pairs run the parent
+first and odd pairs the change. Before each run the side is copied to one
+fixed path inside a temporary directory that the script makes and removes, so
+that both sides run from the same directory: perfbench timings move with the
+checkout's path.
 Every run's outcome is written to `ab_pairs.jsonl` in the current directory
 (replacing an earlier log) as one JSON line, and `--summarize` prints the
 table again from a log.
@@ -31,7 +34,6 @@ from pathlib import Path
 SIDES = ("parent", "change")
 PAIRS = 10
 SECONDS = 20
-SEED = 0
 LOG = Path("ab_pairs.jsonl")
 IGNORE = shutil.ignore_patterns(".git", ".perfbench_out", "__pycache__",
                                 ".pytest_cache", ".hypothesis")
@@ -93,13 +95,13 @@ def table(records):
     return "\n".join(lines)
 
 
-def run_once(side_dir, run_path, workload):
-    """Copy `side_dir` to `run_path` and run perfbench there; the result
-    record (correct, metrics) or a failed one."""
+def run_once(side_dir, run_path, workload, seed):
+    """Copy `side_dir` to `run_path` and run perfbench there with `seed`;
+    the result record (correct, metrics) or a failed one."""
     shutil.copytree(side_dir, run_path, ignore=IGNORE)
     try:
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
         proc = subprocess.run(cmd, cwd=run_path, capture_output=True, text=True)
     finally:
         shutil.rmtree(run_path)
@@ -116,6 +118,7 @@ def main(argv=None):
     parser.add_argument("parent", nargs="?")
     parser.add_argument("change", nargs="?")
     parser.add_argument("--workload", action="append", default=[])
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--summarize", type=Path, metavar="FILE")
     args = parser.parse_args(argv)
 
@@ -133,8 +136,8 @@ def main(argv=None):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for workload in args.workload:
                 for side in order:
-                    record = run_once(sides[side], run_path, workload)
-                    record.update(pair=pair, side=side, workload=workload)
+                    record = run_once(sides[side], run_path, workload, args.seed)
+                    record.update(pair=pair, side=side, workload=workload, seed=args.seed)
                     records.append(record)
                     log.write(json.dumps(record) + "\n")
                     log.flush()

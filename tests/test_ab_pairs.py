@@ -1,7 +1,11 @@
 """The A/B summary of `tests/ab_pairs.py` on fixed numbers."""
 
+import json
+import subprocess
+
 import pytest
 
+import ab_pairs
 from ab_pairs import quartiles, summarize, table
 
 
@@ -63,3 +67,26 @@ def test_table_marks_metric_a_side_never_gave():
     assert "w: 3 pairs; correct: false in 0 parent and 3 change runs" in text
     assert "n/a: no value from the change runs" in text
     assert "wins" not in text
+
+
+@pytest.mark.parametrize("argv, seed", [([], 0), (["--seed", "7"], 7)])
+def test_seed_reaches_every_run(tmp_path, monkeypatch, argv, seed):
+    # Every perfbench run of an A/B gets the seed, 0 unless --seed gives
+    # another, and the log records it.
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        out = {"correct": True, "metrics": {"m": {"value": 1.0, "unit": "ref"}}}
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(out) + "\n", stderr="")
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                          "--workload", "steady-pi", *argv]) == 0
+    assert len(commands) == 2 * ab_pairs.PAIRS
+    assert all(cmd[cmd.index("--seed") + 1] == str(seed) for cmd in commands)
+    records = [json.loads(line) for line in (tmp_path / "ab_pairs.jsonl").read_text().splitlines()]
+    assert len(records) == 2 * ab_pairs.PAIRS and {r["seed"] for r in records} == {seed}

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from dcmwalk.dcm_planner import (CubicSegment, backward_recursion, build_trajectory,
                                  ds_segment, ss_segment)
+from dcmwalk.harness import Scenario, build_gait
+from dcmwalk.kinematics import KinematicsCache, home_state, sample_biped
+from dcmwalk.lipm import PendulumParams
 from dcmwalk.unicycle import (PhaseKind, UnicycleConfig, plan_footsteps,
                               timeline_from_footsteps)
 from oracles import segment_at_scan
@@ -16,6 +19,12 @@ from test_unicycle import make_feet
 def make_timeline(v=0.19, horizon=6.0, ds_ratio=0.2, final_stand=0.8):
     steps = plan_footsteps(UnicycleConfig(forward_velocity=v), make_feet(), horizon)
     return timeline_from_footsteps(steps, ds_ratio=ds_ratio, final_stand=final_stand)
+
+
+def biped_omega():
+    """The pendulum frequency of a run of the packaged biped."""
+    model = sample_biped()
+    return PendulumParams.from_height(KinematicsCache(model, home_state(model)).com()[2]).omega
 
 
 def junction_jumps(traj, eps=1e-9):
@@ -166,6 +175,33 @@ class TestBuildTrajectory:
                       np.nextafter(seg.t_start, np.inf)]
         for t in times:
             assert traj._segment_at(t) is segment_at_scan(traj, t), t
+
+    @pytest.mark.parametrize("v", [0.0, 0.19, 0.37, 0.49])
+    def test_eval_many_equals_eval(self, v):
+        # The gathered evaluation, row for row, at every segment start, one
+        # ulp either side, outside the plan, and at every cycle and
+        # MPC-window time of a run's plan. Its exponentials must come from
+        # np.exp as eval's do: math.exp differs from it in the last bit on
+        # about 1 argument in 20.
+        scenario = Scenario(forward_velocity=v)
+        _, timeline = build_gait(scenario)
+        traj = build_trajectory(timeline, biped_omega(), ds_ratio=scenario.ds_ratio)
+        edges = [traj.segments[0].t_start - 1.0, traj.segments[-1].t_end + 1.0]
+        for seg in traj.segments:
+            edges += [np.nextafter(seg.t_start, -np.inf), seg.t_start,
+                      np.nextafter(seg.t_start, np.inf)]
+        cycles = np.arange(round(scenario.duration / scenario.dt)) * scenario.dt
+        stride = round(scenario.mpc_period / scenario.dt)
+        windows = cycles[::stride, None] \
+            + np.arange(scenario.mpc_horizon + 1) * scenario.mpc_period
+        assert windows[-1, -1] > traj.t_end
+        for times in (np.array(edges), cycles, windows):
+            xi, xid = traj.eval_many(times)
+            assert xi.shape == xid.shape == times.shape + (2,)
+            for t, got, got_rate in zip(times.ravel().tolist(), xi.reshape(-1, 2),
+                                        xid.reshape(-1, 2)):
+                want, want_rate = traj.eval(t)
+                assert np.array_equal(got, want) and np.array_equal(got_rate, want_rate), t
 
     def test_zero_ds_ratio_pure_exponentials(self):
         tl = make_timeline(ds_ratio=0.0)

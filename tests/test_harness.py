@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 
 from dcmwalk import harness, qp
 from dcmwalk.control import SupportPolygon
-from dcmwalk.dcm_planner import DcmTrajectory
-from dcmwalk.harness import (NoiseModel, PhaseReferences, PlanPolygons, Push, Scenario,
-                             build_gait, compare_architectures, fall_detector,
+from dcmwalk.dcm_planner import build_trajectory
+from dcmwalk.harness import (NoiseModel, PlanTable, Push, Scenario, build_gait,
+                             compare_architectures, fall_detector,
                              foot_rectangle, metrics_from_traces, run_scenario,
                              scenario_from_dict, support_polygon_at)
 from dcmwalk.so3 import rot_z
 from dcmwalk.unicycle import FootSide, PhaseKind, PlanInfeasibleError, UnicycleConfig
 from dcmwalk.wholebody import TaskGains, WholeBodyController
 from oracles import foot_reference_at
+from test_dcm_planner import biped_omega
 
 
 def quiet(**kw):
@@ -128,39 +129,54 @@ class TestGaitAssembly:
                 for f in ph.feet.values():
                     assert poly.contains(f.position, tol=1e-9)
 
-    def test_plan_polygons_match_support_polygon_at(self):
-        scenario = Scenario(controller="predictive", forward_velocity=0.37, duration=12.0)
+    @pytest.mark.parametrize("controller, v, duration", [
+        ("predictive", 0.37, 12.0), ("instantaneous", 0.19, 10.0), ("predictive", 0.49, 10.0)])
+    def test_plan_table_matches_fresh_references(self, controller, v, duration):
+        # Every row of a run's table against what the cycle built afresh:
+        # the phase by phase_at, the DCM by traj.eval, each MPC window by
+        # traj.dcm and support_polygon_at at the times the MPC uses, and
+        # the feet and torso from the phase. The last windows run past the
+        # plan's end, into its terminal segment and last phase.
+        scenario = Scenario(controller=controller, forward_velocity=v, duration=duration)
         _, timeline = build_gait(scenario)
-        plan = PlanPolygons(timeline)
-        stride = int(round(scenario.mpc_period / scenario.dt))
-        n_cycles = int(round(scenario.duration / scenario.dt))
-        # Window times as the harness forms them, plus every phase boundary.
-        times = {k * scenario.dt + j * scenario.mpc_period
-                 for k in range(0, n_cycles, stride)
-                 for j in range(scenario.mpc_horizon)}
-        times |= {ph.t_start for ph in timeline.phases}
-        for t in sorted(times):
-            got, want = plan.at(t), support_polygon_at(timeline, t)
-            for name in ("vertices", "A", "b"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), (t, name)
-
-    @pytest.mark.parametrize("v", [0.19, 0.49])
-    def test_phase_references_match_fresh_ones(self, v):
-        # Kept per phase, the planted feet and the torso; built per cycle,
-        # the swing foot: at every cycle the same values as built afresh.
-        scenario = Scenario(forward_velocity=v)
-        _, timeline = build_gait(scenario)
-        references = PhaseReferences(timeline)
-        for k in range(round(scenario.duration / scenario.dt)):
+        traj = build_trajectory(timeline, biped_omega(), ds_ratio=scenario.ds_ratio)
+        plan = PlanTable(scenario, timeline, traj)
+        n = round(scenario.duration / scenario.dt)
+        stride = round(scenario.mpc_period / scenario.dt)
+        horizon = scenario.mpc_horizon
+        assert len(plan.phases) == len(plan.feet) == len(plan.dcm) == len(plan.dcm_rate) == n
+        samples = 0
+        for k in range(n):
             t = k * scenario.dt
             phase = timeline.phase_at(t)
-            *feet, torso = references.at(phase, t)
+            assert plan.phases[k] is phase, t
+            xi, xid = traj.eval(t)
+            assert np.array_equal(plan.dcm[k], xi) and np.array_equal(plan.dcm_rate[k], xid), t
+            *feet, torso = plan.feet[k]
             for side, ref in zip((FootSide.LEFT, FootSide.RIGHT), feet):
                 got = (ref.position, ref.rotation, ref.linear_velocity, ref.angular_velocity)
                 for a, b in zip(got, foot_reference_at(phase, t, side)):
                     assert np.array_equal(a, b), (t, side)
             mean_yaw = 0.5 * (phase.feet[FootSide.LEFT].yaw + phase.feet[FootSide.RIGHT].yaw)
             assert np.array_equal(torso, rot_z(mean_yaw)), t
+            if controller != "predictive" or k % stride:
+                continue
+            times = [t + j * scenario.mpc_period for j in range(horizon + 1)]
+            window = np.array([traj.dcm(s) for s in times])
+            assert np.array_equal(plan.windows[k // stride], window), t
+            assert len(plan.polygons[k // stride]) == horizon
+            for s, got in zip(times, plan.polygons[k // stride]):
+                want = support_polygon_at(timeline, s)
+                for name in ("vertices", "A", "b"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), (s, name)
+            samples += 1
+        if controller == "predictive":
+            assert len(plan.windows) == len(plan.polygons) == samples
+            # The last window's polygons reach past the last phase's start,
+            # its DCM samples past the terminal segment's start.
+            assert times[-2] > timeline.phases[-1].t_start and times[-1] > traj.t_end
+        else:
+            assert plan.windows is None and plan.polygons is None
 
 
 class TestPredictiveWithoutLp:
@@ -365,8 +381,8 @@ class TestNoiseModel:
 
 
 class TestTimedSection:
-    """`cycle_time` covers the two control stages, from the DCM reference
-    lookup through the whole-body QP, and nothing of sense, plant or record.
+    """`cycle_time` covers the two control stages, from the simplified
+    stage through the whole-body QP, and nothing of sense, plant or record.
 
     A fake clock advances only inside the patched calls, so the recorded
     times count the patched calls made inside the timed span.
@@ -402,8 +418,9 @@ class TestTimedSection:
         times = self.run(monkeypatch, controller, [(WholeBodyController, "cycle")])
         assert np.all(times == 1.0)
 
-    def test_reference_lookup_is_timed(self, monkeypatch):
-        times = self.run(monkeypatch, "instantaneous", [(DcmTrajectory, "eval")])
+    @pytest.mark.parametrize("controller", ["instantaneous", "predictive"])
+    def test_simplified_stage_is_timed(self, monkeypatch, controller):
+        times = self.run(monkeypatch, controller, [(harness._SimplifiedLayer, "control")])
         assert np.all(times == 1.0)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dcmwalk import kinematics, so3, wholebody
+from dcmwalk import dcm_planner, harness, kinematics, so3, unicycle, wholebody
 from dcmwalk import qp as qp_module
 from dcmwalk.control import MpcConfig, PredictiveDcmController, SupportPolygon
 from dcmwalk.harness import NoiseModel, Scenario, run_scenario
@@ -350,6 +350,45 @@ def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
     assert work == {(("KinematicsCache", 1), ("cholesky", 1), ("is_rotation", 6),
                      ("matrix_rank", 0), ("solve", 1), ("svd", 0), ("task_jacobian", 1))}
     assert between == []
+
+
+def test_predictive_walk_reads_the_plan_outside_the_timed_stages(monkeypatch):
+    # The plan is sampled before the first cycle: inside the two timed
+    # stages no cycle evaluates the DCM reference, looks up a gait phase or
+    # evaluates a swing trajectory, while the MPC solves every 10th cycle.
+    inside = []
+    calls = []   # (name, whether inside a timed stage)
+
+    def staged(fn):
+        def call(*args, **kwargs):
+            inside.append(True)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return call
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, bool(inside)))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(harness._SimplifiedLayer, "control",
+                        staged(harness._SimplifiedLayer.control))
+    monkeypatch.setattr(harness, "_wholebody", staged(harness._wholebody))
+    for owner, name in [(dcm_planner.DcmTrajectory, "eval"), (dcm_planner.DcmTrajectory, "dcm"),
+                        (unicycle.GaitTimeline, "phase_at"), (unicycle.SwingTrajectory, "pose"),
+                        (PredictiveDcmController, "control")]:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    result = run_scenario(Scenario(controller="predictive", forward_velocity=0.19,
+                                   duration=3.0, noise=NoiseModel()))
+    monkeypatch.undo()
+    assert result.metrics["completed"]
+    assert len(result.traces["t"]) == 300
+    assert calls.count(("control", True)) == 30
+    assert [name for name, timed in calls if timed and name != "control"] == []
+    assert ("pose", False) in calls
 
 
 def _frozen_copy(a):

@@ -267,6 +267,7 @@ class TestPhaseAt:
         for ph in tl.phases:
             for edge in (ph.t_start, ph.t_end):
                 times += [edge + d for d in (-2e-12, -1e-12, 0.0, 1e-12, 2e-12)]
+                times += [np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
         return times
 
     @pytest.mark.parametrize("v", [0.19, 0.49])
@@ -276,6 +277,22 @@ class TestPhaseAt:
         cycles = [k * scenario.dt for k in range(round(scenario.duration / scenario.dt))]
         for t in cycles + self.probe_times(tl):
             assert tl.phase_at(t) is phase_at_scan(tl, t), t
+
+    @pytest.mark.parametrize("v", [0.19, 0.37, 0.49])
+    def test_phase_indices_match_phase_at(self, v):
+        # The batched lookup at every cycle and MPC-window time of a run,
+        # and at every phase boundary, 1e-12 and 2e-12 and one ulp either
+        # side of it; as a flat array and as the (samples, horizon) grid.
+        scenario = Scenario(forward_velocity=v)
+        _, tl = build_gait(scenario)
+        cycles = np.arange(round(scenario.duration / scenario.dt)) * scenario.dt
+        stride = round(scenario.mpc_period / scenario.dt)
+        windows = cycles[::stride, None] + np.arange(scenario.mpc_horizon) * scenario.mpc_period
+        for times in (cycles, np.array(self.probe_times(tl)), windows):
+            index = tl.phase_indices(times)
+            assert index.shape == times.shape
+            for i, t in zip(index.ravel().tolist(), times.ravel().tolist()):
+                assert tl.phases[i] is tl.phase_at(t), t
 
     @settings(max_examples=100, deadline=None)
     @given(durations=st.lists(st.sampled_from([0.0, 1e-12, 0.1, 0.35]), min_size=1,
@@ -291,5 +308,15 @@ class TestPhaseAt:
                                     t + d + jitter[2 * i + 1], stance_zmp=np.zeros(2)))
             t += d
         tl = GaitTimeline(phases=tuple(phases), footsteps=())
-        for t in self.probe_times(tl):
+        times = self.probe_times(tl)
+        for t in times:
             assert tl.phase_at(t) is phase_at_scan(tl, t), t
+        # The batched lookup needs the phases' starts and ends in order.
+        starts = [ph.t_start - 1e-12 for ph in phases]
+        ends = [ph.t_end for ph in phases]
+        if starts != sorted(starts) or ends != sorted(ends):
+            with pytest.raises(ValueError, match="in time order"):
+                tl.phase_indices(times)
+            return
+        for i, t in zip(tl.phase_indices(times).tolist(), times):
+            assert tl.phases[i] is phase_at_scan(tl, t), t
