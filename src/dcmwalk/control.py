@@ -13,7 +13,7 @@ followed by the cascaded ZMP-CoM law
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,15 +108,6 @@ class SupportPolygon:
     @classmethod
     def union_hull(cls, *polygons):
         return cls.from_points(np.vstack([p.vertices for p in polygons]))
-
-    @cached_property
-    def centroid(self):
-        """Vertex mean, strictly inside the polygon."""
-        # Recomputed per MPC sample instead: steady-mpc period_mean_p5 +2.4%.
-        return self.vertices.mean(axis=0)
-
-    def contains(self, point, tol=1e-9):
-        return self.violation(point) <= tol
 
     def violation(self, point):
         """Max half-plane violation; <= 0 inside, distance-like outside."""
@@ -218,13 +209,29 @@ class MpcInfeasibleError(RuntimeError):
         self.violation = violation
 
 
+class MpcSample(NamedTuple):
+    """What the plan alone fixes of one MPC sample's QP, built by
+    `PredictiveDcmController.sample`: the gradient's reference terms `g`
+    (-2 Q ref_j, zero on the ZMPs), the polygon rows `A_in`, `b_in`, all
+    read-only, and `zmps`, each step's start ZMP, the vertex mean of its
+    polygon as two floats, or None for a step without one.
+    """
+
+    g: np.ndarray
+    A_in: np.ndarray
+    b_in: np.ndarray
+    zmps: tuple
+
+
 class PredictiveDcmController:
     """Receding-horizon DCM stabilizer; ZMP kept inside the support polygon.
 
     The QP is over w = [xi_0 .. xi_N, r_0 .. r_{N-1}]. Its Hessian and the
     dynamics rows of A_eq depend only on the config and omega, so they are
-    built once; each solve fills in the gradient, the initial-condition
-    right-hand side and the polygon rows, and starts the solver from a
+    built once. The reference gradient and the polygon rows depend only on
+    the plan, so `sample` builds them once per MPC sample, before a run;
+    each solve adds the measurement (the previous ZMP's gradient term and
+    the initial-condition right-hand side) and starts the solver from a
     feasible point built in closed form (see `start_point`).
     """
 
@@ -273,71 +280,86 @@ class PredictiveDcmController:
         A_eq.setflags(write=False)
         return H, A_eq
 
-    def assemble(self, xi_meas, r_prev, xi_refs, polygons=None):
-        """Sparse QP over w = [xi_0 .. xi_N, r_0 .. r_{N-1}]."""
+    def sample(self, xi_refs, polygons=None):
+        """The `MpcSample` of a DCM reference window `xi_refs` ((N+1) x 2)
+        and up to N support polygons (None for a step without one)."""
         N = self.config.horizon
         refs = np.asarray(xi_refs, dtype=float).reshape(-1, 2)
         if refs.shape[0] != N + 1:
             raise ValueError(f"need {N + 1} DCM reference samples, got {refs.shape[0]}")
         n_xi = 2 * (N + 1)
         n = n_xi + 2 * N
-        Q, R, QN = self.config.Q, self.config.R, self.config.Q_terminal
+        Q, QN = self.config.Q, self.config.Q_terminal
+        polygons = list((polygons or [])[:N])
+        polygons += [None] * (N - len(polygons))
 
-        # -2 Q ref_j for every sample as one stacked matrix-vector product,
+        # -2 Q ref_j for every step as one stacked matrix-vector product,
         # which rounds as the product per sample does (refs @ Q.T does not).
         grad = np.concatenate([(-2.0 * Q @ refs[:N, :, None]).ravel(),
                                (-2.0 * QN @ refs[N:, :, None]).ravel(), np.zeros(2 * N)])
-        grad[n_xi:n_xi + 2] += -2.0 * R @ np.asarray(r_prev, dtype=float)
+        constrained = [(j, poly) for j, poly in enumerate(polygons) if poly is not None]
+        A_in, b_in = np.zeros((0, n)), np.zeros(0)
+        if constrained:
+            A = np.concatenate([poly.A for _, poly in constrained])
+            b_in = np.concatenate([poly.b for _, poly in constrained])
+            # Row i constrains r_j of its polygon: columns n_xi + 2j and + 1.
+            rows = np.arange(A.shape[0])
+            cols = n_xi + 2 * np.repeat([j for j, _ in constrained],
+                                        [poly.A.shape[0] for _, poly in constrained])
+            A_in = np.zeros((A.shape[0], n))
+            A_in[rows, cols] = A[:, 0]
+            A_in[rows, cols + 1] = A[:, 1]
+        # Shared by every solve of the sample, so nothing may write to them.
+        for a in (grad, A_in, b_in):
+            a.setflags(write=False)
+        # A window's steps share a few polygons: one vertex mean for each.
+        distinct = {id(poly): poly for poly in polygons if poly is not None}
+        means = {key: tuple(poly.vertices.mean(axis=0).tolist())
+                 for key, poly in distinct.items()}
+        return MpcSample(grad, A_in, b_in, tuple(None if poly is None else means[id(poly)]
+                                                 for poly in polygons))
 
+    def assemble(self, xi_meas, r_prev, sample):
+        """The QP of `sample` (an `MpcSample`) at the measured DCM `xi_meas`
+        after the ZMP `r_prev`."""
+        N = self.config.horizon
+        n_xi = 2 * (N + 1)
+        grad = sample.g.copy()
+        grad[n_xi:n_xi + 2] += -2.0 * self.config.R @ np.asarray(r_prev, dtype=float)
         b_eq = np.zeros(2 * N + 2)
         b_eq[2 * N:2 * N + 2] = np.asarray(xi_meas, dtype=float).reshape(2)
-
-        constrained = [(j, poly) for j, poly in enumerate((polygons or [])[:N])
-                       if poly is not None]
-        if not constrained:
-            return QpProblem(H=self._H, g=grad, A_eq=self._A_eq, b_eq=b_eq,
-                             A_in=np.zeros((0, n)), b_in=np.zeros(0))
-        A = np.concatenate([poly.A for _, poly in constrained])
-        b_in = np.concatenate([poly.b for _, poly in constrained])
-        # Row i constrains r_j of its polygon: columns n_xi + 2j and + 1.
-        rows = np.arange(A.shape[0])
-        cols = n_xi + 2 * np.repeat([j for j, _ in constrained],
-                                    [poly.A.shape[0] for _, poly in constrained])
-        A_in = np.zeros((A.shape[0], n))
-        A_in[rows, cols] = A[:, 0]
-        A_in[rows, cols + 1] = A[:, 1]
         return QpProblem(H=self._H, g=grad, A_eq=self._A_eq, b_eq=b_eq,
-                         A_in=A_in, b_in=b_in)
+                         A_in=sample.A_in, b_in=sample.b_in)
 
-    def start_point(self, xi_meas, r_prev, polygons=None):
+    def start_point(self, xi_meas, r_prev, sample):
         """A feasible w for `assemble`'s QP, built without an LP.
 
-        Each r_j sits at the vertex mean of its polygon, which is strictly
-        inside a convex polygon (r_prev where there is none); xi_0 = xi_meas
-        and the DCM is rolled forward through the dynamics, so the equalities
-        hold to rounding. The DCM is otherwise free, so this point always
-        exists.
+        Each r_j sits at its sample's start ZMP, the vertex mean of its
+        polygon, which is strictly inside a convex polygon (r_prev where
+        there is none); xi_0 = xi_meas and the DCM is rolled forward through
+        the dynamics, so the equalities hold to rounding. The DCM is
+        otherwise free, so this point always exists.
         """
-        N = self.config.horizon
-        polygons = [] if polygons is None else list(polygons[:N])
-        polygons += [None] * (N - len(polygons))
-        r_prev = np.asarray(r_prev, dtype=float).reshape(2)
-        r = np.array([r_prev if poly is None else poly.centroid for poly in polygons])
         # The rollout in float arithmetic: the same IEEE products and sums as
         # f * xi_k + (1 - f) * r_k on 2-vectors, without per-step arrays. On
         # numpy 2-vectors instead: steady-mpc control_ref.p5 +0.8%.
         f = float(self._f)
+        r_free = tuple(np.asarray(r_prev, dtype=float).reshape(2).tolist())
         x, y = np.asarray(xi_meas, dtype=float).reshape(2).tolist()
-        xi = [x, y]
-        for rx, ry in r.tolist():
+        xi, r = [x, y], []
+        for zmp in sample.zmps:
+            rx, ry = r_free if zmp is None else zmp
             x = f * x + (1.0 - f) * rx
             y = f * y + (1.0 - f) * ry
             xi += (x, y)
-        return np.concatenate([xi, r.ravel()])
+            r += (rx, ry)
+        return np.array(xi + r)
 
-    def control(self, xi_meas, r_prev, xi_refs, polygons=None):
-        problem = self.assemble(xi_meas, r_prev, xi_refs, polygons)
-        sol = self._solver.solve(problem, self.start_point(xi_meas, r_prev, polygons))
+    def control(self, xi_meas, r_prev, sample):
+        """The first ZMP of the optimum of `sample`'s QP at the measured DCM
+        `xi_meas` after the ZMP `r_prev`, and the solution."""
+        problem = self.assemble(xi_meas, r_prev, sample)
+        sol = self._solver.solve(problem, self.start_point(xi_meas, r_prev, sample))
         if sol.status is QpStatus.INFEASIBLE:
             raise MpcInfeasibleError("support polygon constraints are infeasible",
                                      violation=sol.residuals.get("infeasible"))

@@ -152,9 +152,6 @@ class DcmTrajectory:
     def dcm(self, t):
         return self.eval(t)[0]
 
-    def dcm_velocity(self, t):
-        return self.eval(t)[1]
-
     def implied_zmp(self, t):
         xi, xid = self.eval(t)
         return xi - xid / self.omega

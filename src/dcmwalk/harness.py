@@ -279,6 +279,8 @@ class PlanTable:
     at cycle m * stride: `windows[m]`, the DCM at t + j mpc_period for
     j = 0..N, and `polygons[m]`, the plan support polygons at the first N of
     those times. Planted feet, torso and polygons are built once per phase.
+    A predictive `_SimplifiedLayer` builds each sample's QP blocks from its
+    window and polygons before the first cycle, too.
     """
 
     def __init__(self, scenario, timeline, traj):
@@ -435,7 +437,9 @@ class Plant:
 
 class _SimplifiedLayer:
     """The simplified-model layer of one run: the scenario's DCM stabilizer,
-    then the ZMP-CoM law.
+    then the ZMP-CoM law. A predictive layer builds the `MpcSample` of each
+    of the plan's MPC samples when it is made, so that a cycle's MPC call
+    adds only the measurement.
 
     It carries the CoM reference `x_ref`, which `advance` moves toward the
     DCM reference after each cycle, and the commanded ZMP `r_ref`, which the
@@ -447,9 +451,14 @@ class _SimplifiedLayer:
         self._scenario = sc
         self._plan = plan
         self._omega = omega
-        self._inst = InstantaneousDcmController(sc._dcm_gains, omega)
-        self._mpc = PredictiveDcmController(sc._mpc_config, omega)
-        self._mpc_stride = round(sc.mpc_period / sc.dt)
+        if sc.controller == "instantaneous":
+            self._inst = InstantaneousDcmController(sc._dcm_gains, omega)
+        else:
+            # Every sample's plan-fixed QP blocks, built before the first cycle.
+            self._mpc = PredictiveDcmController(sc._mpc_config, omega)
+            self._mpc_stride = round(sc.mpc_period / sc.dt)
+            self._samples = [self._mpc.sample(window, polygons)
+                             for window, polygons in zip(plan.windows, plan.polygons)]
         self._standing = ZmpComGains(k_zmp=sc.k_zmp_standing * np.eye(2),
                                      k_com=sc.k_com_standing * np.eye(2)).validate(omega)
         self._walking = ZmpComGains(k_zmp=sc.k_zmp_walking * np.eye(2),
@@ -467,9 +476,8 @@ class _SimplifiedLayer:
         if sc.controller == "instantaneous":
             self.r_ref = self._inst.control(xi_meas, xi_ref, xid_ref, sc.dt)
         elif k % self._mpc_stride == 0:
-            m = k // self._mpc_stride
-            self.r_ref, _ = self._mpc.control(xi_meas, self.r_ref, plan.windows[m],
-                                              plan.polygons[m])
+            self.r_ref, _ = self._mpc.control(xi_meas, self.r_ref,
+                                              self._samples[k // self._mpc_stride])
         blend = min(max(t / sc.gain_blend_time, 0.0), 1.0) \
             if sc.gain_blend_time > 0.0 else 1.0
         gains = self._walking if blend >= 1.0 else gain_schedule(

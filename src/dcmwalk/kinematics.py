@@ -222,10 +222,6 @@ class KinematicModel:
     def n_velocities(self):
         return 6 + len(self.joints)
 
-    @property
-    def total_mass(self):
-        return self._total_mass
-
     def joint_limits(self):
         lo = np.array([j.limits[0] for j in self.joints])
         hi = np.array([j.limits[1] for j in self.joints])

@@ -309,11 +309,17 @@ def _ratio_test(Ap, slack, working):
     scanned in index order and a row blocks only when its step is shorter
     than the current one by more than 1e-15, so of rows that block at the
     same step the lowest index wins. Returns (alpha, blocking row or None).
+    Only a row with a step below 1 can block, and a quotient slack / A p
+    rounds below 1 only when slack < A p, so the scan visits only the rows
+    with A p > 1e-14 and slack < A p, and forms each step as the full scan
+    does.
     """
     alpha = 1.0
     blocking = None
-    for i in range(Ap.shape[0]):
-        if Ap[i] > 1e-14 and i not in working:
+    # Measured alone against the scan over every row: steady-mpc
+    # control_ref.period_mean_p5 -0.7% (6/10 pairs).
+    for i in np.flatnonzero((Ap > 1e-14) & (slack < Ap)).tolist():
+        if i not in working:
             a_i = slack[i] / Ap[i]
             if a_i < alpha - 1e-15:
                 alpha = max(a_i, 0.0)

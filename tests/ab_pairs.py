@@ -18,7 +18,11 @@ table again from a log.
 Per workload and end-to-end metric the table gives each side's median and
 quartiles, the change's wins (pairs where it is lower; ties count for
 neither), whether the gap between the medians exceeds the parent's quartile
-spread, and per side the count of runs that read `correct: false`.
+spread, and per side the count of runs that read `correct: false`. Beside
+the gated metrics it gives, marked ungated, the wall time per cycle in ms:
+1000 / `cycles_per_s` of the `end_to_end` record that perfbench prints on
+its second-to-last line. That figure includes each run's set-up, such as
+the plan table built before the first cycle, which no gated metric times.
 Stdlib only.
 """
 
@@ -35,6 +39,7 @@ SIDES = ("parent", "change")
 PAIRS = 10
 SECONDS = 20
 LOG = Path("ab_pairs.jsonl")
+UNGATED = ("wall_ms_per_cycle",)
 IGNORE = shutil.ignore_patterns(".git", ".perfbench_out", "__pycache__",
                                 ".pytest_cache", ".hypothesis")
 
@@ -77,18 +82,20 @@ def table(records):
         wrong = {s: sum(not r["correct"] for r in runs if r["side"] == s) for s in SIDES}
         lines.append(f"{workload}: {len(complete)} pairs; correct: false in "
                      f"{wrong['parent']} parent and {wrong['change']} change runs")
-        names = sorted({m for r in runs for m in r["metrics"]})
+        names = sorted({m for r in runs for m in r["metrics"]} - set(UNGATED))
+        names += [m for m in UNGATED if any(m in r["metrics"] for r in runs)]
         for name in names:
+            label = f"{name} (ungated)" if name in UNGATED else name
             vals = {s: [by[i, s]["metrics"].get(name) for i in complete] for s in SIDES}
             empty = [s for s in SIDES if all(v is None for v in vals[s])]
             if empty:
-                lines.append(f"  {name:28s} n/a: no value from the {' or '.join(empty)} runs")
+                lines.append(f"  {label:28s} n/a: no value from the {' or '.join(empty)} runs")
                 continue
             s = summarize(vals["parent"], vals["change"])
             (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
             rel = (cm - pm) / pm * 100.0 if pm else float("nan")
             lines.append(
-                f"  {name:28s} parent {pm:.4f} [{p1:.4f}, {p3:.4f}]  "
+                f"  {label:28s} parent {pm:.4f} [{p1:.4f}, {p3:.4f}]  "
                 f"change {cm:.4f} [{c1:.4f}, {c3:.4f}]  {rel:+.1f}%  "
                 f"wins {s['wins']}/{s['pairs']}  IQR {s['spread']:.4f}  "
                 f"{'OUTSIDE' if s['outside'] else 'inside'} the parent's spread")
@@ -97,7 +104,9 @@ def table(records):
 
 def run_once(side_dir, run_path, workload, seed):
     """Copy `side_dir` to `run_path` and run perfbench there with `seed`;
-    the result record (correct, metrics) or a failed one."""
+    the result record (correct, metrics) or a failed one. The metrics are
+    the gated ones and, when perfbench printed `cycles_per_s`,
+    `wall_ms_per_cycle`."""
     shutil.copytree(side_dir, run_path, ignore=IGNORE)
     try:
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -105,12 +114,17 @@ def run_once(side_dir, run_path, workload, seed):
         proc = subprocess.run(cmd, cwd=run_path, capture_output=True, text=True)
     finally:
         shutil.rmtree(run_path)
+    lines = proc.stdout.strip().splitlines()
     try:
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        result = json.loads(lines[-1])
         metrics = {k: v["value"] for k, v in result["metrics"].items()}
-        return {"correct": bool(result["correct"]), "metrics": metrics}
     except (IndexError, ValueError, KeyError, TypeError):
         return {"correct": False, "metrics": {}, "stderr": proc.stderr[-2000:]}
+    try:
+        metrics["wall_ms_per_cycle"] = 1e3 / json.loads(lines[-2])["end_to_end"]["cycles_per_s"]
+    except (IndexError, ValueError, KeyError, TypeError, ZeroDivisionError):
+        pass
+    return {"correct": bool(result["correct"]), "metrics": metrics}
 
 
 def main(argv=None):

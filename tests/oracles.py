@@ -83,7 +83,7 @@ def row_form(spec):
     return spec
 
 
-def ratio_test_rowwise(Ap, slack, working):
+def ratio_test_plain(Ap, slack, working):
     """Active-set line search as a plain scan over every row.
 
     Ap[i] = a_i^T p and slack[i] = b_i - a_i^T w. Returns (alpha, blocking).
@@ -376,15 +376,45 @@ def random_tree_doc(rng, max_joints=6):
 
 
 def mpc_start_point(f, xi_meas, r_prev, polygons):
-    """The MPC's built start point on numpy 2-vectors: r_j at the vertex
-    mean of polygon j (r_prev for None), xi_0 = xi_meas and
-    xi_{k+1} = f xi_k + (1 - f) r_k."""
+    """The MPC's start point (`PredictiveDcmController.start_point`) on
+    numpy 2-vectors: r_j at the vertex mean of polygon j (r_prev for None),
+    xi_0 = xi_meas and xi_{k+1} = f xi_k + (1 - f) r_k."""
     r = np.array([np.asarray(r_prev, dtype=float) if poly is None
                   else poly.vertices.mean(axis=0) for poly in polygons])
     xi = [np.asarray(xi_meas, dtype=float)]
     for r_k in r:
         xi.append(f * xi[-1] + (1.0 - f) * r_k)
     return np.concatenate(xi + [r.ravel()])
+
+
+def mpc_blocks_plain(config, xi_meas, r_prev, xi_refs, polygons):
+    """(g, b_eq, A_in, b_in) of the MPC's QP over
+    w = [xi_0 .. xi_N, r_0 .. r_{N-1}], built in one call from the
+    measurement, the DCM window and the polygons (None for a step without
+    one), one polygon at a time: g_k = -2 Q ref_k (Q_terminal for k = N),
+    plus -2 R r_prev on r_0; b_eq zero but for xi_0 = xi_meas in its last
+    two rows; one row per polygon edge on its step's ZMP."""
+    N = config.horizon
+    n_xi = 2 * (N + 1)
+    n = n_xi + 2 * N
+    refs = np.asarray(xi_refs, dtype=float).reshape(N + 1, 2)
+    g = np.zeros(n)
+    for k in range(N + 1):
+        g[2 * k:2 * k + 2] = -2.0 * (config.Q if k < N else config.Q_terminal) @ refs[k]
+    g[n_xi:n_xi + 2] += -2.0 * config.R @ np.asarray(r_prev, dtype=float)
+    b_eq = np.zeros(2 * N + 2)
+    b_eq[2 * N:] = xi_meas
+    rows, rhs = [], []
+    for j, poly in enumerate(polygons):
+        if poly is None:
+            continue
+        for a, b in zip(poly.A, poly.b):
+            row = np.zeros(n)
+            row[n_xi + 2 * j:n_xi + 2 * j + 2] = a
+            rows.append(row)
+            rhs.append(b)
+    A_in = np.array(rows).reshape(-1, n)
+    return g, b_eq, A_in, np.array(rhs, dtype=float)
 
 
 def segment_at_scan(trajectory, t):
@@ -465,7 +495,7 @@ def task_jacobian_masked(model, state, frames):
     for l, name in enumerate(link_names):
         chain[l, _chain_up(model, name)] = 1.0
     mass = np.array([model.links[name].mass for name in link_names])
-    total = model.total_mass
+    total = sum(link.mass for link in model.links.values())
     subtree_weight = chain.T * (mass / total)
     coms = position + (rotation @ np.array([model.links[name].com
                                             for name in link_names])[:, :, None])[:, :, 0]

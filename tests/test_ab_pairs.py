@@ -90,3 +90,43 @@ def test_seed_reaches_every_run(tmp_path, monkeypatch, argv, seed):
     assert all(cmd[cmd.index("--seed") + 1] == str(seed) for cmd in commands)
     records = [json.loads(line) for line in (tmp_path / "ab_pairs.jsonl").read_text().splitlines()]
     assert len(records) == 2 * ab_pairs.PAIRS and {r["seed"] for r in records} == {seed}
+
+
+def test_wall_time_per_cycle_logged_and_marked_ungated(tmp_path, monkeypatch):
+    # The wall ms per cycle comes from `cycles_per_s` in the record on
+    # perfbench's second-to-last line; a run that printed no such record
+    # logs none, and the table gives it after the gated metrics.
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    rates = iter([2000.0, 2500.0] * ab_pairs.PAIRS)
+    record = {"environment": {}, "end_to_end": {"cycles_per_s": 0.0}}
+
+    def fake_run(cmd, cwd, **kwargs):
+        out = {"correct": True, "metrics": {"m": {"value": 1.0, "unit": "ref"}}}
+        record["end_to_end"]["cycles_per_s"] = next(rates)
+        lines = [json.dumps(record), json.dumps(out)]
+        return subprocess.CompletedProcess(cmd, 0, stdout="\n".join(lines) + "\n", stderr="")
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w"])
+    records = [json.loads(line) for line in (tmp_path / "ab_pairs.jsonl").read_text().splitlines()]
+    # Even pairs run the parent first, odd pairs the change.
+    walls = {(r["pair"], r["side"]): r["metrics"]["wall_ms_per_cycle"] for r in records}
+    assert walls[0, "parent"] == walls[1, "change"] == 0.5
+    assert walls[0, "change"] == walls[1, "parent"] == 0.4
+    text = table(records)
+    lines = text.splitlines()
+    assert lines[1].split()[:2] == ["m", "parent"]
+    assert lines[2].split()[:4] == ["wall_ms_per_cycle", "(ungated)", "parent", "0.4500"]
+    assert "wins 5/10" in lines[2]
+
+
+def test_run_without_end_to_end_record_logs_no_wall_time(tmp_path, monkeypatch):
+    out = {"correct": True, "metrics": {"m": {"value": 1.0, "unit": "ref"}}}
+    for stdout in (json.dumps(out), json.dumps({"environment": {}}) + "\n" + json.dumps(out)):
+        done = subprocess.CompletedProcess([], 0, stdout=stdout + "\n", stderr="")
+        monkeypatch.setattr(ab_pairs.subprocess, "run", lambda cmd, **kw: done)
+        (tmp_path / "side").mkdir(exist_ok=True)
+        record = ab_pairs.run_once(tmp_path / "side", tmp_path / "run", "w", 0)
+        assert record == {"correct": True, "metrics": {"m": 1.0}}

@@ -128,7 +128,7 @@ def test_criterion_04_mpc_oracles_and_gait(predictive_gait):
         xi = rng.normal(scale=0.1, size=2)
         r_prev = rng.normal(scale=0.1, size=2)
         refs = rng.normal(scale=0.1, size=(3, 2))
-        got, _ = ctrl.control(xi, r_prev, refs, polygons=None)
+        got, _ = ctrl.control(xi, r_prev, ctrl.sample(refs))
         want = mpc_kkt_oracle(omega, T, cfg.Q, cfg.R, cfg.Q_terminal,
                               xi, r_prev, refs)
         worst_eq = max(worst_eq, float(np.linalg.norm(got - want)))
@@ -143,7 +143,7 @@ def test_criterion_04_mpc_oracles_and_gait(predictive_gait):
         xi = rng.normal(scale=0.04, size=2)
         r_prev = rng.normal(scale=0.04, size=2)
         refs = rng.normal(scale=0.08, size=(3, 2))
-        got, _ = ctrl.control(xi, r_prev, refs, [square, square])
+        got, _ = ctrl.control(xi, r_prev, ctrl.sample(refs, [square, square]))
         H, grad, A_eq, b_eq = mpc_qp_data_n2(
             omega, T, cfg.Q, cfg.R, cfg.Q_terminal, xi, r_prev, refs)
         A_in = np.zeros((2 * square.A.shape[0], 10))

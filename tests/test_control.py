@@ -46,9 +46,9 @@ class TestSupportPolygon:
 
     def test_contains_and_violation(self):
         poly = square(1.0)
-        assert poly.contains([0.0, 0.0])
-        assert poly.contains([1.0, 1.0], tol=1e-9)
-        assert not poly.contains([1.5, 0.0])
+        assert poly.violation([0.0, 0.0]) <= 1e-9
+        assert poly.violation([1.0, 1.0]) <= 1e-9
+        assert poly.violation([1.5, 0.0]) > 1e-9
         assert abs(poly.violation([1.5, 0.0]) - 0.5) < 1e-12
         assert poly.violation([0.0, 0.0]) < 0
 
@@ -56,8 +56,8 @@ class TestSupportPolygon:
         # Each half-plane moved inward by the margin.
         base = square(1.0)
         poly = SupportPolygon(vertices=base.vertices, A=base.A, b=base.b - 0.25)
-        assert poly.contains([0.7, 0.0])
-        assert not poly.contains([0.9, 0.0])
+        assert poly.violation([0.7, 0.0]) <= 1e-9
+        assert poly.violation([0.9, 0.0]) > 1e-9
 
     def test_project_identity_inside(self):
         poly = square(1.0)
@@ -83,9 +83,9 @@ class TestSupportPolygon:
         a = square(0.5, (-1.0, 0.0))
         b = square(0.5, (1.0, 0.0))
         hull = SupportPolygon.union_hull(a, b)
-        assert hull.contains([0.0, 0.0])
-        assert hull.contains([1.4, 0.4])
-        assert not hull.contains([0.0, 0.6])
+        assert hull.violation([0.0, 0.0]) <= 1e-9
+        assert hull.violation([1.4, 0.4]) <= 1e-9
+        assert hull.violation([0.0, 0.6]) > 1e-9
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -131,7 +131,7 @@ class TestConvexHull:
         assert np.all(turns > 0.0)
         assert set(map(tuple, verts.tolist())) <= set(map(tuple, points.tolist()))
         for p in points:
-            assert poly.contains(p, tol=1e-12)
+            assert poly.violation(p) <= 1e-12
 
     @pytest.mark.parametrize("points", [
         [[0, 0], [1, 1], [2, 2]],
@@ -210,7 +210,7 @@ class TestInstantaneous:
         ctrl = InstantaneousDcmController(self.gains(), 4.3)
         foot = SupportPolygon.from_rectangle([0.0, 0.0], 0.0, 0.19, 0.09)
         r = ctrl.control([0.4, 0.0], [0.0, 0.0], [0.0, 0.0], 0.01)
-        assert not foot.contains(r)
+        assert foot.violation(r) > 1e-9
 
     def test_error_system_hurwitz(self):
         rng = np.random.default_rng(1)
@@ -233,15 +233,16 @@ class TestPredictive:
         p = np.array([0.12, -0.03])
         refs = np.tile(p, (6, 1))
         poly = square(0.5, p)
-        r, _ = ctrl.control(p, p, refs, [poly] * 5)
+        r, _ = ctrl.control(p, p, ctrl.sample(refs, [poly] * 5))
         assert np.linalg.norm(r - p) < 1e-8
 
     def test_idempotence_at_fixed_point(self):
         ctrl, _ = self.make(N=5)
         p = np.array([0.1, 0.0])
         refs = np.tile(p, (6, 1))
-        r1, _ = ctrl.control(p, p, refs, [square(0.5, p)] * 5)
-        r2, _ = ctrl.control(p, r1, refs, [square(0.5, p)] * 5)
+        sample = ctrl.sample(refs, [square(0.5, p)] * 5)
+        r1, _ = ctrl.control(p, p, sample)
+        r2, _ = ctrl.control(p, r1, sample)
         assert np.linalg.norm(r1 - r2) < 1e-8
 
     def test_matches_kkt_oracle_n2(self):
@@ -253,7 +254,7 @@ class TestPredictive:
             xi = rng.normal(scale=0.1, size=2)
             r_prev = rng.normal(scale=0.1, size=2)
             refs = rng.normal(scale=0.1, size=(3, 2))
-            got, _ = ctrl.control(xi, r_prev, refs, polygons=None)
+            got, _ = ctrl.control(xi, r_prev, ctrl.sample(refs))
             want = mpc_kkt_oracle(omega, T, cfg.Q, cfg.R, cfg.Q_terminal,
                                   xi, r_prev, refs)
             assert np.linalg.norm(got - want) < 1e-8
@@ -268,7 +269,7 @@ class TestPredictive:
         xi = np.array([0.05, -0.02])
         target = np.array([0.08, 0.01])
         refs = np.vstack([xi, target])
-        got, _ = ctrl.control(xi, np.zeros(2), refs, polygons=None)
+        got, _ = ctrl.control(xi, np.zeros(2), ctrl.sample(refs))
         f = np.exp(omega * T)
         deadbeat = (target - f * xi) / (1.0 - f)
         assert np.linalg.norm(got - deadbeat) < 1e-8
@@ -279,7 +280,7 @@ class TestPredictive:
         poly = square(0.05, (0.0, 0.0))
         target = np.array([0.5, 0.0])
         refs = np.tile(target, (4, 1))
-        r, _ = ctrl.control(np.zeros(2), np.zeros(2), refs, [poly] * 3)
+        r, _ = ctrl.control(np.zeros(2), np.zeros(2), ctrl.sample(refs, [poly] * 3))
         assert abs(poly.violation(r)) < 1e-6
 
     def test_output_inside_polygon(self):
@@ -288,14 +289,14 @@ class TestPredictive:
         rng = np.random.default_rng(3)
         for _ in range(20):
             refs = rng.normal(scale=0.2, size=(4, 2))
-            r, _ = ctrl.control(rng.normal(scale=0.05, size=2),
-                                rng.normal(scale=0.05, size=2), refs, [poly] * 3)
+            xi, r_prev = rng.normal(scale=0.05, size=(2, 2))
+            r, _ = ctrl.control(xi, r_prev, ctrl.sample(refs, [poly] * 3))
             assert poly.violation(r) <= 1e-6
 
     def test_reference_window_length_checked(self):
         ctrl, _ = self.make(N=4)
         with pytest.raises(ValueError):
-            ctrl.control(np.zeros(2), np.zeros(2), np.zeros((3, 2)))
+            ctrl.sample(np.zeros((3, 2)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -336,8 +337,9 @@ class TestMpcStartPoint:
         cfg = MpcConfig(horizon=N, sample_time=T, Q=10.0 * np.eye(2),
                         R=0.05 * np.eye(2), Q_terminal=10.0 * np.eye(2))
         ctrl = PredictiveDcmController(cfg, omega)
-        problem = ctrl.assemble(xi, r_prev, refs, polys)
-        w = ctrl.start_point(xi, r_prev, polys)
+        sample = ctrl.sample(refs, polys)
+        problem = ctrl.assemble(xi, r_prev, sample)
+        w = ctrl.start_point(xi, r_prev, sample)
         scale = max(1.0, np.abs(w).max())
         assert np.linalg.norm(problem.A_eq @ w - problem.b_eq, np.inf) <= 1e-9 * scale
         n_xi = 2 * (N + 1)
@@ -346,7 +348,7 @@ class TestMpcStartPoint:
         # The built start is accepted: the MPC never needs the Phase-1 LP.
         with mock.patch.object(qp, "linprog", side_effect=AssertionError("Phase-1 LP")):
             try:
-                r0, _ = ctrl.control(xi, r_prev, refs, polys)
+                r0, _ = ctrl.control(xi, r_prev, sample)
             except MpcInfeasibleError:
                 r0 = None
         cold = qp.QpSolver().solve(problem)
@@ -370,12 +372,14 @@ class TestMpcStartPoint:
         xi, r_prev = (np.array([data.draw(coord), data.draw(coord)]) for _ in range(2))
         ctrl = PredictiveDcmController(MpcConfig(horizon=N, sample_time=T), omega)
         want = mpc_start_point(ctrl._f, xi, r_prev, polys + [None] * (N - len(polys)))
-        assert np.array_equal(ctrl.start_point(xi, r_prev, polys), want)
+        sample = ctrl.sample(np.zeros((N + 1, 2)), polys)
+        assert np.array_equal(ctrl.start_point(xi, r_prev, sample), want)
 
     def test_unconstrained_steps_use_previous_zmp(self):
         ctrl = PredictiveDcmController(MpcConfig(horizon=3), 4.3)
         r_prev = np.array([0.1, -0.2])
-        w = ctrl.start_point(np.zeros(2), r_prev, [square(0.1), None])
+        sample = ctrl.sample(np.zeros((4, 2)), [square(0.1), None])
+        w = ctrl.start_point(np.zeros(2), r_prev, sample)
         assert np.allclose(w[8:].reshape(3, 2), [[0.0, 0.0], r_prev, r_prev])
 
 

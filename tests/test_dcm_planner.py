@@ -156,14 +156,14 @@ class TestBuildTrajectory:
         traj = build_trajectory(tl, 4.3)
         zmps, _ = tl.step_sequence()
         assert np.linalg.norm(traj.dcm(traj.t_end) - zmps[-1]) < 1e-6
-        assert np.linalg.norm(traj.dcm_velocity(traj.t_end)) < 1e-4
+        assert np.linalg.norm(traj.eval(traj.t_end)[1]) < 1e-4
 
     def test_stationary_timeline(self):
         tl = make_timeline(v=0.0)
         traj = build_trajectory(tl, 4.3)
         p = traj.dcm(0.0)
         assert np.allclose(traj.dcm(1.0), p)
-        assert np.allclose(traj.dcm_velocity(1.0), 0)
+        assert np.allclose(traj.eval(1.0)[1], 0)
 
     @pytest.mark.parametrize("ds_ratio", [0.0, 0.2])
     def test_segment_lookup_matches_scan(self, ds_ratio):
@@ -266,4 +266,4 @@ class TestTrajectoryProperties:
         zmps, _ = tl.step_sequence()
         assert traj.t_end == tl.horizon
         assert np.linalg.norm(traj.dcm(traj.t_end) - zmps[-1]) < 1e-12
-        assert np.linalg.norm(traj.dcm_velocity(traj.t_end)) < 1e-12
+        assert np.linalg.norm(traj.eval(traj.t_end)[1]) < 1e-12

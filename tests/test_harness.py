@@ -124,10 +124,10 @@ class TestGaitAssembly:
             poly = support_polygon_at(timeline, mid)
             assert isinstance(poly, SupportPolygon)
             if ph.kind is PhaseKind.SINGLE_SUPPORT:
-                assert poly.contains(ph.feet[ph.stance_side].position, tol=1e-9)
+                assert poly.violation(ph.feet[ph.stance_side].position) <= 1e-9
             else:
                 for f in ph.feet.values():
-                    assert poly.contains(f.position, tol=1e-9)
+                    assert poly.violation(f.position) <= 1e-9
 
     @pytest.mark.parametrize("controller, v, duration", [
         ("predictive", 0.37, 12.0), ("instantaneous", 0.19, 10.0), ("predictive", 0.49, 10.0)])
@@ -189,6 +189,19 @@ class TestPredictiveWithoutLp:
         result = run_scenario(Scenario(controller="predictive", mode=mode,
                                        forward_velocity=0.19, duration=3.0), seed=0)
         assert result.metrics["completed"], result.summary["error"]
+
+
+@pytest.mark.parametrize("controller, other", [
+    ("instantaneous", "PredictiveDcmController"), ("predictive", "InstantaneousDcmController")])
+def test_run_builds_only_its_stabilizer(controller, other, monkeypatch):
+    # A PI run builds no MPC (and so none of its fixed blocks), nor an MPC
+    # run a PI stabilizer.
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{other} built")
+    monkeypatch.setattr(harness, other, fail)
+    result = run_scenario(Scenario(controller=controller, forward_velocity=0.19,
+                                   duration=1.0), seed=0)
+    assert result.metrics["completed"], result.summary["error"]
 
 
 class TestCycleMarker:

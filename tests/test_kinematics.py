@@ -337,7 +337,7 @@ class TestLoadModel:
     def test_minimal_document(self):
         model = load_model(self.doc())
         assert model.n_joints == 1 and model.n_velocities == 7
-        assert abs(model.total_mass - 1.5) < 1e-15
+        assert abs(sum(link.mass for link in model.links.values()) - 1.5) < 1e-15
 
     def joint(self, name, parent, child):
         return {"name": name, "type": "revolute", "parent": parent, "child": child,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcmwalk import dcm_planner, harness, kinematics, so3, unicycle, wholebody
 from dcmwalk import qp as qp_module
@@ -9,7 +11,8 @@ from dcmwalk.control import MpcConfig, PredictiveDcmController, SupportPolygon
 from dcmwalk.harness import NoiseModel, Scenario, run_scenario
 from dcmwalk.qp import QpProblem, QpSolver, QpStatus, _ratio_test, kkt_residuals
 from dcmwalk.wholebody import WholeBodyController
-from oracles import brute_force_qp, inequality_rows, random_qp, ratio_test_rowwise, row_form
+from oracles import (brute_force_qp, inequality_rows, mpc_blocks_plain, mpc_start_point,
+                     random_qp, ratio_test_plain, row_form)
 
 
 def test_unconstrained_minimum():
@@ -213,9 +216,39 @@ def test_ratio_test_matches_rowwise_reference():
         slack = rng.choice([-1e-12, 0.0, 0.25, 0.5, 1.0, 3.0], size=m)
         working = set(np.flatnonzero(rng.uniform(size=m) < 0.2).tolist())
         got = _ratio_test(Ap, slack, working)
-        want = ratio_test_rowwise(Ap, slack, working)
+        want = ratio_test_plain(Ap, slack, working)
         assert got[1] == want[1]
         assert got[0] == want[0]
+
+
+# Steps that tie with one another within 1e-15, or sit at the prefilter's
+# edge just below 1 - 1e-15 and 1, and A p at +-1e-14 and one ulp above it.
+_STEPS = [0.0, 0.25, 0.5, 0.5 + 5e-16, 0.5 + 1e-15, 0.5 + 2e-15, 1.0 - 2e-15,
+          1.0 - 1e-15, 1.0 - 5e-16, np.nextafter(1.0, 0.0), 1.0, 2.0]
+_AP = [-1.0, -1e-14, 0.0, 1e-15, 1e-14, np.nextafter(1e-14, 1.0), 0.5, 1.0, 3.0]
+
+
+@st.composite
+def _ratio_rows(draw):
+    """(A p, slack, working set) with drawn ties, zero and negative slacks,
+    A p at +-1e-14 and rows already in the working set."""
+    m = draw(st.integers(0, 12))
+    Ap = np.array([draw(st.sampled_from(_AP) | st.floats(-2.0, 2.0)) for _ in range(m)])
+    slack = np.array([draw(st.sampled_from(_STEPS).map(lambda a, ap=ap: a * ap)
+                           | st.sampled_from([0.0, -0.0, -1e-12, -1.0])
+                           | st.floats(-1.0, 3.0)) for ap in Ap])
+    working = {i: None for i in range(m) if draw(st.booleans()) and draw(st.booleans())}
+    return Ap, slack, working
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_ratio_rows())
+def test_ratio_test_equals_plain_scan(rows):
+    Ap, slack, working = rows
+    alpha, blocking = _ratio_test(Ap, slack, working)
+    want_alpha, want_blocking = ratio_test_plain(Ap, slack, working)
+    assert blocking == want_blocking
+    assert alpha == want_alpha and np.signbit(alpha) == np.signbit(want_alpha)
 
 
 def test_lazy_residuals_equal_eager_kkt_residuals():
@@ -391,6 +424,50 @@ def test_predictive_walk_reads_the_plan_outside_the_timed_stages(monkeypatch):
     assert ("pose", False) in calls
 
 
+def test_predictive_walk_builds_its_samples_before_the_first_cycle(monkeypatch):
+    # Each MPC sample's plan-fixed blocks are built when the layer is made:
+    # inside the timed simplified stage no sample is built, and every QP the
+    # MPC solves, with its start point, equals the per-call build from the
+    # sample's DCM window and polygons and the measurement.
+    inside, built, solved = [], [], []
+    control, sample = harness._SimplifiedLayer.control, PredictiveDcmController.sample
+    mpc_control = PredictiveDcmController.control
+
+    def staged(self, k, *args):
+        inside.append((self, k))
+        try:
+            return control(self, k, *args)
+        finally:
+            inside.pop()
+
+    def counted(self, *args):
+        built.append(bool(inside))
+        return sample(self, *args)
+
+    def captured(self, xi_meas, r_prev, mpc_sample):
+        solved.append((inside[-1], self, np.array(xi_meas), np.array(r_prev), mpc_sample))
+        return mpc_control(self, xi_meas, r_prev, mpc_sample)
+
+    monkeypatch.setattr(harness._SimplifiedLayer, "control", staged)
+    monkeypatch.setattr(PredictiveDcmController, "sample", counted)
+    monkeypatch.setattr(PredictiveDcmController, "control", captured)
+    result = run_scenario(Scenario(controller="predictive", forward_velocity=0.19,
+                                   duration=3.0, noise=NoiseModel()))
+    monkeypatch.undo()
+    assert result.metrics["completed"]
+    assert built == [False] * 30 and len(solved) == 30
+    for (layer, k), ctrl, xi_meas, r_prev, mpc_sample in solved:
+        m = k // 10
+        window, polygons = layer._plan.windows[m], layer._plan.polygons[m]
+        problem = ctrl.assemble(xi_meas, r_prev, mpc_sample)
+        want = mpc_blocks_plain(ctrl.config, xi_meas, r_prev, window, polygons)
+        for name, block in zip(("g", "b_eq", "A_in", "b_in"), want):
+            assert np.array_equal(getattr(problem, name), block), (k, name)
+        assert problem.H is ctrl._H and problem.A_eq is ctrl._A_eq
+        assert np.array_equal(ctrl.start_point(xi_meas, r_prev, mpc_sample),
+                              mpc_start_point(ctrl._f, xi_meas, r_prev, polygons))
+
+
 def _frozen_copy(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -496,8 +573,9 @@ def test_schur_step_matches_dense_kkt_solve_on_mpc_problems():
                                                    rng.uniform(-np.pi, np.pi),
                                                    *rng.uniform(0.05, 0.3, 2))
                      for _ in range(N)]
-            prob = ctrl.assemble(rng.uniform(-0.5, 0.5, 2), rng.uniform(-0.5, 0.5, 2),
-                                 rng.uniform(-0.5, 0.5, (N + 1, 2)), polys)
+            xi, r_prev = rng.uniform(-0.5, 0.5, 2), rng.uniform(-0.5, 0.5, 2)
+            prob = ctrl.assemble(xi, r_prev, ctrl.sample(rng.uniform(-0.5, 0.5, (N + 1, 2)),
+                                                         polys))
             K_cols = QpSolver()._kkt_columns(prob)
             for _ in range(5):
                 # One edge of a sample's rectangle, or two adjacent ones.
