@@ -358,8 +358,8 @@ class Plant:
         ZMP is the previous cycle's realized ZMP plus white noise.
         """
         noise = self._scenario.noise
-        self.feet = {FootSide.LEFT: self.cache.frame_pose("left_foot")[0],
-                     FootSide.RIGHT: self.cache.frame_pose("right_foot")[0]}
+        poses = self.cache.frame_poses(("left_foot", "right_foot"))
+        self.feet = {FootSide.LEFT: poses[0, 3], FootSide.RIGHT: poses[1, 3]}
         self.support = realized_support_polygon(
             phase, {side: p[:2] for side, p in self.feet.items()})
         robot, e_com = self.robot, np.zeros(2)

@@ -275,6 +275,7 @@ class KinematicModel:
         return _TaskPlan(
             template=template, links=links,
             offsets=np.array([fd.xyz for _, fd in defs]).reshape(nf, 3, 1),
+            rotations=np.array([fd.rotation for _, fd in defs]).reshape(nf, 3, 3),
             pair_tasks=pair_tasks, pair_joints=pair_joints, lever_joints=lever_joints,
             lever_index=index(lever_tasks, lever_joints),
             base_index=np.array([(top[:, None] + rows) * nv + cols
@@ -284,14 +285,15 @@ class KinematicModel:
 
 
 class _TaskPlan(NamedTuple):
-    """What `KinematicsCache.task_jacobian` needs of a frame tuple that only
-    the model decides. Joints are numbered in the model's order; task 0 is the
-    CoM and task 1 + f is frame f. An index is into the flattened Jacobian,
-    with one row per x, y, z component."""
+    """What `KinematicsCache.task_jacobian` and `frame_poses` need of a frame
+    tuple that only the model decides. Joints are numbered in the model's
+    order; task 0 is the CoM and task 1 + f is frame f. An index is into the
+    flattened Jacobian, with one row per x, y, z component."""
 
     template: np.ndarray          # the Jacobian's constant identity blocks
     links: np.ndarray             # each frame's link
     offsets: np.ndarray           # each frame's offset in its link, nf x 3 x 1
+    rotations: np.ndarray         # each frame's rotation in its link, nf x 3 x 3
     pair_tasks: np.ndarray        # the (task, joint) pairs on the frames' chains
     pair_joints: np.ndarray
     lever_joints: np.ndarray      # the CoM's joints (all), then the pairs' joints
@@ -351,11 +353,25 @@ class KinematicsCache:
         self._rotation = pose[:, :3, :3]
         self._position = pose[:, :3, 3]
         self._com_points = None
+        self._com = None
 
     def frame_pose(self, name):
-        link, fd = self.model._frame(name)
-        p, R = self._position[link], self._rotation[link]
-        return p + R @ fd.xyz, R @ fd.rotation
+        """(position, rotation) of one frame."""
+        pose = self.frame_poses((name,))[0]
+        return pose[3], pose[:3]
+
+    def frame_poses(self, frames):
+        """The poses of a tuple of frames, one nf x 4 x 3 array: frame f's
+        rotation in rows [f, :3] and its position in row [f, 3], p + R xyz
+        and R R_frame from its link's pose (R, p), from one gather of the
+        frames' links."""
+        plan = self.model._task_plan(tuple(frames))
+        links = plan.links
+        R = self._rotation[links]
+        poses = np.empty((links.size, 4, 3))
+        np.matmul(R, plan.rotations, out=poses[:, :3])
+        np.add(self._position[links], (R @ plan.offsets)[:, :, 0], out=poses[:, 3])
+        return poses
 
     def _link_coms(self):
         if self._com_points is None:
@@ -364,8 +380,12 @@ class KinematicsCache:
         return self._com_points
 
     def com(self):
-        model = self.model
-        return model._mass_vector @ self._link_coms() / model._total_mass
+        """The whole-body CoM, computed on the first call; read-only."""
+        if self._com is None:
+            model = self.model
+            self._com = model._mass_vector @ self._link_coms() / model._total_mass
+            self._com.setflags(write=False)
+        return self._com
 
     def task_jacobian(self, frames=()):
         """Stacked task Jacobian [J_com; J_frames[0]; J_frames[1]; ...].

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import check_rotation
+from .so3 import ORTHONORMALITY_TOL, rows_are_rotation
 
 
 def _planar(v, name="vector"):
@@ -99,18 +99,25 @@ def step_exact(state, r_zmp, params, duration):
     return SimplifiedState(com=com_next, com_velocity=vel_next, dcm=dcm_next)
 
 
-def skew_vee_error(R, R_des):
-    """Rotation-error feedback term vee(sk(R R_des^T)).
+def rotation_error(r, d):
+    """vee(sk(R R_des^T)) as three floats, from the rows of R and of R_des
+    as lists of floats; a ValueError when either is not a rotation.
 
     Entry (i, j) of R R_des^T is row i of R dotted with row j of R_des;
     the term needs only the six off-diagonal entries.
     """
-    r0, r1, r2 = check_rotation(R, name="R").tolist()
-    d0, d1, d2 = check_rotation(R_des, name="R_des").tolist()
+    if not rows_are_rotation(r):
+        raise ValueError(f"R is not orthonormal within {ORTHONORMALITY_TOL}")
+    if not rows_are_rotation(d):
+        raise ValueError(f"R_des is not orthonormal within {ORTHONORMALITY_TOL}")
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
+    (d00, d01, d02), (d10, d11, d12), (d20, d21, d22) = d
+    return (0.5 * ((r20 * d10 + r21 * d11 + r22 * d12) - (r10 * d20 + r11 * d21 + r12 * d22)),
+            0.5 * ((r00 * d20 + r01 * d21 + r02 * d22) - (r20 * d00 + r21 * d01 + r22 * d02)),
+            0.5 * ((r10 * d00 + r11 * d01 + r12 * d02) - (r00 * d10 + r01 * d11 + r02 * d12)))
 
-    def entry(r, d):
-        return r[0] * d[0] + r[1] * d[1] + r[2] * d[2]
 
-    return np.array([0.5 * (entry(r2, d1) - entry(r1, d2)),
-                     0.5 * (entry(r0, d2) - entry(r2, d0)),
-                     0.5 * (entry(r1, d0) - entry(r0, d1))])
+def skew_vee_error(R, R_des):
+    """Rotation-error feedback term vee(sk(R R_des^T)) of two 3x3 matrices."""
+    return np.array(rotation_error(np.asarray(R, dtype=float).tolist(),
+                                   np.asarray(R_des, dtype=float).tolist()))

@@ -113,6 +113,16 @@ class QpSolution:
     active_set: tuple = ()
     problem: QpProblem = field(default=None, repr=False, compare=False)
     infeasibility: float = None  # largest row violation at w = 0, when infeasible
+    _eq_residual: float = field(default=None, repr=False, compare=False)
+
+    @property
+    def eq_residual(self):
+        """max |A_eq w - b_eq|, 0.0 without equality rows: the one the
+        solver's feasibility test computed when it tested this w, else
+        computed on first read."""
+        if self._eq_residual is None:
+            self._eq_residual = _eq_residual(self.problem, self.w)
+        return self._eq_residual
 
     @cached_property
     def residuals(self):
@@ -145,15 +155,18 @@ class QpSolver:
         w = None
         if start is not None:
             w0 = np.asarray(start, dtype=float).reshape(-1)
-            if w0.shape == (n,) and self._feasible(w0, problem):
+            if w0.shape == (n,) and self._feasible(w0, problem) is not None:
                 w = w0
         if w is None:
             # The minimizer under the equalities alone is the first step from
             # an empty working set; if it breaks no row it is the optimum.
             w, lam_eq = self._kkt_solve(H, A_eq, -g, b_eq)
-            if w is not None and self._feasible(w, problem):
-                return self._solution(problem, w, QpStatus.OPTIMAL, 1,
-                                      lam_eq, np.zeros(m), ())
+            residual = None if w is None else self._feasible(w, problem)
+            if residual is not None:
+                sol = self._solution(problem, w, QpStatus.OPTIMAL, 1,
+                                     lam_eq, np.zeros(m), ())
+                sol._eq_residual = residual
+                return sol
             w = self._cold_start(problem)
             if w is None:
                 return self._infeasible(problem)
@@ -256,18 +269,22 @@ class QpSolver:
             w = np.linalg.lstsq(problem.A_eq, problem.b_eq, rcond=None)[0]
         else:
             w = np.zeros(problem.n)
-        if self._feasible(w, problem):
+        if self._feasible(w, problem) is not None:
             return w
         w = self._phase1(problem)
-        if w is None or not self._feasible(w, problem, slack=100 * self.tol):
+        if w is None or self._feasible(w, problem, slack=100 * self.tol) is None:
             return None
         return w
 
     def _feasible(self, w, problem, slack=None):
+        """`_eq_residual` of w when w meets every row within `slack`
+        (the solver's tolerance by default), else None."""
         slack = self.tol if slack is None else slack
-        if problem.A_eq.shape[0] and np.abs(problem.A_eq @ w - problem.b_eq).max() > slack:
-            return False
-        return not (problem.b_in.shape[0] and (problem.b_in - problem.A_in @ w).min() < -slack)
+        residual = _eq_residual(problem, w)
+        if residual > slack or (problem.b_in.shape[0]
+                                and (problem.b_in - problem.A_in @ w).min() < -slack):
+            return None
+        return residual
 
     def _phase1(self, problem):
         # Free variables: linprog's default bounds are w >= 0.
@@ -284,6 +301,13 @@ class QpSolver:
                              0, np.zeros(problem.A_eq.shape[0]), np.zeros(h.shape[0]), ())
         sol.infeasibility = float(np.max(-h)) if h.shape[0] else None   # G w - h at w = 0
         return sol
+
+
+def _eq_residual(problem, w):
+    """max |A_eq w - b_eq|, 0.0 without equality rows."""
+    if not problem.A_eq.shape[0]:
+        return 0.0
+    return float(np.abs(problem.A_eq @ w - problem.b_eq).max())
 
 
 def _frozen(*arrays):

@@ -1,5 +1,7 @@
 """Small SO(3) helpers shared by the simplified-model and whole-body layers."""
 
+import math
+
 import numpy as np
 
 ORTHONORMALITY_TOL = 1e-9
@@ -23,12 +25,9 @@ def sk(A):
     return 0.5 * (A - A.T)
 
 
-def is_rotation(R, tol=ORTHONORMALITY_TOL):
-    """|R^T R - I|_inf <= tol (max absolute row sum) and |det R - 1| <= tol."""
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        return False
-    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+def rows_are_rotation(rows, tol=ORTHONORMALITY_TOL):
+    """`is_rotation` of the 3x3 matrix with these three rows of floats."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
     # R^T R - I from the column dot products; one row sum per column of R.
     xx = a * a + d * d + g * g - 1.0
     yy = b * b + e * e + h * h - 1.0
@@ -43,21 +42,22 @@ def is_rotation(R, tol=ORTHONORMALITY_TOL):
     return abs(det - 1.0) <= tol
 
 
-def check_rotation(R, tol=ORTHONORMALITY_TOL, name="rotation"):
+def is_rotation(R, tol=ORTHONORMALITY_TOL):
+    """|R^T R - I|_inf <= tol (max absolute row sum) and |det R - 1| <= tol."""
     R = np.asarray(R, dtype=float)
-    if not is_rotation(R, tol):
-        raise ValueError(f"{name} is not orthonormal within {tol}")
-    return R
+    return R.shape == (3, 3) and rows_are_rotation(R.tolist(), tol)
 
 
 def exp_so3(w):
     """Rodrigues formula: rotation matrix of the axis-angle vector w."""
     w = np.asarray(w, dtype=float).reshape(3)
-    theta = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+    wx, wy, wz = w.tolist()
+    theta = math.sqrt(wx * wx + wy * wy + wz * wz)
     if theta < 1e-12:
         return np.eye(3) + skew(w)
-    x, y, z = w / theta
-    c, s = np.cos(theta), np.sin(theta)
+    x, y, z = wx / theta, wy / theta, wz / theta
+    # numpy's sin and cos, not math's: numpy's SIMD loops need not round as libm.
+    c, s = float(np.cos(theta)), float(np.sin(theta))
     C = 1.0 - c
     return np.array([
         [c + x * x * C, x * y * C - z * s, x * z * C + y * s],

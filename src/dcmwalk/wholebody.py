@@ -18,12 +18,14 @@ from enum import Enum
 import numpy as np
 
 from .kinematics import KinematicsCache, integrate_state
-from .lipm import skew_vee_error
+from .lipm import rotation_error
 from .qp import QpProblem, QpSolver, QpStatus
 
 LEFT_FOOT = "left_foot"
 RIGHT_FOOT = "right_foot"
 TORSO = "torso"
+# The task Jacobian's frames, in its row order after the CoM.
+TASK_FRAMES = (LEFT_FOOT, RIGHT_FOOT, TORSO)
 
 # Keeps the reduced Hessian positive definite when the soft tasks leave the
 # base directions unweighted; small enough not to disturb the task optima.
@@ -117,45 +119,59 @@ class _Integrators:
     prev_foot_err: dict = field(default_factory=dict)
 
 
-# The two starred-velocity laws below work on Python floats, entry by
-# entry, with the products and sums of the vector expressions in their
-# order: the same IEEE results without a numpy call per 3-vector.
-
-
-def feet_velocity_star(pose, reference, gains, integral):
-    """Starred 6D foot velocity from the pose error and its integral:
-    v_ref - K_p e_p - K_i int(e_p), then w_ref - K_w vee(sk(R R_ref^T))."""
-    p, R = pose
+def _foot_velocity(pose, reference, integral, gains, out):
+    """Append the starred 6D foot velocity to `out`: v_ref - K_p e_p -
+    K_i int(e_p), then w_ref - K_w vee(sk(R R_ref^T)); returns e_p."""
+    r0, r1, r2, (px, py, pz) = pose
     kp, ki, kw = gains.foot_position_gain, gains.foot_integral_gain, gains.foot_rotation_gain
-    (px, py, pz), (rx, ry, rz) = p.tolist(), reference.position.tolist()
+    rx, ry, rz = reference.position.tolist()
     ex, ey, ez = px - rx, py - ry, pz - rz
-    (vx, vy, vz), (ix, iy, iz) = reference.linear_velocity.tolist(), integral.tolist()
-    (wx, wy, wz), (qx, qy, qz) = (reference.angular_velocity.tolist(),
-                                  skew_vee_error(R, reference.rotation).tolist())
-    return np.array([vx - kp * ex - ki * ix, vy - kp * ey - ki * iy, vz - kp * ez - ki * iz,
-                     wx - kw * qx, wy - kw * qy, wz - kw * qz]), np.array([ex, ey, ez])
+    (vx, vy, vz), (wx, wy, wz) = (reference.linear_velocity.tolist(),
+                                  reference.angular_velocity.tolist())
+    ix, iy, iz = integral.tolist()
+    qx, qy, qz = rotation_error((r0, r1, r2), reference.rotation.tolist())
+    out += (vx - kp * ex - ki * ix, vy - kp * ey - ki * iy, vz - kp * ez - ki * iz,
+            wx - kw * qx, wy - kw * qy, wz - kw * qz)
+    return np.array([ex, ey, ez])
 
 
-def com_velocity_star(com, com_ref_planar, com_velocity_cmd, gains, integral, z0):
-    """Starred 3D CoM velocity: planar tracking, v - K_p e - K_i int(e),
-    plus a height hold."""
+def _task_velocities(poses, com, refs, integ, gains, z0):
+    """The starred task velocities and the tracking errors, on Python floats
+    with the products and sums of the vector laws in their order.
+
+    `poses` is the `KinematicsCache.frame_poses` array of TASK_FRAMES and
+    `com` the whole-body CoM. Returns the torso's -K_omega_T vee(sk(R
+    R_ref^T)), b_eq = [v_com; v_left; v_right] (the CoM's planar v - K_p e -
+    K_i int(e) and height hold -K_z (z - z0), then each foot's
+    `_foot_velocity`), and the planar CoM error and the feet's position
+    errors as arrays, for the integrators.
+    """
+    left, right, (t0, t1, t2, _) = poses.tolist()
+    qx, qy, qz = rotation_error((t0, t1, t2), refs.torso_rotation.tolist())
+    kt = gains.torso_rotation_gain
+    v_torso = np.array([-kt * qx, -kt * qy, -kt * qz])
+
     kp, ki = gains.com_position_gain, gains.com_integral_gain
     x, y, z = com.tolist()
-    rx, ry = np.asarray(com_ref_planar, dtype=float).tolist()
-    vx, vy = np.asarray(com_velocity_cmd, dtype=float).tolist()
-    ix, iy = integral.tolist()
+    rx, ry = np.asarray(refs.com_position, dtype=float).tolist()
+    vx, vy = np.asarray(refs.com_velocity_cmd, dtype=float).tolist()
+    ix, iy = integ.com_err.tolist()
     ex, ey = x - rx, y - ry
-    return (np.array([vx - kp * ex - ki * ix, vy - kp * ey - ki * iy,
-                      -gains.com_height_gain * (z - z0)]), np.array([ex, ey]))
+    b_eq = [vx - kp * ex - ki * ix, vy - kp * ey - ki * iy, -gains.com_height_gain * (z - z0)]
+    foot_errs = {LEFT_FOOT: _foot_velocity(left, refs.left_foot, integ.foot_err[LEFT_FOOT],
+                                           gains, b_eq),
+                 RIGHT_FOOT: _foot_velocity(right, refs.right_foot, integ.foot_err[RIGHT_FOOT],
+                                            gains, b_eq)}
+    return v_torso, np.array(b_eq), np.array([ex, ey]), foot_errs
 
 
-def build_wholebody_qp(model, cache, v_torso_star, v_com_star, v_left_star,
-                       v_right_star, sdot_star, gains):
-    """Assemble the QP over nu = (base twist, joint velocities)."""
+def build_wholebody_qp(model, cache, v_torso_star, b_eq, sdot_star, gains):
+    """Assemble the QP over nu = (base twist, joint velocities); `b_eq` is
+    the hard tasks' starred velocities [v_com; v_left; v_right]."""
     nv = model.n_velocities
     # Hard task rows [J_com; J_left_foot; J_right_foot], then the torso's
     # linear and angular rows.
-    J = cache.task_jacobian((LEFT_FOOT, RIGHT_FOOT, TORSO))
+    J = cache.task_jacobian(TASK_FRAMES)
     A_eq, J_torso = J[:15], J[18:]
 
     K_T = gains.torso_weight
@@ -167,7 +183,6 @@ def build_wholebody_qp(model, cache, v_torso_star, v_com_star, v_left_star,
     g = -J_torso.T @ K_T @ v_torso_star
     g[6:] += -gains.postural_weight * sdot_star
 
-    b_eq = np.concatenate([v_com_star, v_left_star, v_right_star])
     _check_task_ranks(A_eq, (("com", 3), ("left_foot", 6), ("right_foot", 6)))
     return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq,
                      A_in=model.rate_rows, b_in=model.rate_rhs)
@@ -233,32 +248,17 @@ class WholeBodyController:
         state = self.internal_state if self.mode is ControlMode.POSITION else measured_state
         cache = KinematicsCache(self.model, state)
         gains = self.gains
-
-        v_torso = -gains.torso_rotation_gain * skew_vee_error(
-            cache.frame_pose(TORSO)[1], refs.torso_rotation)
-
-        com = cache.com()
-        com_ref = np.asarray(refs.com_position, dtype=float).reshape(2)
-        v_com, com_err = com_velocity_star(com, com_ref,
-                                           refs.com_velocity_cmd, gains,
-                                           self._integ.com_err, self.z0)
-        stars = {}
-        errs = {}
-        for frame, ref in ((LEFT_FOOT, refs.left_foot), (RIGHT_FOOT, refs.right_foot)):
-            stars[frame], errs[frame] = feet_velocity_star(
-                cache.frame_pose(frame), ref, gains, self._integ.foot_err[frame])
-
+        v_torso, b_eq, com_err, foot_errs = _task_velocities(
+            cache.frame_poses(TASK_FRAMES), cache.com(), refs, self._integ, gains, self.z0)
         sdot_star = -gains.postural_gain * (state.joint_positions - refs.posture)
 
-        problem = build_wholebody_qp(self.model, cache, v_torso, v_com,
-                                     stars[LEFT_FOOT], stars[RIGHT_FOOT],
-                                     sdot_star, gains)
+        problem = build_wholebody_qp(self.model, cache, v_torso, b_eq, sdot_star, gains)
         sol = self._solver.solve(problem)
         if sol.status is not QpStatus.OPTIMAL:
             raise RuntimeError(f"whole-body QP failed: {sol.status.value}")
         nu = sol.w
 
-        self._advance_integrators(com_err, errs)
+        self._advance_integrators(com_err, foot_errs)
         if self.mode is ControlMode.POSITION:
             self.internal_state = integrate_state(self.internal_state, nu, self.dt)
             command = self.internal_state.joint_positions.copy()
@@ -266,7 +266,7 @@ class WholeBodyController:
             command = nu[6:].copy()
         diag = {
             "nu": nu,
-            "hard_residual": float(np.abs(problem.A_eq @ nu - problem.b_eq).max()),
+            "hard_residual": sol.eq_residual,
             "qp_iterations": sol.iterations,
         }
         return command, diag

@@ -481,6 +481,15 @@ def tree_pass_plain(model, state):
     return pose[:, :3, :3], pose[:, :3, 3]
 
 
+def frame_pose_plain(model, state, frame):
+    """(position, rotation) of a frame, p + R xyz and R R_frame, from its
+    link's pose (R, p) by `tree_pass_plain`, one frame at a time."""
+    rotation, position = tree_pass_plain(model, state)
+    fd = model.frame_def(frame)
+    link = list(model.links).index(fd.link)
+    return position[link] + rotation[link] @ fd.xyz, rotation[link] @ fd.rotation
+
+
 def task_jacobian_masked(model, state, frames):
     """`KinematicsCache.task_jacobian` by 0/1 chain masks over every joint,
     in the model's joint order: each task's lever arm from every joint is
@@ -575,6 +584,23 @@ class PiDcmLaw:
         self.prev = e
         return (np.asarray(xi_ref, dtype=float) - np.asarray(xid_ref, dtype=float) / self.omega
                 + self.kp @ e + self.ki @ self.integral)
+
+
+def exp_so3_plain(w):
+    """Rodrigues formula on numpy scalars: I + skew(w) below an angle of
+    1e-12, else c I + s [u]x + (1 - c) u u^T entry by entry, u = w / theta."""
+    w = np.asarray(w, dtype=float).reshape(3)
+    theta = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+    if theta < 1e-12:
+        return np.eye(3) + np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]],
+                                     [-w[1], w[0], 0.0]])
+    x, y, z = w / theta
+    c, s = np.cos(theta), np.sin(theta)
+    C = 1.0 - c
+    return np.array([
+        [c + x * x * C, x * y * C - z * s, x * z * C + y * s],
+        [y * x * C + z * s, c + y * y * C, y * z * C - x * s],
+        [z * x * C - y * s, z * y * C + x * s, c + z * z * C]])
 
 
 def foot_velocity_law(p, R, reference, gains, integral, skew_vee_error):

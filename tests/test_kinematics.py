@@ -13,8 +13,8 @@ from dcmwalk.kinematics import (YAML_LOADER, KinematicsCache, RobotState,
                                 load_model, sample_biped)
 from dcmwalk.so3 import exp_so3, vee
 from oracles import (com_jacobian_loop, com_oracle, fd_task_jacobian, fk_chain_oracle,
-                     frame_jacobian_loop, inequality_rows, random_tree_doc,
-                     task_jacobian_masked, tree_pass_plain)
+                     frame_jacobian_loop, frame_pose_plain, inequality_rows,
+                     random_tree_doc, task_jacobian_masked, tree_pass_plain)
 
 
 def random_state(model, rng, scale=0.4):
@@ -42,7 +42,30 @@ def fd_jacobian_error(model, state, frame, nu, eps):
     return np.linalg.norm(np.concatenate([v_fd - twist[:3], w_fd - twist[3:]]))
 
 
+def assert_frame_poses_equal(cache, frames):
+    """`frame_poses` of `frames` and `frame_pose` of each, bit for bit,
+    against the plain per-frame form."""
+    poses = cache.frame_poses(frames)
+    assert poses.shape == (len(frames), 4, 3)
+    for pose, frame in zip(poses, frames):
+        p, R = frame_pose_plain(cache.model, cache.state, frame)
+        assert np.array_equal(pose[:3], R) and np.array_equal(pose[3], p), frame
+        p1, R1 = cache.frame_pose(frame)
+        assert np.array_equal(R1, R) and np.array_equal(p1, p), frame
+
+
 class TestForwardKinematics:
+    def test_frame_poses_equal_plain_form_on_biped(self):
+        # Every link is also a frame, the base link's among them; frames
+        # with `rpy` are drawn on random trees.
+        model = sample_biped()
+        rng = np.random.default_rng(3)
+        assert model.base_link in all_frames(model)
+        for _ in range(20):
+            cache = KinematicsCache(model, random_state(model, rng, scale=1.0))
+            assert_frame_poses_equal(cache, ("left_foot", "right_foot", "torso"))
+            assert_frame_poses_equal(cache, tuple(all_frames(model)))
+
     def test_matches_homogeneous_chain_oracle(self):
         model = sample_biped()
         rng = np.random.default_rng(0)
@@ -214,6 +237,21 @@ class TestRandomTrees:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
+    def test_frame_poses_equal_plain_form(self, seed):
+        rng = np.random.default_rng(seed)
+        doc = random_tree_doc(rng)
+        # A named frame on the base link, turned and offset in it.
+        doc["frames"]["on_base"] = {"link": doc["base_link"],
+                                    "xyz": rng.normal(scale=0.2, size=3).tolist(),
+                                    "rpy": rng.uniform(-np.pi, np.pi, size=3).tolist()}
+        model = load_model(doc)
+        cache = KinematicsCache(model, random_state(model, rng, scale=1.0))
+        frames = all_frames(model)
+        for tup in (tuple(frames), tuple(rng.permutation(frames).tolist())):
+            assert_frame_poses_equal(cache, tup)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
     def test_planned_forms_equal_plain_forms(self, seed):
         # The tree pass and the planned Jacobian against the plain tree pass
         # and the masked Jacobian.
@@ -256,6 +294,22 @@ class TestRandomTrees:
 
 
 class TestCom:
+    def test_memoized_com_equals_fresh_evaluation(self):
+        # The cache computes the CoM once; the task Jacobian reads the same
+        # array, and no caller can write into it.
+        model = sample_biped()
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            state = random_state(model, rng, scale=1.0)
+            cache = KinematicsCache(model, state)
+            J = cache.task_jacobian(("left_foot", "torso"))
+            com = cache.com()
+            assert cache.com() is com and not com.flags.writeable
+            fresh = model._mass_vector @ KinematicsCache(model, state)._link_coms() \
+                / model._total_mass
+            assert np.array_equal(com, fresh)
+            assert np.array_equal(J[:3], KinematicsCache(model, state).com_jacobian())
+
     def test_com_between_feet_at_home(self):
         model = sample_biped()
         cache = KinematicsCache(model, home_state(model))

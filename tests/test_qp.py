@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcmwalk import dcm_planner, harness, kinematics, so3, unicycle, wholebody
+from dcmwalk import dcm_planner, harness, kinematics, lipm, so3, unicycle, wholebody
 from dcmwalk import qp as qp_module
 from dcmwalk.control import MpcConfig, PredictiveDcmController, SupportPolygon
 from dcmwalk.harness import NoiseModel, Scenario, run_scenario
@@ -78,6 +78,23 @@ def test_determinism():
     b = QpSolver().solve(QpProblem(**row_form(spec)))
     assert np.array_equal(a.w, b.w)
     assert a.iterations == b.iterations
+
+
+def test_eq_residual_is_the_residual_at_the_solution():
+    # Whether the solve ends at the equality-only minimizer (one iteration,
+    # its residual from the feasibility test) or in the active-set loop,
+    # `eq_residual` reads max |A_eq w - b_eq| at the returned w, bit for bit.
+    rng = np.random.default_rng(14)
+    iterations = set()
+    for _ in range(60):
+        prob = QpProblem(**row_form(random_qp(rng)[0]))
+        sol = QpSolver().solve(prob)
+        assert sol.status is QpStatus.OPTIMAL
+        iterations.add(min(sol.iterations, 2))
+        want = (float(np.abs(prob.A_eq @ sol.w - prob.b_eq).max())
+                if prob.A_eq.shape[0] else 0.0)
+        assert sol.eq_residual == want
+    assert iterations == {1, 2}
 
 
 def test_warm_start_same_optimum():
@@ -333,19 +350,20 @@ def test_random_cold_solves_match_oracle(with_eq):
 @pytest.mark.parametrize("mode", ["position", "velocity"])
 def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
     # Every cycle of a steady walk ends its QP after one iteration, and does
-    # one tree pass, one task Jacobian (hard tasks and torso together), one
+    # one tree pass, one batched read of the task frames' poses (no pose read
+    # frame by frame), one task Jacobian (hard tasks and torso together), one
     # Cholesky (the rank certificate, with no SVD after it) and one dense
     # solve (the KKT system): a second factorization per cycle fails here.
     # Its three rotation errors (torso and both feet) check both of their
-    # rotations, the measured one and the reference, and no rotation is
-    # checked between cycles.
+    # rotations, the measured one and the reference, with the float-rows
+    # check, and no rotation is checked between cycles.
     cycle = WholeBodyController.cycle
     iterations = []
     per_cycle = []
     running = []   # the counts of the cycle in progress, if any
     between = []   # rotation checks outside the cycles
-    names = ("KinematicsCache", "task_jacobian", "cholesky", "svd", "solve", "matrix_rank",
-             "is_rotation")
+    names = ("KinematicsCache", "frame_poses", "frame_pose", "task_jacobian", "cholesky",
+             "svd", "solve", "matrix_rank", "rows_are_rotation")
 
     def counted(self, refs, measured_state):
         running.append(dict.fromkeys(names, 0))
@@ -360,7 +378,7 @@ def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
         def call(*args, **kwargs):
             if running:
                 running[-1][name] += 1
-            elif name == "is_rotation":
+            elif name == "rows_are_rotation":
                 between.append(args)
             return fn(*args, **kwargs)
         return call
@@ -368,9 +386,14 @@ def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
     monkeypatch.setattr(WholeBodyController, "cycle", counted)
     monkeypatch.setattr(wholebody, "KinematicsCache",
                         counting("KinematicsCache", wholebody.KinematicsCache))
-    monkeypatch.setattr(kinematics.KinematicsCache, "task_jacobian", counting(
-        "task_jacobian", kinematics.KinematicsCache.task_jacobian))
-    monkeypatch.setattr(so3, "is_rotation", counting("is_rotation", so3.is_rotation))
+    for name in ("frame_poses", "frame_pose", "task_jacobian"):
+        monkeypatch.setattr(kinematics.KinematicsCache, name,
+                            counting(name, getattr(kinematics.KinematicsCache, name)))
+    # The rotation error calls the check by its name in `lipm`, `is_rotation`
+    # by its name in `so3`.
+    for module in (lipm, so3):
+        monkeypatch.setattr(module, "rows_are_rotation",
+                            counting("rows_are_rotation", so3.rows_are_rotation))
     for name in ("cholesky", "svd", "solve", "matrix_rank"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     result = run_scenario(Scenario(controller="instantaneous", mode=mode,
@@ -380,8 +403,9 @@ def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
     assert len(iterations) == len(result.traces["t"]) == 300
     assert set(iterations) == {1}
     work = {tuple(sorted(counts.items())) for counts in per_cycle}
-    assert work == {(("KinematicsCache", 1), ("cholesky", 1), ("is_rotation", 6),
-                     ("matrix_rank", 0), ("solve", 1), ("svd", 0), ("task_jacobian", 1))}
+    assert work == {(("KinematicsCache", 1), ("cholesky", 1), ("frame_pose", 0),
+                     ("frame_poses", 1), ("matrix_rank", 0), ("rows_are_rotation", 6),
+                     ("solve", 1), ("svd", 0), ("task_jacobian", 1))}
     assert between == []
 
 

@@ -1,12 +1,12 @@
 """SO(3) helper functions."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dcmwalk.so3 import (check_rotation, exp_so3, is_rotation, rot_x, rot_y, rot_z,
+from dcmwalk.so3 import (exp_so3, is_rotation, rot_x, rot_y, rot_z,
                          rpy_to_rotation, sk, skew, vee)
+from oracles import exp_so3_plain
 
 
 def test_skew_matches_cross():
@@ -51,6 +51,18 @@ def test_exp_so3_small_angle():
     assert np.allclose(exp_so3(w), np.eye(3) + skew(w))
 
 
+@settings(max_examples=300, deadline=None)
+@given(w=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+       scale=st.sampled_from([1.0, 1e-6, 1e-12, 1e-13, 1e-15, 0.0]))
+def test_exp_so3_equals_plain_form(w, scale):
+    # Scales of 1e-13 and below give angles under 1e-12, the first-order branch.
+    w = scale * np.array(w)
+    event("first-order branch" if np.sqrt(w @ w) < 1e-12 else "Rodrigues branch")
+    R = exp_so3(w)
+    assert np.array_equal(R, exp_so3_plain(w))
+    assert R.shape == (3, 3) and R.dtype == float
+
+
 def test_exp_so3_rodrigues_oracle():
     # Independent Rodrigues evaluation via matrix series terms.
     rng = np.random.default_rng(4)
@@ -67,11 +79,10 @@ def test_rpy_to_rotation_composition():
     assert np.allclose(rpy_to_rotation(r, p, y), rot_z(y) @ rot_y(p) @ rot_x(r))
 
 
-def test_check_rotation_rejects():
-    with pytest.raises(ValueError):
-        check_rotation(np.eye(3) * 1.001)
-    with pytest.raises(ValueError):
-        check_rotation(-np.eye(3))  # det -1
+def test_is_rotation_rejects():
+    assert not is_rotation(np.eye(3) * 1.001)
+    assert not is_rotation(-np.eye(3))  # det -1
+    assert not is_rotation(np.eye(4))
 
 
 def _is_rotation_linalg(R, tol):

@@ -13,8 +13,8 @@ from dcmwalk.lipm import skew_vee_error
 from dcmwalk.so3 import exp_so3, rot_z
 from dcmwalk.wholebody import (ControlMode, FootReference, RankDeficientTasksError,
                                TaskGains, WholeBodyController, WholeBodyReferences,
-                               _check_task_ranks, build_wholebody_qp,
-                               com_velocity_star, feet_velocity_star)
+                               LEFT_FOOT, RIGHT_FOOT, _check_task_ranks, _Integrators,
+                               _task_velocities, build_wholebody_qp)
 from oracles import com_velocity_law, foot_velocity_law
 
 
@@ -165,8 +165,8 @@ class TestRankDeficiency:
         model = self.degenerate_model()
         cache = KinematicsCache(model, self.degenerate_state())
         with pytest.raises(RankDeficientTasksError) as info:
-            build_wholebody_qp(model, cache, np.zeros(3), np.zeros(3),
-                               np.zeros(6), np.zeros(6), np.zeros(1), TaskGains())
+            build_wholebody_qp(model, cache, np.zeros(3), np.zeros(15), np.zeros(1),
+                               TaskGains())
         assert info.value.task == "left_foot"
 
     def test_controller_raises_named_offender(self):
@@ -246,30 +246,50 @@ class TestRankThreshold:
 
 
 class TestStarredVelocities:
-    """The starred foot and CoM velocity laws on floats against their
-    vector form in `oracles`: the same IEEE operations, so bit-equal."""
+    """The whole-body cycle's task velocities on floats against their vector
+    form in `oracles`: the same IEEE operations, so bit-equal."""
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_match_vector_form(self, seed):
+        # `_task_velocities` on the poses of TASK_FRAMES (left foot, right
+        # foot, torso) against the foot and CoM laws and the torso term.
         rng = np.random.default_rng(seed)
         gains = TaskGains(**{name: float(rng.uniform(0.1, 12.0)) for name in (
-            "foot_position_gain", "foot_integral_gain", "foot_rotation_gain",
-            "com_position_gain", "com_integral_gain", "com_height_gain")})
+            "torso_rotation_gain", "foot_position_gain", "foot_integral_gain",
+            "foot_rotation_gain", "com_position_gain", "com_integral_gain",
+            "com_height_gain")})
         for _ in range(10):
-            p, ref_p, v, w, integral = rng.normal(scale=0.3, size=(5, 3))
-            R, R_ref = exp_so3(rng.normal(size=3)), exp_so3(rng.normal(size=3))
-            ref = FootReference(position=ref_p, rotation=R_ref, linear_velocity=v,
-                                angular_velocity=w)
-            got = feet_velocity_star((p, R), ref, gains, integral)
-            want = foot_velocity_law(p, R, ref, gains, integral, skew_vee_error)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-            com, (ref_xy, cmd, integral_xy) = rng.normal(size=3), rng.normal(size=(3, 2))
+            R = [exp_so3(rng.normal(size=3)) for _ in range(3)]
+            p = rng.normal(scale=0.3, size=(3, 3))
+            poses = np.concatenate([np.stack(R), p[:, None]], axis=1)
+            feet = [FootReference(position=ref_p, rotation=exp_so3(rng.normal(size=3)),
+                                  linear_velocity=v, angular_velocity=w)
+                    for ref_p, v, w in rng.normal(scale=0.3, size=(2, 3, 3))]
+            com, (ref_xy, cmd) = rng.normal(size=3), rng.normal(size=(2, 2))
+            refs = WholeBodyReferences(com_velocity_cmd=cmd, left_foot=feet[0],
+                                       right_foot=feet[1],
+                                       torso_rotation=exp_so3(rng.normal(size=3)),
+                                       posture=None, com_position=ref_xy)
+            integ = _Integrators(com_err=rng.normal(size=2),
+                                 foot_err={LEFT_FOOT: rng.normal(size=3),
+                                           RIGHT_FOOT: rng.normal(size=3)})
             z0 = float(rng.uniform(0.2, 0.6))
-            got = com_velocity_star(com, ref_xy, cmd, gains, integral_xy, z0)
-            want = com_velocity_law(com, ref_xy, cmd, gains, integral_xy, z0)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            v_torso, b_eq, com_err, foot_errs = _task_velocities(poses, com, refs, integ,
+                                                                 gains, z0)
+
+            assert np.array_equal(v_torso, -gains.torso_rotation_gain
+                                  * skew_vee_error(R[2], refs.torso_rotation))
+            v_com, e_com = com_velocity_law(com, ref_xy, cmd, gains, integ.com_err, z0)
+            want, errs = [v_com], [e_com]
+            for k, frame in enumerate((LEFT_FOOT, RIGHT_FOOT)):
+                v, e = foot_velocity_law(p[k], R[k], feet[k], gains, integ.foot_err[frame],
+                                         skew_vee_error)
+                want.append(v)
+                errs.append(e)
+            assert np.array_equal(b_eq, np.concatenate(want))
+            got = [com_err, foot_errs[LEFT_FOOT], foot_errs[RIGHT_FOOT]]
+            assert all(np.array_equal(a, b) for a, b in zip(got, errs))
 
 
 class TestTaskGains:
