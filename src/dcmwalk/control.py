@@ -3,9 +3,11 @@
 Two DCM stabilizers producing a reference ZMP each control cycle:
 
   * instantaneous: r = xi_ref - xid_ref/w + Kp (xi - xi_ref) + Ki int(xi - xi_ref)
-  * predictive: receding-horizon QP over the discrete DCM dynamics
-        xi_{k+1} = e^{wT} xi_k + (1 - e^{wT}) r_k
-    with support-polygon constraints on every predicted ZMP,
+  * predictive: receding-horizon QP over the predicted ZMPs r_0 .. r_{N-1}
+    and the last predicted DCM xi_N, the DCMs before it rolled backward
+    through the discrete DCM dynamics
+        xi_k = e^{-wT} xi_{k+1} + (1 - e^{-wT}) r_k,
+    with xi_0 = xi_meas and support-polygon constraints on every predicted ZMP,
 
 followed by the cascaded ZMP-CoM law
     xdot* = xdot_ref - Kzmp (r_ref - r) + Kcom (x_ref - x).
@@ -212,7 +214,8 @@ class MpcInfeasibleError(RuntimeError):
 class MpcSample(NamedTuple):
     """What the plan alone fixes of one MPC sample's QP, built by
     `PredictiveDcmController.sample`: the gradient's reference terms `g`
-    (-2 Q ref_j, zero on the ZMPs), the polygon rows `A_in`, `b_in`, all
+    (the stacked -2 Q ref_j mapped through the backward map P, see
+    `PredictiveDcmController`), the polygon rows `A_in`, `b_in`, all
     read-only, and `zmps`, each step's start ZMP, the vertex mean of its
     polygon as two floats, or None for a step without one.
     """
@@ -226,13 +229,18 @@ class MpcSample(NamedTuple):
 class PredictiveDcmController:
     """Receding-horizon DCM stabilizer; ZMP kept inside the support polygon.
 
-    The QP is over w = [xi_0 .. xi_N, r_0 .. r_{N-1}]. Its Hessian and the
-    dynamics rows of A_eq depend only on the config and omega, so they are
-    built once. The reference gradient and the polygon rows depend only on
-    the plan, so `sample` builds them once per MPC sample, before a run;
-    each solve adds the measurement (the previous ZMP's gradient term and
-    the initial-condition right-hand side) and starts the solver from a
-    feasible point built in closed form (see `start_point`).
+    The QP is over w = [r_0 .. r_{N-1}, xi_N]. The DCMs before xi_N roll
+    backward through the ZMPs, as the planner's do
+    (`dcm_planner.backward_recursion`): xi_j = a xi_{j+1} + (1 - a) r_j with
+    a = e^{-wT}, so [xi_0 .. xi_N] = P w, every coefficient of P in [0, 1].
+    The Hessian is P^T blkdiag(2Q .. 2Q, 2Q_terminal) P plus the ZMP rate
+    chain, and the one equality is P's first block row: xi_0 = xi_meas.
+    Both depend only on the config and omega, so they are built once. The
+    reference gradient and the polygon rows depend only on the plan, so
+    `sample` builds them once per MPC sample, before a run; each solve adds
+    the measurement (the previous ZMP's gradient term and the equality's
+    right-hand side) and starts the solver from a feasible point built in
+    closed form (see `start_point`).
     """
 
     def __init__(self, config, omega):
@@ -241,44 +249,45 @@ class PredictiveDcmController:
         self.config = config
         self.omega = omega
         self._solver = QpSolver()
-        self._f = np.exp(omega * config.sample_time)
-        self._H, self._A_eq = self._fixed_matrices()
+        self._P, self._H, self._A_eq = self._fixed_matrices()
 
     def _fixed_matrices(self):
         N = self.config.horizon
-        f = self._f
-        g_gain = 1.0 - f
-        n_xi = 2 * (N + 1)
-        n = n_xi + 2 * N
+        a = math.exp(-self.omega * self.config.sample_time)
         Q, R, QN = self.config.Q, self.config.R, self.config.Q_terminal
 
-        H = np.zeros((n, n))
-        for j in range(N):
-            H[2 * j:2 * j + 2, 2 * j:2 * j + 2] = 2.0 * Q
-        H[2 * N:2 * N + 2, 2 * N:2 * N + 2] = 2.0 * QN
+        # Per block row j: xi_j = a xi_{j+1} + (1 - a) r_j, starting from
+        # xi_N itself; every 2 x 2 block of P is a multiple of I.
+        p = np.zeros((N + 1, N + 1))
+        p[N, N] = 1.0
+        for j in range(N - 1, -1, -1):
+            p[j] = a * p[j + 1]
+            p[j, j] = 1.0 - a
+        P = np.kron(p, np.eye(2))
+
+        W = np.kron(np.eye(N + 1), 2.0 * Q)
+        W[-2:, -2:] = 2.0 * QN
+        # The xi_0 term is constant where xi_0 = xi_meas, but it keeps H
+        # positive definite when R = 0.
+        H = P.T @ W @ P
         # Rate cost sum_j |r_j - r_{j-1}|^2_R with r_{-1} = r_prev: each chain
         # term adds 2R to both endpoint diagonals and -2R off-diagonal.
         for j in range(N):
-            k = n_xi + 2 * j
+            k = 2 * j
             H[k:k + 2, k:k + 2] += 2.0 * R
             if j + 1 < N:
-                k2 = n_xi + 2 * (j + 1)
                 H[k:k + 2, k:k + 2] += 2.0 * R
-                H[k:k + 2, k2:k2 + 2] += -2.0 * R
-                H[k2:k2 + 2, k:k + 2] += -2.0 * R
-
-        # Rows 2i, 2i+1: xi_{i+1} - f xi_i - (1 - f) r_i = 0; last two: xi_0.
-        A_eq = np.zeros((2 * N + 2, n))
-        for i in range(N):
-            rows = slice(2 * i, 2 * i + 2)
-            A_eq[rows, 2 * (i + 1):2 * (i + 1) + 2] = np.eye(2)
-            A_eq[rows, 2 * i:2 * i + 2] = -f * np.eye(2)
-            A_eq[rows, n_xi + 2 * i:n_xi + 2 * i + 2] = -g_gain * np.eye(2)
-        A_eq[2 * N:2 * N + 2, 0:2] = np.eye(2)
+                H[k:k + 2, k + 2:k + 4] += -2.0 * R
+                H[k + 2:k + 4, k:k + 2] += -2.0 * R
+        # Exactly symmetric, so that `QpProblem` skips its symmetry test.
+        H = 0.5 * (H + H.T)
+        # An owned copy: the solver caches K0^-1 only for read-only arrays
+        # that own their data, and a view of P does not.
+        A_eq = P[:2].copy()
         # Shared by every assembled problem, so nothing may write to them.
-        H.setflags(write=False)
-        A_eq.setflags(write=False)
-        return H, A_eq
+        for M in (P, H, A_eq):
+            M.setflags(write=False)
+        return P, H, A_eq
 
     def sample(self, xi_refs, polygons=None):
         """The `MpcSample` of a DCM reference window `xi_refs` ((N+1) x 2)
@@ -287,31 +296,31 @@ class PredictiveDcmController:
         refs = np.asarray(xi_refs, dtype=float).reshape(-1, 2)
         if refs.shape[0] != N + 1:
             raise ValueError(f"need {N + 1} DCM reference samples, got {refs.shape[0]}")
-        n_xi = 2 * (N + 1)
-        n = n_xi + 2 * N
+        n = 2 * N + 2
         Q, QN = self.config.Q, self.config.Q_terminal
         polygons = list((polygons or [])[:N])
         polygons += [None] * (N - len(polygons))
 
         # -2 Q ref_j for every step as one stacked matrix-vector product,
-        # which rounds as the product per sample does (refs @ Q.T does not).
-        grad = np.concatenate([(-2.0 * Q @ refs[:N, :, None]).ravel(),
-                               (-2.0 * QN @ refs[N:, :, None]).ravel(), np.zeros(2 * N)])
+        # which rounds as the product per sample does (refs @ Q.T does not),
+        # then mapped from the DCMs to w.
+        grad = self._P.T @ np.concatenate([(-2.0 * Q @ refs[:N, :, None]).ravel(),
+                                           (-2.0 * QN @ refs[N:, :, None]).ravel()])
         constrained = [(j, poly) for j, poly in enumerate(polygons) if poly is not None]
         A_in, b_in = np.zeros((0, n)), np.zeros(0)
         if constrained:
             A = np.concatenate([poly.A for _, poly in constrained])
             b_in = np.concatenate([poly.b for _, poly in constrained])
-            # Row i constrains r_j of its polygon: columns n_xi + 2j and + 1.
+            # Row i constrains r_j of its polygon: columns 2j and 2j + 1.
             rows = np.arange(A.shape[0])
-            cols = n_xi + 2 * np.repeat([j for j, _ in constrained],
-                                        [poly.A.shape[0] for _, poly in constrained])
+            cols = 2 * np.repeat([j for j, _ in constrained],
+                                 [poly.A.shape[0] for _, poly in constrained])
             A_in = np.zeros((A.shape[0], n))
             A_in[rows, cols] = A[:, 0]
             A_in[rows, cols + 1] = A[:, 1]
         # Shared by every solve of the sample, so nothing may write to them.
-        for a in (grad, A_in, b_in):
-            a.setflags(write=False)
+        for M in (grad, A_in, b_in):
+            M.setflags(write=False)
         # A window's steps share a few polygons: one vertex mean for each.
         distinct = {id(poly): poly for poly in polygons if poly is not None}
         means = {key: tuple(poly.vertices.mean(axis=0).tolist())
@@ -322,13 +331,10 @@ class PredictiveDcmController:
     def assemble(self, xi_meas, r_prev, sample):
         """The QP of `sample` (an `MpcSample`) at the measured DCM `xi_meas`
         after the ZMP `r_prev`."""
-        N = self.config.horizon
-        n_xi = 2 * (N + 1)
         grad = sample.g.copy()
-        grad[n_xi:n_xi + 2] += -2.0 * self.config.R @ np.asarray(r_prev, dtype=float)
-        b_eq = np.zeros(2 * N + 2)
-        b_eq[2 * N:2 * N + 2] = np.asarray(xi_meas, dtype=float).reshape(2)
-        return QpProblem(H=self._H, g=grad, A_eq=self._A_eq, b_eq=b_eq,
+        grad[:2] += -2.0 * self.config.R @ np.asarray(r_prev, dtype=float)
+        return QpProblem(H=self._H, g=grad, A_eq=self._A_eq,
+                         b_eq=np.array(xi_meas, dtype=float).reshape(2),
                          A_in=sample.A_in, b_in=sample.b_in)
 
     def start_point(self, xi_meas, r_prev, sample):
@@ -336,24 +342,16 @@ class PredictiveDcmController:
 
         Each r_j sits at its sample's start ZMP, the vertex mean of its
         polygon, which is strictly inside a convex polygon (r_prev where
-        there is none); xi_0 = xi_meas and the DCM is rolled forward through
-        the dynamics, so the equalities hold to rounding. The DCM is
-        otherwise free, so this point always exists.
+        there is none), and xi_N solves the equality xi_0 = xi_meas in
+        closed form, so it holds to rounding: xi_N is the DCM those ZMPs
+        roll xi_meas forward to. xi_N is otherwise free, so this point
+        always exists.
         """
-        # The rollout in float arithmetic: the same IEEE products and sums as
-        # f * xi_k + (1 - f) * r_k on 2-vectors, without per-step arrays. On
-        # numpy 2-vectors instead: steady-mpc control_ref.p5 +0.8%.
-        f = float(self._f)
         r_free = tuple(np.asarray(r_prev, dtype=float).reshape(2).tolist())
-        x, y = np.asarray(xi_meas, dtype=float).reshape(2).tolist()
-        xi, r = [x, y], []
-        for zmp in sample.zmps:
-            rx, ry = r_free if zmp is None else zmp
-            x = f * x + (1.0 - f) * rx
-            y = f * y + (1.0 - f) * ry
-            xi += (x, y)
-            r += (rx, ry)
-        return np.array(xi + r)
+        r = np.array([r_free if zmp is None else zmp for zmp in sample.zmps])
+        c = self._A_eq[0, ::2]   # xi_0's coefficient on each r_j, then on xi_N
+        xi_N = (np.asarray(xi_meas, dtype=float).reshape(2) - c[:-1] @ r) / c[-1]
+        return np.concatenate([r.ravel(), xi_N])
 
     def control(self, xi_meas, r_prev, sample):
         """The first ZMP of the optimum of `sample`'s QP at the measured DCM
@@ -365,8 +363,7 @@ class PredictiveDcmController:
                                      violation=sol.residuals.get("infeasible"))
         if sol.status is not QpStatus.OPTIMAL:
             raise MpcInfeasibleError("QP solver failed to converge")
-        n_xi = 2 * (self.config.horizon + 1)
-        return sol.w[n_xi:n_xi + 2].copy(), sol
+        return sol.w[:2].copy(), sol
 
 
 @dataclass(frozen=True)

@@ -152,10 +152,6 @@ class DcmTrajectory:
     def dcm(self, t):
         return self.eval(t)[0]
 
-    def implied_zmp(self, t):
-        xi, xid = self.eval(t)
-        return xi - xid / self.omega
-
     @property
     def t_start(self):
         return self.segments[0].t_start

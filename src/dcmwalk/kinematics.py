@@ -231,9 +231,6 @@ class KinematicModel:
         v = np.array([j.velocity_limit for j in self.joints])
         return -v, v
 
-    def frame_def(self, name):
-        return self._frame(name)[1]
-
     def _frame(self, name):
         """(link index, FrameDef) of a named frame."""
         try:
@@ -429,10 +426,6 @@ class KinematicsCache:
         # Joint columns, angular rows: the joint's axis.
         flat[plan.angular_index] = axes[plan.pair_joints].T
         return J
-
-    def frame_jacobian(self, name):
-        """6 x (6+n) geometric Jacobian (linear rows then angular rows)."""
-        return self.task_jacobian((name,))[3:]
 
     def com_jacobian(self):
         """3 x (6+n) Jacobian of the whole-body CoM."""

@@ -115,9 +115,3 @@ def rotation_error(r, d):
     return (0.5 * ((r20 * d10 + r21 * d11 + r22 * d12) - (r10 * d20 + r11 * d21 + r12 * d22)),
             0.5 * ((r00 * d20 + r01 * d21 + r02 * d22) - (r20 * d00 + r21 * d01 + r22 * d02)),
             0.5 * ((r10 * d00 + r11 * d01 + r12 * d02) - (r00 * d10 + r01 * d11 + r02 * d12)))
-
-
-def skew_vee_error(R, R_des):
-    """Rotation-error feedback term vee(sk(R R_des^T)) of two 3x3 matrices."""
-    return np.array(rotation_error(np.asarray(R, dtype=float).tolist(),
-                                   np.asarray(R_des, dtype=float).tolist()))

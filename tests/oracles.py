@@ -5,6 +5,7 @@ against the library internals, so solver and planner bugs cannot cancel out.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +222,29 @@ def mpc_kkt_oracle(omega, T, Q, R, QN, xi_meas, r_prev, refs):
     return sol[6:8]
 
 
+def frame_def(model, name):
+    """The `FrameDef` of a named frame of `model`, or of a link's origin
+    frame: a named frame shadows a link of the same name."""
+    from dcmwalk.kinematics import FrameDef
+    if name in model.frames:
+        return model.frames[name]
+    return FrameDef(link=name, xyz=np.zeros(3), rpy=np.zeros(3))
+
+
+def implied_zmp(trajectory, t):
+    """The ZMP the DCM reference implies at t: xi - xi_dot / omega."""
+    xi, xid = trajectory.eval(t)
+    return xi - xid / trajectory.omega
+
+
+def skew_vee_error(R, R_des):
+    """The rotation-error term vee(sk(R R_des^T)) of two 3 x 3 matrices by
+    `lipm.rotation_error`, the float-rows form the whole-body layer uses."""
+    from dcmwalk.lipm import rotation_error
+    return np.array(rotation_error(np.asarray(R, dtype=float).tolist(),
+                                   np.asarray(R_des, dtype=float).tolist()))
+
+
 def _chain_up(model, link):
     """Indices of the joints from `link` up to the base, nearest first,
     found by scanning `model.joints` for each link's parent joint."""
@@ -242,7 +266,7 @@ def fk_chain_oracle(model, state, frame):
         T[:3, 3] = p
         return T
 
-    fd = model.frame_def(frame)
+    fd = frame_def(model, frame)
     T = hom(state.base_rotation, state.base_position)
     for idx in reversed(_chain_up(model, fd.link)):
         joint = model.joints[idx]
@@ -312,7 +336,7 @@ def frame_jacobian_loop(model, state, frame):
     """6 x (6+n) frame Jacobian, one joint column at a time."""
     origins, axes = _joint_frames_oracle(model, state)
     p, _ = fk_chain_oracle(model, state, frame)
-    chain = _chain_up(model, model.frame_def(frame).link)
+    chain = _chain_up(model, frame_def(model, frame).link)
     J = np.zeros((6, 6 + model.n_joints))
     J[0:3, 0:3] = np.eye(3)
     J[0:3, 3:6] = _lever_skew(p - state.base_position)
@@ -375,46 +399,129 @@ def random_tree_doc(rng, max_joints=6):
     return {"base_link": "l0", "links": links, "joints": joints, "frames": frames}
 
 
-def mpc_start_point(f, xi_meas, r_prev, polygons):
+def mpc_backward_map(omega, T, N):
+    """The MPC's backward map P, (2N + 2) x (2N + 2), from
+    w = [r_0 .. r_{N-1}, xi_N] to [xi_0 .. xi_N], one column at a time:
+    xi_j's coefficient on r_i (j <= i < N) is (1 - a) a^(i - j) and on xi_N
+    a^(N - j), each power by repeated products, a = e^{-omega T}."""
+    a = math.exp(-omega * T)
+    P = np.zeros((2 * N + 2, 2 * N + 2))
+    for i in range(N + 1):
+        coef = 1.0 if i == N else 1.0 - a
+        for j in range(i, -1, -1):
+            P[2 * j, 2 * i] = P[2 * j + 1, 2 * i + 1] = coef
+            coef = a * coef
+    return P
+
+
+def mpc_start_point(omega, T, xi_meas, r_prev, polygons):
     """The MPC's start point (`PredictiveDcmController.start_point`) on
     numpy 2-vectors: r_j at the vertex mean of polygon j (r_prev for None),
-    xi_0 = xi_meas and xi_{k+1} = f xi_k + (1 - f) r_k."""
-    r = np.array([np.asarray(r_prev, dtype=float) if poly is None
-                  else poly.vertices.mean(axis=0) for poly in polygons])
+    and xi_N from the initial condition xi_0 = xi_meas, the first block row
+    of `mpc_backward_map`."""
+    N = len(polygons)
+    r = _mpc_start_zmps(r_prev, polygons)
+    c = mpc_backward_map(omega, T, N)[0, ::2]
+    xi_N = (np.asarray(xi_meas, dtype=float) - c[:N] @ r) / c[N]
+    return np.concatenate([r.ravel(), xi_N])
+
+
+def mpc_rollout_plain(f, xi_meas, r):
+    """The DCMs xi_0 .. xi_N rolled forward from xi_0 = xi_meas through the
+    ZMPs r (N x 2): xi_{k+1} = f xi_k + (1 - f) r_k."""
     xi = [np.asarray(xi_meas, dtype=float)]
-    for r_k in r:
+    for r_k in np.asarray(r, dtype=float).reshape(-1, 2):
         xi.append(f * xi[-1] + (1.0 - f) * r_k)
-    return np.concatenate(xi + [r.ravel()])
+    return np.array(xi)
 
 
-def mpc_blocks_plain(config, xi_meas, r_prev, xi_refs, polygons):
-    """(g, b_eq, A_in, b_in) of the MPC's QP over
-    w = [xi_0 .. xi_N, r_0 .. r_{N-1}], built in one call from the
-    measurement, the DCM window and the polygons (None for a step without
-    one), one polygon at a time: g_k = -2 Q ref_k (Q_terminal for k = N),
-    plus -2 R r_prev on r_0; b_eq zero but for xi_0 = xi_meas in its last
-    two rows; one row per polygon edge on its step's ZMP."""
+def _mpc_start_zmps(r_prev, polygons):
+    """N x 2: the vertex mean of each step's polygon, r_prev for None."""
+    return np.array([np.asarray(r_prev, dtype=float) if poly is None
+                     else poly.vertices.mean(axis=0) for poly in polygons]).reshape(-1, 2)
+
+
+def _mpc_dcm_gradient(config, xi_refs):
+    """[-2 Q ref_0 .. -2 Q ref_{N-1}, -2 Q_terminal ref_N], one sample at a
+    time: the gradient's reference terms on the DCMs xi_0 .. xi_N."""
     N = config.horizon
-    n_xi = 2 * (N + 1)
-    n = n_xi + 2 * N
     refs = np.asarray(xi_refs, dtype=float).reshape(N + 1, 2)
-    g = np.zeros(n)
+    g = np.zeros(2 * N + 2)
     for k in range(N + 1):
         g[2 * k:2 * k + 2] = -2.0 * (config.Q if k < N else config.Q_terminal) @ refs[k]
-    g[n_xi:n_xi + 2] += -2.0 * config.R @ np.asarray(r_prev, dtype=float)
-    b_eq = np.zeros(2 * N + 2)
-    b_eq[2 * N:] = xi_meas
+    return g
+
+
+def _mpc_polygon_rows(n, offset, polygons):
+    """One row per polygon edge on step j's ZMP, at columns offset + 2j and
+    offset + 2j + 1, and their right-hand sides."""
     rows, rhs = [], []
     for j, poly in enumerate(polygons):
         if poly is None:
             continue
         for a, b in zip(poly.A, poly.b):
             row = np.zeros(n)
-            row[n_xi + 2 * j:n_xi + 2 * j + 2] = a
+            row[offset + 2 * j:offset + 2 * j + 2] = a
             rows.append(row)
             rhs.append(b)
-    A_in = np.array(rows).reshape(-1, n)
-    return g, b_eq, A_in, np.array(rhs, dtype=float)
+    return np.array(rows).reshape(-1, n), np.array(rhs, dtype=float)
+
+
+def mpc_blocks_plain(config, omega, xi_meas, r_prev, xi_refs, polygons):
+    """(g, b_eq, A_in, b_in) of the MPC's QP over
+    w = [r_0 .. r_{N-1}, xi_N], built in one call from the measurement, the
+    DCM window and the polygons (None for a step without one), one polygon
+    at a time: g = P^T [-2 Q ref_k .. ] (Q_terminal for k = N) with P from
+    `mpc_backward_map`, plus -2 R r_prev on r_0; b_eq = xi_meas; one row
+    per polygon edge on its step's ZMP."""
+    N = config.horizon
+    g = mpc_backward_map(omega, config.sample_time, N).T @ _mpc_dcm_gradient(config, xi_refs)
+    g[:2] += -2.0 * config.R @ np.asarray(r_prev, dtype=float)
+    A_in, b_in = _mpc_polygon_rows(2 * N + 2, 0, polygons)
+    return g, np.asarray(xi_meas, dtype=float), A_in, b_in
+
+
+def mpc_qp_forward(config, omega, xi_meas, r_prev, xi_refs, polygons):
+    """(QP, start point) of the MPC in forward coordinates, over
+    w = [xi_0 .. xi_N, r_0 .. r_{N-1}] with the dynamics
+    xi_{i+1} = f xi_i + (1 - f) r_i (f = e^{omega T}) and xi_0 = xi_meas as
+    2N + 2 equality rows: the same cost and polygon rows as the MPC's own
+    QP, so the same optimum. The start point puts each r_j at the vertex
+    mean of its polygon (r_prev for None) and rolls the DCM forward."""
+    from dcmwalk.qp import QpProblem
+    N = config.horizon
+    polygons = list(polygons) + [None] * (N - len(polygons))
+    f = np.exp(omega * config.sample_time)
+    n_xi = 2 * (N + 1)
+    n = n_xi + 2 * N
+    Q, R, QN = config.Q, config.R, config.Q_terminal
+    H = np.zeros((n, n))
+    for j in range(N):
+        H[2 * j:2 * j + 2, 2 * j:2 * j + 2] = 2.0 * Q
+    H[2 * N:2 * N + 2, 2 * N:2 * N + 2] = 2.0 * QN
+    # Rate cost sum_j |r_j - r_{j-1}|^2_R with r_{-1} = r_prev.
+    for j in range(N):
+        k = n_xi + 2 * j
+        H[k:k + 2, k:k + 2] += 2.0 * R
+        if j + 1 < N:
+            H[k:k + 2, k:k + 2] += 2.0 * R
+            H[k:k + 2, k + 2:k + 4] += -2.0 * R
+            H[k + 2:k + 4, k:k + 2] += -2.0 * R
+    A_eq = np.zeros((2 * N + 2, n))
+    for i in range(N):
+        rows = slice(2 * i, 2 * i + 2)
+        A_eq[rows, 2 * (i + 1):2 * (i + 1) + 2] = np.eye(2)
+        A_eq[rows, 2 * i:2 * i + 2] = -f * np.eye(2)
+        A_eq[rows, n_xi + 2 * i:n_xi + 2 * i + 2] = -(1.0 - f) * np.eye(2)
+    A_eq[2 * N:, 0:2] = np.eye(2)
+    b_eq = np.zeros(2 * N + 2)
+    b_eq[2 * N:] = xi_meas
+    g = np.concatenate([_mpc_dcm_gradient(config, xi_refs), np.zeros(2 * N)])
+    g[n_xi:n_xi + 2] += -2.0 * R @ np.asarray(r_prev, dtype=float)
+    A_in, b_in = _mpc_polygon_rows(n, n_xi, polygons)
+    r = _mpc_start_zmps(r_prev, polygons)
+    start = np.concatenate([mpc_rollout_plain(f, xi_meas, r).ravel(), r.ravel()])
+    return QpProblem(H=H, g=g, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in), start
 
 
 def segment_at_scan(trajectory, t):
@@ -485,7 +592,7 @@ def frame_pose_plain(model, state, frame):
     """(position, rotation) of a frame, p + R xyz and R R_frame, from its
     link's pose (R, p) by `tree_pass_plain`, one frame at a time."""
     rotation, position = tree_pass_plain(model, state)
-    fd = model.frame_def(frame)
+    fd = frame_def(model, frame)
     link = list(model.links).index(fd.link)
     return position[link] + rotation[link] @ fd.xyz, rotation[link] @ fd.rotation
 

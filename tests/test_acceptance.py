@@ -20,7 +20,8 @@ from dcmwalk.kinematics import KinematicsCache, integrate_state, sample_biped
 from dcmwalk.lipm import PendulumParams, SimplifiedState, step_exact
 from dcmwalk.so3 import vee
 from dcmwalk.unicycle import UnicycleConfig, plan_footsteps, timeline_from_footsteps
-from oracles import brute_force_qp, mpc_kkt_oracle, mpc_qp_data_n2, random_qp, row_form
+from oracles import (brute_force_qp, implied_zmp, mpc_kkt_oracle, mpc_qp_data_n2, random_qp,
+                     row_form)
 from test_harness import quiet
 from test_unicycle import make_feet
 from test_wholebody import consistent_refs, make_controller
@@ -63,7 +64,7 @@ def test_criterion_01_planner_c1_and_runtime():
         dp = max(dp, float(np.linalg.norm(pa - pb)))
         dv = max(dv, float(np.linalg.norm(va - vb)))
     ts = np.arange(traj.t_start, traj.t_end, 1e-3)
-    zmp = np.array([traj.implied_zmp(t) for t in ts])
+    zmp = np.array([implied_zmp(traj, t) for t in ts])
     zmp_jump = float(np.linalg.norm(np.diff(zmp, axis=0), axis=1).max())
     ok = (n_steps >= 10 and dp < 1e-9 and dv < 1e-9
           and zmp_jump < 1e-6 + 1e-3 * 10.0 and runtime < 0.1)
@@ -213,7 +214,7 @@ def test_criterion_06_jacobian_fd_slopes():
         errs = []
         cache = KinematicsCache(model, state)
         p0, R0 = cache.frame_pose(frame)
-        twist = cache.frame_jacobian(frame) @ nu
+        twist = cache.task_jacobian((frame,))[3:] @ nu
         for eps in eps_grid:
             pert = KinematicsCache(model, integrate_state(state, nu, eps))
             p1, R1 = pert.frame_pose(frame)

@@ -32,7 +32,7 @@ def fd_jacobian_error(model, state, frame, nu, eps):
     """Norm of (FD frame twist - J nu) for step size eps."""
     cache = KinematicsCache(model, state)
     p0, R0 = cache.frame_pose(frame)
-    J = cache.frame_jacobian(frame)
+    J = cache.task_jacobian((frame,))[3:]
     twist = J @ nu
     pert = KinematicsCache(model, integrate_state(state, nu, eps))
     p1, R1 = pert.frame_pose(frame)
@@ -138,7 +138,7 @@ class TestJacobians:
                 assert np.array_equal(cache.task_jacobian(tup), want), tup
                 assert np.array_equal(cache.task_jacobian(tup), want), tup
         assert np.array_equal(cache.com_jacobian(), task_jacobian_masked(model, state, ()))
-        assert np.array_equal(cache.frame_jacobian("torso"),
+        assert np.array_equal(cache.task_jacobian(("torso",))[3:],
                               task_jacobian_masked(model, state, ("torso",))[3:])
 
     def test_fd_slope_first_order(self):
@@ -166,7 +166,7 @@ class TestJacobians:
         nu = np.zeros(model.n_velocities)
         nu[0:3] = [0.1, -0.2, 0.3]
         for frame in ("left_foot", "torso"):
-            twist = cache.frame_jacobian(frame) @ nu
+            twist = cache.task_jacobian((frame,))[3:] @ nu
             assert np.allclose(twist[:3], nu[0:3], atol=1e-12)
             assert np.allclose(twist[3:], 0, atol=1e-12)
 
@@ -181,7 +181,7 @@ class TestJacobians:
         nu[3:6] = w
         for frame in ("left_foot", "right_foot"):
             p, _ = cache.frame_pose(frame)
-            twist = cache.frame_jacobian(frame) @ nu
+            twist = cache.task_jacobian((frame,))[3:] @ nu
             assert np.allclose(twist[:3],
                                np.cross(w, p - state.base_position), atol=1e-12)
             assert np.allclose(twist[3:], w, atol=1e-12)
@@ -197,7 +197,7 @@ class TestJacobians:
         J_fd = fd_task_jacobian(model, state, ("left_foot", "torso"))
         for k, frame in enumerate(("left_foot", "torso")):
             rows = J[3 + 6 * k:9 + 6 * k]
-            assert np.array_equal(rows, cache.frame_jacobian(frame))
+            assert np.array_equal(rows, cache.task_jacobian((frame,))[3:])
             assert np.abs(rows[:3] - J_fd[3 + 6 * k:6 + 6 * k]).max() < 1e-8
 
     def test_stacked_jacobian_matches_per_frame_loop(self):
@@ -286,7 +286,7 @@ class TestRandomTrees:
         ref = [com_jacobian_loop(model, state)]
         for k, frame in enumerate(frames):
             rows = J[3 + 6 * k:9 + 6 * k]
-            assert np.array_equal(cache.frame_jacobian(frame), rows)
+            assert np.array_equal(cache.task_jacobian((frame,))[3:], rows)
             k_rev = len(frames) - 1 - k
             assert np.array_equal(J_reversed[3 + 6 * k_rev:9 + 6 * k_rev], rows)
             ref.append(frame_jacobian_loop(model, state, frame))
@@ -510,5 +510,4 @@ class TestLoadModel:
         assert model.n_joints == 14
         lo, hi = model.joint_limits()
         assert np.all(lo < hi)
-        for frame in ("left_foot", "right_foot", "torso"):
-            model.frame_def(frame)
+        assert {"left_foot", "right_foot", "torso"} <= set(model.frames)

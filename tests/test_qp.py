@@ -484,12 +484,13 @@ def test_predictive_walk_builds_its_samples_before_the_first_cycle(monkeypatch):
         m = k // 10
         window, polygons = layer._plan.windows[m], layer._plan.polygons[m]
         problem = ctrl.assemble(xi_meas, r_prev, mpc_sample)
-        want = mpc_blocks_plain(ctrl.config, xi_meas, r_prev, window, polygons)
+        want = mpc_blocks_plain(ctrl.config, ctrl.omega, xi_meas, r_prev, window, polygons)
         for name, block in zip(("g", "b_eq", "A_in", "b_in"), want):
             assert np.array_equal(getattr(problem, name), block), (k, name)
         assert problem.H is ctrl._H and problem.A_eq is ctrl._A_eq
         assert np.array_equal(ctrl.start_point(xi_meas, r_prev, mpc_sample),
-                              mpc_start_point(ctrl._f, xi_meas, r_prev, polygons))
+                              mpc_start_point(ctrl.omega, ctrl.config.sample_time,
+                                              xi_meas, r_prev, polygons))
 
 
 def _frozen_copy(a):
@@ -764,5 +765,5 @@ def test_steady_predictive_walk_inverts_once(monkeypatch):
     monkeypatch.undo()
     assert result.metrics["completed"]
     assert len(samples) == 30
-    assert inverted == [(None, (124, 124))]
+    assert inverted == [(None, (44, 44))]
     assert solved and all(w == shape[0] == shape[1] for w, shape in solved)
