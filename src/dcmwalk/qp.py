@@ -175,8 +175,7 @@ class QpSolver:
         if K_cols is None:
             return self._infeasible(problem)
         working = {}   # inequality rows as keys, in the order they were added
-        lam_eq = np.zeros(m_eq)
-        mu = np.zeros(m)
+        last = [], np.zeros(m_eq)   # working rows and duals of the last Schur step
         it = 0
         while it < self.max_iter:
             it += 1
@@ -188,22 +187,22 @@ class QpSolver:
                     working.popitem()
                     continue
                 return self._infeasible(problem)
+            last = idx, duals
             if np.abs(p).max() <= self.tol * max(1.0, np.abs(w).max()):
-                lam_eq = duals[:m_eq]
-                mu = np.zeros(m)
                 mu_w = duals[m_eq:]
-                mu[idx] = mu_w
                 # Inequality duals must be nonnegative at the optimum.
                 if idx and mu_w.size and mu_w.min() < -self.tol:
                     del working[idx[int(np.argmin(mu_w))]]
                     continue
                 return self._solution(problem, w, QpStatus.OPTIMAL, it,
-                                      lam_eq, mu, working)
+                                      *_multipliers(last, m_eq, m), working)
             alpha, blocking = _ratio_test(G @ p, h - G @ w, working)
             w = w + alpha * p
             if blocking is not None:
                 working[blocking] = None
-        return self._solution(problem, w, QpStatus.MAX_ITER, it, lam_eq, mu, working)
+        # A stalled solve reports the multipliers it last computed.
+        return self._solution(problem, w, QpStatus.MAX_ITER, it,
+                              *_multipliers(last, m_eq, m), working)
 
     def _kkt_columns(self, problem):
         """The first n columns of K0^-1, where K0 = [H A_eq^T; A_eq 0], or
@@ -301,6 +300,15 @@ class QpSolver:
                              0, np.zeros(problem.A_eq.shape[0]), np.zeros(h.shape[0]), ())
         sol.infeasibility = float(np.max(-h)) if h.shape[0] else None   # G w - h at w = 0
         return sol
+
+
+def _multipliers(step, m_eq, m):
+    """(dual_eq, dual_in) of a Schur step's (working rows, duals): the
+    inequality duals scattered onto their rows, zero on every other row."""
+    idx, duals = step
+    mu = np.zeros(m)
+    mu[idx] = duals[m_eq:]
+    return duals[:m_eq], mu
 
 
 def _eq_residual(problem, w):

@@ -13,20 +13,10 @@ def skew(v):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def vee(W):
-    """Inverse of skew for antisymmetric matrices."""
-    W = np.asarray(W, dtype=float)
-    return np.array([W[2, 1], W[0, 2], W[1, 0]])
-
-
-def sk(A):
-    """Antisymmetric part of a square matrix, (A - A^T) / 2."""
-    A = np.asarray(A, dtype=float)
-    return 0.5 * (A - A.T)
-
-
 def rows_are_rotation(rows, tol=ORTHONORMALITY_TOL):
-    """`is_rotation` of the 3x3 matrix with these three rows of floats."""
+    """Whether the 3x3 matrix R with these three rows of floats is a
+    rotation: |R^T R - I|_inf <= tol (max absolute row sum) and
+    |det R - 1| <= tol."""
     (a, b, c), (d, e, f), (g, h, i) = rows
     # R^T R - I from the column dot products; one row sum per column of R.
     xx = a * a + d * d + g * g - 1.0
@@ -40,12 +30,6 @@ def rows_are_rotation(rows, tol=ORTHONORMALITY_TOL):
         return False
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     return abs(det - 1.0) <= tol
-
-
-def is_rotation(R, tol=ORTHONORMALITY_TOL):
-    """|R^T R - I|_inf <= tol (max absolute row sum) and |det R - 1| <= tol."""
-    R = np.asarray(R, dtype=float)
-    return R.shape == (3, 3) and rows_are_rotation(R.tolist(), tol)
 
 
 def exp_so3(w):

@@ -192,8 +192,9 @@ class SwingTrajectory:
     ground_height: float = 0.0
 
     def __post_init__(self):
-        # Each cubic once, as float tuples: pose runs every cycle of a swing.
-        # On numpy arrays instead: steady-pi control_ref.p5 +2.3%.
+        # Each cubic once, as float tuples: the plan table calls pose for
+        # every cycle of a swing. On numpy arrays instead: a 12 s walk's
+        # PlanTable build +28% (+4.4 ms, outside the spread of 10 pairs).
         half = 0.5 * (self.t_end - self.t_start)
         top = self.ground_height + self.apex
         cubics = (self.coeffs_xy[0], self.coeffs_xy[1], self.coeffs_yaw,

@@ -237,6 +237,18 @@ def implied_zmp(trajectory, t):
     return xi - xid / trajectory.omega
 
 
+def vee(W):
+    """Inverse of `so3.skew` for antisymmetric matrices."""
+    W = np.asarray(W, dtype=float)
+    return np.array([W[2, 1], W[0, 2], W[1, 0]])
+
+
+def sk(A):
+    """Antisymmetric part of a square matrix, (A - A^T) / 2."""
+    A = np.asarray(A, dtype=float)
+    return 0.5 * (A - A.T)
+
+
 def skew_vee_error(R, R_des):
     """The rotation-error term vee(sk(R R_des^T)) of two 3 x 3 matrices by
     `lipm.rotation_error`, the float-rows form the whole-body layer uses."""

@@ -18,10 +18,9 @@ from dcmwalk.harness import (NoiseModel, Scenario, build_gait,
                              support_polygon_at)
 from dcmwalk.kinematics import KinematicsCache, integrate_state, sample_biped
 from dcmwalk.lipm import PendulumParams, SimplifiedState, step_exact
-from dcmwalk.so3 import vee
 from dcmwalk.unicycle import UnicycleConfig, plan_footsteps, timeline_from_footsteps
 from oracles import (brute_force_qp, implied_zmp, mpc_kkt_oracle, mpc_qp_data_n2, random_qp,
-                     row_form)
+                     row_form, vee)
 from test_harness import quiet
 from test_unicycle import make_feet
 from test_wholebody import consistent_refs, make_controller

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from dcmwalk.kinematics import (YAML_LOADER, KinematicsCache, RobotState,
                                 UnknownFrameError, home_state, integrate_state,
                                 load_model, sample_biped)
-from dcmwalk.so3 import exp_so3, vee
+from dcmwalk.so3 import exp_so3
 from oracles import (com_jacobian_loop, com_oracle, fd_task_jacobian, fk_chain_oracle,
                      frame_jacobian_loop, frame_pose_plain, inequality_rows,
-                     random_tree_doc, task_jacobian_masked, tree_pass_plain)
+                     random_tree_doc, task_jacobian_masked, tree_pass_plain, vee)
 
 
 def random_state(model, rng, scale=0.4):

@@ -201,6 +201,30 @@ def test_max_iter_status():
     assert sol.status in (QpStatus.MAX_ITER, QpStatus.OPTIMAL, QpStatus.INFEASIBLE)
 
 
+def test_max_iter_carries_the_last_step_multipliers():
+    # min |w - (2, 0.5, 0)|^2 / 2 s.t. w2 = 1, w0 <= 1, w1 <= 5, from the
+    # least-squares start (0, 0, 1): iteration 1 is blocked by w0 <= 1, and
+    # iteration 2 takes the full step to the minimizer on that working row,
+    # one iteration before the multiplier check would return OPTIMAL.
+    prob = QpProblem(H=np.eye(3), g=np.array([-2.0, -0.5, 0.0]),
+                     A_eq=np.array([[0.0, 0.0, 1.0]]), b_eq=np.array([1.0]),
+                     A_in=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), b_in=np.array([1.0, 5.0]))
+    sol = QpSolver(max_iter=2).solve(prob)
+    assert sol.status is QpStatus.MAX_ITER and sol.active_set == (0,)
+    # The KKT system of the equality and the working row, solved directly.
+    W = list(sol.active_set)
+    A = np.vstack([prob.A_eq, prob.A_in[W]])
+    K = np.block([[prob.H, A.T], [A, np.zeros((A.shape[0], A.shape[0]))]])
+    z = np.linalg.solve(K, np.concatenate([-prob.g, prob.b_eq, prob.b_in[W]]))
+    assert np.allclose(sol.w, z[:3], rtol=0.0, atol=1e-12)
+    assert np.allclose(sol.dual_eq, z[3:4], rtol=0.0, atol=1e-12)
+    dual_in = np.zeros(2)
+    dual_in[W] = z[4:]
+    assert np.allclose(sol.dual_in, dual_in, rtol=0.0, atol=1e-12) and sol.dual_in[0] == 1.0
+    assert max(sol.residuals.values()) <= 1e-12
+    assert QpSolver(max_iter=3).solve(prob).status is QpStatus.OPTIMAL
+
+
 def test_infeasible_start_point_ignored():
     # A start that breaks the equality is rejected; the cold start is used.
     prob = QpProblem(H=2 * np.eye(2), g=np.zeros(2),
@@ -389,11 +413,9 @@ def test_steady_walk_solves_each_wholebody_qp_once(monkeypatch, mode):
     for name in ("frame_poses", "frame_pose", "task_jacobian"):
         monkeypatch.setattr(kinematics.KinematicsCache, name,
                             counting(name, getattr(kinematics.KinematicsCache, name)))
-    # The rotation error calls the check by its name in `lipm`, `is_rotation`
-    # by its name in `so3`.
-    for module in (lipm, so3):
-        monkeypatch.setattr(module, "rows_are_rotation",
-                            counting("rows_are_rotation", so3.rows_are_rotation))
+    # The rotation error calls the check by its name in `lipm`.
+    monkeypatch.setattr(lipm, "rows_are_rotation",
+                        counting("rows_are_rotation", so3.rows_are_rotation))
     for name in ("cholesky", "svd", "solve", "matrix_rank"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     result = run_scenario(Scenario(controller="instantaneous", mode=mode,
